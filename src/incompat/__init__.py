@@ -19,6 +19,7 @@ from .deficiency import (
     tau_fast,
 )
 from .errors import (
+    DegenerateWitnessError,
     DimensionCapError,
     IncompatError,
     InvalidDimensionError,
@@ -75,6 +76,7 @@ __all__ = [
     "CrossCheck",
     "DeficiencyProfile",
     "DeficiencyWitness",
+    "DegenerateWitnessError",
     "DimensionCapError",
     "DivisorDecomposition",
     "IncompatError",

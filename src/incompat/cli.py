@@ -2,7 +2,8 @@
 
 Subcommands: analyze, profile-curve, zeta-curve, verify-corpus.
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 input error, 3 subset-search cap exceeded (partial report emitted).
+2 input error, 3 subset-search cap exceeded (partial report emitted),
+4 numerically near-degenerate input (a support witness could not be rebuilt).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .corpus import render_table, run_corpus_checks
 from .deficiency import deficiency_profile
-from .errors import DimensionCapError, IncompatError
+from .errors import DegenerateWitnessError, DimensionCapError, IncompatError
 from .fourier import divisor_decomposition, zeta
 from .matrices import (
     LOADED_MATRIX_TOL,
@@ -65,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative SVD rank tolerance")
     tuning.add_argument("--zero-threshold", type=float, default=DEFAULT_ZERO_THRESHOLD,
                         help="support-counting zero threshold")
-    tuning.add_argument("--threads", type=int, default=1,
-                        help="worker cap for the subset searches")
 
     p = sub.add_parser("analyze", parents=[source, tuning],
                        help="full analysis of one matrix")
@@ -144,7 +143,6 @@ def cmd_analyze(args) -> int:
         rank_tol=args.rank_tol,
         zero_threshold=args.zero_threshold,
         support_cap=args.support_cap,
-        threads=args.threads,
     )
     if args.json:
         print(json.dumps(report_json_dict(report), indent=2))
@@ -160,7 +158,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_profile_curve(args) -> int:
     tm, _ = _matrix_from_args(args)
-    profile = deficiency_profile(tm, rank_tol=args.rank_tol, threads=args.threads)
+    profile = deficiency_profile(tm, rank_tol=args.rank_tol)
     lines = ["t,R_t,R_row_t,R_col_t"]
     for t in range(tm.dim):
         lines.append(
@@ -198,7 +196,6 @@ def cmd_verify_corpus(args) -> int:
         args.seeds,
         rank_tol=args.rank_tol,
         zero_threshold=args.zero_threshold,
-        threads=args.threads,
     )
     print(render_table(suites))
     print(f"runtime: {time.perf_counter() - start:.2f} s")
@@ -212,6 +209,9 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except DegenerateWitnessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except IncompatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

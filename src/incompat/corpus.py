@@ -74,7 +74,6 @@ def run_corpus_checks(
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-    threads: int = 1,
 ) -> list[SuiteResult]:
     shape = SuiteResult("profile shape (nonnegative, unit steps, ends at zero)")
     agreement = SuiteResult("deficiency route vs subset-search route")
@@ -87,18 +86,15 @@ def run_corpus_checks(
         return suites
 
     for name, tm in corpus_matrices(max_dim, seeds):
-        profile = deficiency_profile(tm, rank_tol=rank_tol, threads=threads)
+        profile = deficiency_profile(tm, rank_tol=rank_tol)
         shape.record(name, all(profile_shape_checks(profile).values()))
-        shortcut.record(name, tau_fast(tm, rank_tol=rank_tol, threads=threads) == profile.tau)
+        shortcut.record(name, tau_fast(tm, rank_tol=rank_tol) == profile.tau)
         witness = min_support_uncertainty(
             tm, zero_threshold=zero_threshold, rank_tol=rank_tol,
-            max_dim=max(tm.dim, 10), threads=threads,
+            max_dim=max(tm.dim, 10),
         )
         agreement.record(name, witness.n_ab == profile.chi)
-        extremal.record(
-            name,
-            all(extremal_checks(tm, profile, rank_tol=rank_tol, threads=threads).values()),
-        )
+        extremal.record(name, all(extremal_checks(tm, profile, rank_tol=rank_tol).values()))
         if name.startswith("dft("):
             closed_form.record(
                 name, dft_chi(tm.dim) == profile.chi and dft_chi(tm.dim) == witness.n_ab

@@ -6,25 +6,31 @@ columns (m in [1, d-t]); the column deficiency is the same with the roles of
 rows and columns exchanged. The overall level is the larger of the two. The
 deficiency index tau is one less than the smallest t whose level is zero, and
 the incompatibility order of the underlying basis pair is chi = d - tau.
+
+Only the row side is searched. By the nullity theorem the column nullity of
+U[R, C] equals the row nullity of the complementary block U[R^c, C^c], so
+complementing maps the row candidates at level t one to one onto the column
+candidates at level t with equal deficiency: the two sides have the same
+value, and the complement of a row witness is a column witness. The column
+value reported is the column deficiency of that complement, decided by its
+own SVD, so the profile still cross-checks the two sides numerically.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .matrices import SubmatrixSelector, TransitionMatrix
-from .rank import DEFAULT_RANK_TOL, rank_threshold
+from .rank import DEFAULT_RANK_TOL, batch_ranks, extract_submatrix, numerical_rank, rank_threshold
 
 
 @dataclass(frozen=True)
 class DeficiencyWitness:
-    """A submatrix achieving the level maximum, with the side it was found on."""
+    """A submatrix achieving the level maximum, with the side it is deficient on."""
 
     side: str  # 'row' or 'col'
     selector: SubmatrixSelector
@@ -36,8 +42,11 @@ class DeficiencyProfile:
     """All deficiency levels of one transition matrix, with witnesses.
 
     r_values[t] = max(r_row_values[t], r_col_values[t]); tau and chi follow.
-    worst_gap_ratio is the largest dropped/kept singular-value ratio seen
-    across every rank decision made, so borderline classifications can be
+    r_row_values comes from the level search and r_col_values from the
+    complement of each row witness (0 where there is none); the two agree for
+    every unitary unless a rank decision is borderline. worst_gap_ratio is
+    the largest dropped/kept singular-value ratio seen across every rank
+    decision of the level search, so borderline classifications can be
     flagged instead of silently trusted.
     """
 
@@ -56,27 +65,12 @@ def _check_level(dim: int, t: int) -> None:
         raise ValueError(f"level t must be in [0, {dim - 1}], got {t}")
 
 
-def _batch_eval(a: np.ndarray, rows: tuple[int, ...], col_sets: np.ndarray, threshold: float):
-    """Ranks and gap ratios of a[rows, K] for every column set K (one SVD call)."""
-    sub = a[np.asarray(rows)][:, col_sets].transpose(1, 0, 2)
-    s = np.linalg.svd(sub, compute_uv=False)
-    ranks = (s > threshold).sum(axis=1)
-    gaps = np.zeros(len(ranks))
-    inner = (ranks > 0) & (ranks < s.shape[1])
-    if inner.any():
-        where = np.nonzero(inner)[0]
-        r = ranks[where]
-        gaps[where] = s[where, r] / s[where, r - 1]
-    return rows, ranks, gaps
-
-
 def _max_row_deficiency(
     a: np.ndarray,
     t: int,
     *,
     stop_at: int | None = None,
     rank_tol: float = DEFAULT_RANK_TOL,
-    threads: int = 1,
 ):
     """Maximum of m - rank over all m x (m+t) submatrices of the unitary a.
 
@@ -108,9 +102,8 @@ def _max_row_deficiency(
         c = m + t
         col_sets = np.array(list(itertools.combinations(range(d), c)))
         threshold = rank_threshold((m, c), rank_tol, 1.0)
-        row_sets = itertools.combinations(range(d), m)
-        evaluate = partial(_batch_eval, a, col_sets=col_sets, threshold=threshold)
-        for rows, ranks, gaps in ordered_map(evaluate, row_sets, threads):
+        for rows in itertools.combinations(range(d), m):
+            ranks, gaps = batch_ranks(a, rows, col_sets, threshold)
             worst_gap = max(worst_gap, float(gaps.max()))
             deficiencies = m - ranks
             vmax = int(deficiencies.max())
@@ -125,64 +118,68 @@ def _max_row_deficiency(
     return best, best_sel, worst_gap
 
 
+def _level(a: np.ndarray, t: int, *, stop_at: int | None = None, rank_tol: float):
+    """Both sides of level t from one row search.
+
+    Returns (row value, row witness, column value, worst gap ratio of the
+    search). The column value is the column deficiency of the complement of
+    the row witness, decided at the complement's own shape threshold; it is 0
+    when there is no witness.
+    """
+    value, sel, gap = _max_row_deficiency(a, t, stop_at=stop_at, rank_tol=rank_tol)
+    if sel is None:
+        return value, None, 0, gap
+    comp = sel.complement(a.shape[0])
+    decided = numerical_rank(extract_submatrix(a, comp), rank_tol, scale=1.0)
+    return value, sel, len(comp.cols) - decided.rank, gap
+
+
 def r_row(
-    tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL, threads: int = 1
+    tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> tuple[int, Optional[SubmatrixSelector]]:
     """Level-t row deficiency with the first maximizing selector."""
     _check_level(tm.dim, t)
-    value, sel, _ = _max_row_deficiency(tm.matrix, t, rank_tol=rank_tol, threads=threads)
+    value, sel, _ = _max_row_deficiency(tm.matrix, t, rank_tol=rank_tol)
     return value, sel
 
 
 def r_col(
-    tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL, threads: int = 1
+    tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> tuple[int, Optional[SubmatrixSelector]]:
-    """Level-t column deficiency: the row search on the transpose, mapped back."""
+    """Level-t column deficiency with the complement of r_row's witness."""
     _check_level(tm.dim, t)
-    value, sel, _ = _max_row_deficiency(tm.matrix.T, t, rank_tol=rank_tol, threads=threads)
-    return value, sel.transpose() if sel is not None else None
+    _, sel, value, _ = _level(tm.matrix, t, rank_tol=rank_tol)
+    return value, sel.complement(tm.dim) if sel is not None else None
 
 
-def r_t(tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL, threads: int = 1) -> int:
+def r_t(tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Level-t deficiency: the larger of the row and column values."""
-    return max(
-        r_row(tm, t, rank_tol=rank_tol, threads=threads)[0],
-        r_col(tm, t, rank_tol=rank_tol, threads=threads)[0],
-    )
+    _check_level(tm.dim, t)
+    row_value, _, col_value, _ = _level(tm.matrix, t, rank_tol=rank_tol)
+    return max(row_value, col_value)
 
 
 def deficiency_profile(
-    tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL, threads: int = 1
+    tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> DeficiencyProfile:
     """Compute every level, tau, chi, and per-level witnesses.
 
-    Levels are computed for t descending so that each side's value at t + 1
+    Levels are computed for t descending so that the row value at t + 1
     bounds the value at t from above by one unit, giving an early exit the
     moment that bound is reached.
     """
     d = tm.dim
-    a = tm.matrix
     row_vals = [0] * d
     col_vals = [0] * d
     row_wits: list[Optional[SubmatrixSelector]] = [None] * d
-    col_wits: list[Optional[SubmatrixSelector]] = [None] * d
     worst = 0.0
-    prev_row = prev_col = None
+    prev = None
     for t in range(d - 1, -1, -1):
-        value, sel, gap = _max_row_deficiency(
-            a, t, stop_at=None if prev_row is None else prev_row + 1,
-            rank_tol=rank_tol, threads=threads,
+        row_vals[t], row_wits[t], col_vals[t], gap = _level(
+            tm.matrix, t, stop_at=None if prev is None else prev + 1, rank_tol=rank_tol
         )
-        row_vals[t], row_wits[t] = value, sel
         worst = max(worst, gap)
-        value, sel, gap = _max_row_deficiency(
-            a.T, t, stop_at=None if prev_col is None else prev_col + 1,
-            rank_tol=rank_tol, threads=threads,
-        )
-        col_vals[t] = value
-        col_wits[t] = sel.transpose() if sel is not None else None
-        worst = max(worst, gap)
-        prev_row, prev_col = row_vals[t], col_vals[t]
+        prev = row_vals[t]
 
     r_values = tuple(max(x, y) for x, y in zip(row_vals, col_vals))
     tau = min(t for t in range(d) if r_values[t] == 0) - 1
@@ -193,7 +190,7 @@ def deficiency_profile(
         elif row_vals[t] >= col_vals[t]:
             witnesses.append(DeficiencyWitness("row", row_wits[t], row_vals[t]))
         else:
-            witnesses.append(DeficiencyWitness("col", col_wits[t], col_vals[t]))
+            witnesses.append(DeficiencyWitness("col", row_wits[t].complement(d), col_vals[t]))
     return DeficiencyProfile(
         dim=d,
         r_values=r_values,
@@ -206,21 +203,17 @@ def deficiency_profile(
     )
 
 
-def tau_fast(
-    tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL, threads: int = 1
-) -> int:
+def tau_fast(tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """The deficiency index without computing full levels.
 
     Descends t from d - 2 and returns the first t at which any rank-deficient
-    m x (m+t) submatrix (or its transpose shape) exists; -1 if none. Agrees
-    with deficiency_profile(...).tau because levels are nonincreasing in t.
+    m x (m+t) submatrix exists; -1 if none. The row side alone decides this,
+    because a column-deficient block's complement is row deficient at the
+    same t. Agrees with deficiency_profile(...).tau because levels are
+    nonincreasing in t.
     """
-    a = tm.matrix
     for t in range(tm.dim - 2, -1, -1):
-        value, _, _ = _max_row_deficiency(a, t, stop_at=1, rank_tol=rank_tol, threads=threads)
-        if value >= 1:
-            return t
-        value, _, _ = _max_row_deficiency(a.T, t, stop_at=1, rank_tol=rank_tol, threads=threads)
+        value, _, _ = _max_row_deficiency(tm.matrix, t, stop_at=1, rank_tol=rank_tol)
         if value >= 1:
             return t
     return -1

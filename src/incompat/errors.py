@@ -35,3 +35,8 @@ class NoKernelError(IncompatError, ValueError):
 
 class DimensionCapError(IncompatError):
     """The brute-force subset search was refused because d exceeds the cap."""
+
+
+class DegenerateWitnessError(IncompatError, ArithmeticError):
+    """A rebuilt witness disagrees with its search subsets: the rank and zero
+    thresholds disagree about a numerically near-degenerate input."""

@@ -56,8 +56,17 @@ class SubmatrixSelector:
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"selector {name} must be strictly increasing")
 
-    def transpose(self) -> "SubmatrixSelector":
-        return SubmatrixSelector(rows=self.cols, cols=self.rows)
+    def complement(self, dim: int) -> "SubmatrixSelector":
+        """The rows and columns of a dim x dim matrix that this selector omits.
+
+        For a unitary U the column nullity of U[R, C] equals the row nullity
+        of U[R^c, C^c] (the nullity theorem), so the complement of a row
+        deficiency witness is a column deficiency witness of the same size.
+        """
+        return SubmatrixSelector(
+            rows=tuple(i for i in range(dim) if i not in self.rows),
+            cols=tuple(j for j in range(dim) if j not in self.cols),
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,9 +48,9 @@ def rank_from_singular_values(
 ) -> RankResult:
     """Turn a descending singular-value list into a RankResult.
 
-    This is the single place the keep/drop decision is made; the batched
-    search paths reuse it (via the same threshold formula) so that every
-    caller decides rank identically.
+    The keep/drop rule is the one batch_ranks applies to whole batches: both
+    count singular values above rank_threshold, so every caller decides rank
+    identically.
     """
     if scale is None:
         scale = float(s[0]) if s.size else 0.0
@@ -60,6 +60,27 @@ def rank_from_singular_values(
     dropped = float(s[rank]) if rank < s.size else 0.0
     gap = dropped / kept if (rank > 0 and rank < s.size) else 0.0
     return RankResult(rank, kept, dropped, gap)
+
+
+def batch_ranks(
+    a: np.ndarray, rows, col_sets: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and gap ratios of a[rows, K] for every column set K (one SVD call).
+
+    Both combinatorial searches decide rank here: the blocks are gathered,
+    singular values above ``threshold`` are counted, and the dropped/kept
+    ratio at the rank boundary is returned (0 for zero- or full-rank blocks).
+    """
+    sub = a[np.asarray(rows)][:, col_sets].transpose(1, 0, 2)
+    s = np.linalg.svd(sub, compute_uv=False)
+    ranks = (s > threshold).sum(axis=1)
+    gaps = np.zeros(len(ranks))
+    inner = (ranks > 0) & (ranks < s.shape[1])
+    if inner.any():
+        where = np.nonzero(inner)[0]
+        r = ranks[where]
+        gaps[where] = s[where, r] / s[where, r - 1]
+    return ranks, gaps
 
 
 def numerical_rank(

@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .deficiency import DeficiencyProfile, deficiency_profile, r_col, r_row
+from .deficiency import DeficiencyProfile, deficiency_profile
+from .errors import NoKernelError
 from .matrices import TransitionMatrix, matrix_to_json_dict
 from .rank import DEFAULT_RANK_TOL, FRAGILE_GAP_RATIO, kernel_witness
 from .support import (
@@ -55,8 +56,9 @@ def profile_shape_checks(profile: DeficiencyProfile) -> dict:
         "levels_unit_steps": steps_ok,
         "last_level_zero": r[d - 1] == 0,
         "zero_start_all_zero": r[0] != 0 or all(v == 0 for v in r),
+        # The nullity theorem makes the two sides equal for every unitary.
         "levels_max_of_sides": all(
-            r[t] == max(profile.r_row_values[t], profile.r_col_values[t]) for t in range(d)
+            r[t] == profile.r_row_values[t] == profile.r_col_values[t] for t in range(d)
         ),
     }
 
@@ -66,28 +68,27 @@ def extremal_checks(
     profile: DeficiencyProfile,
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
-    threads: int = 1,
 ) -> dict:
     """At t = tau both sides reach exactly 1 and their kernels are all nonzero.
 
-    Vacuously true when tau = -1 (no deficiency anywhere).
+    The row witness is the profile's and the column witness its complement,
+    so no level is searched again. Vacuously true when tau = -1 (no
+    deficiency anywhere).
     """
     if profile.tau < 0:
         return {"extremal_levels_balanced": True, "extremal_witness_nonzero": True}
     tau = profile.tau
-    row_value, row_sel = r_row(tm, tau, rank_tol=rank_tol, threads=threads)
-    col_value, col_sel = r_col(tm, tau, rank_tol=rank_tol, threads=threads)
-    balanced = (
-        row_value == 1
-        and col_value == 1
-        and profile.r_row_values[tau] == 1
-        and profile.r_col_values[tau] == 1
-    )
-    nonzero = False
-    if row_sel is not None and col_sel is not None:
+    balanced = profile.r_row_values[tau] == 1 and profile.r_col_values[tau] == 1
+    w = profile.witnesses[tau]
+    row_sel = w.selector if w.side == "row" else w.selector.complement(tm.dim)
+    try:
         left = kernel_witness(tm.matrix, "left", row_sel, tol=rank_tol, scale=1.0)
-        right = kernel_witness(tm.matrix, "right", col_sel, tol=rank_tol, scale=1.0)
+        right = kernel_witness(
+            tm.matrix, "right", row_sel.complement(tm.dim), tol=rank_tol, scale=1.0
+        )
         nonzero = left.all_nonzero and right.all_nonzero
+    except NoKernelError:
+        nonzero = False
     return {"extremal_levels_balanced": balanced, "extremal_witness_nonzero": nonzero}
 
 
@@ -98,14 +99,13 @@ def analyze_transition(
     rank_tol: float = DEFAULT_RANK_TOL,
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
     support_cap: int = DEFAULT_SUPPORT_CAP,
-    threads: int = 1,
 ) -> AnalysisReport:
     """Run the deficiency route, the subset-search route when affordable,
     and every cross-check both routes allow."""
     timings: dict = {}
 
     start = time.perf_counter()
-    profile = deficiency_profile(tm, rank_tol=rank_tol, threads=threads)
+    profile = deficiency_profile(tm, rank_tol=rank_tol)
     timings["deficiency"] = time.perf_counter() - start
 
     support = None
@@ -117,7 +117,6 @@ def analyze_transition(
             zero_threshold=zero_threshold,
             rank_tol=rank_tol,
             max_dim=support_cap,
-            threads=threads,
         )
         timings["support"] = time.perf_counter() - start
     else:
@@ -127,7 +126,7 @@ def analyze_transition(
 
     start = time.perf_counter()
     checks = profile_shape_checks(profile)
-    checks.update(extremal_checks(tm, profile, rank_tol=rank_tol, threads=threads))
+    checks.update(extremal_checks(tm, profile, rank_tol=rank_tol))
     if support is not None:
         checks["support_matches_deficiency"] = support.n_ab == profile.chi
     timings["checks"] = time.perf_counter() - start

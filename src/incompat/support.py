@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .deficiency import tau_fast
-from .errors import DimensionCapError, NonFiniteEntryError, ZeroVectorError
+from .errors import DegenerateWitnessError, DimensionCapError, NonFiniteEntryError, ZeroVectorError
 from .matrices import TransitionMatrix
-from .rank import DEFAULT_RANK_TOL, _normalize_phase, rank_threshold
+from .rank import DEFAULT_RANK_TOL, _normalize_phase, batch_ranks, rank_threshold
 
 DEFAULT_ZERO_THRESHOLD = 1e-8
 # 4^d subset pairs; above this the search is refused unless the cap is raised.
@@ -62,7 +61,6 @@ def min_support_uncertainty(
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
     rank_tol: float = DEFAULT_RANK_TOL,
     max_dim: int = DEFAULT_SUPPORT_CAP,
-    threads: int = 1,
 ) -> SupportWitness:
     """Brute-force minimal support uncertainty with an explicit witness state.
 
@@ -94,15 +92,9 @@ def min_support_uncertainty(
                 return _build_witness(tm, tuple(range(d)), (0,), y, zero_threshold)
             col_sets = np.array(list(itertools.combinations(range(d), nb)))
             threshold = rank_threshold((d - na, nb), rank_tol, 1.0)
-            row_iter = itertools.combinations(range(d), na)
-
-            def deficient_cols(rows_a, _cols=col_sets, _thr=threshold):
+            for rows_a in itertools.combinations(range(d), na):
                 comp = tuple(sorted(set(range(d)) - set(rows_a)))
-                sub = a[np.asarray(comp)][:, _cols].transpose(1, 0, 2)
-                ranks = (np.linalg.svd(sub, compute_uv=False) > _thr).sum(axis=1)
-                return rows_a, comp, ranks
-
-            for rows_a, comp, ranks in ordered_map(deficient_cols, row_iter, threads):
+                ranks, _ = batch_ranks(a, comp, col_sets, threshold)
                 hits = np.nonzero(ranks < nb)[0]
                 if hits.size == 0:
                     continue
@@ -131,7 +123,7 @@ def _build_witness(
     observed_a = tuple(int(i) for i in np.nonzero(np.abs(x) > zero_threshold)[0])
     observed_b = tuple(subset_b[i] for i in np.nonzero(np.abs(y) > zero_threshold)[0])
     if observed_a != subset_a or observed_b != subset_b:
-        raise ArithmeticError(
+        raise DegenerateWitnessError(
             "reconstructed witness support does not match the search subsets "
             f"(got A={observed_a} B={observed_b}, expected A={subset_a} "
             f"B={subset_b}); the input is numerically near-degenerate"
@@ -165,17 +157,15 @@ def cross_check(
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
     rank_tol: float = DEFAULT_RANK_TOL,
     max_dim: int = DEFAULT_SUPPORT_CAP,
-    threads: int = 1,
 ) -> CrossCheck:
     """Compare chi from the deficiency route against the subset-search minimum."""
-    tau = tau_fast(tm, rank_tol=rank_tol, threads=threads)
+    tau = tau_fast(tm, rank_tol=rank_tol)
     chi = tm.dim - tau
     witness = min_support_uncertainty(
         tm,
         zero_threshold=zero_threshold,
         rank_tol=rank_tol,
         max_dim=max_dim,
-        threads=threads,
     )
     return CrossCheck(
         dim=tm.dim,

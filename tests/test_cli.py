@@ -118,6 +118,13 @@ class TestAnalyze:
         assert code == 2
         assert "tolerance" in err
 
+    def test_near_degenerate_witness_exit_4(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--family", "qubit", "--theta", "1e-9")
+        assert code == 4
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "near-degenerate" in lines[0]
+
 
 class TestProfileCurve:
     def test_identity_six_rows(self, capsys, tmp_path):

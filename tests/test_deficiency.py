@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import incompat.deficiency
 from bruteforce import brute_profile, brute_r_row
 from incompat import (
     SubmatrixSelector,
@@ -20,6 +22,7 @@ from incompat import (
     random_unitary,
     tau_fast,
 )
+from incompat.report import extremal_checks, profile_shape_checks
 
 SMALL_CORPUS = (
     [identity(d) for d in (2, 3, 4, 5)]
@@ -39,8 +42,9 @@ class TestIdentitySix:
 
     def test_row_equals_col_by_symmetry(self):
         tm = identity(6)
+        transposed = from_array(tm.matrix.T)
         for t in range(6):
-            assert r_row(tm, t)[0] == r_col(tm, t)[0]
+            assert r_row(tm, t)[0] == r_row(transposed, t)[0]
 
     @pytest.mark.parametrize("t,expected", [(0, 3), (1, 2), (2, 2), (3, 1), (4, 1), (5, 0)])
     def test_single_levels(self, t, expected):
@@ -77,8 +81,9 @@ class TestSymmetricFamilies:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_dft_row_equals_col(self, d):
         tm = dft_matrix(d)
+        transposed = from_array(tm.matrix.T)
         for t in range(d):
-            assert r_row(tm, t)[0] == r_col(tm, t)[0]
+            assert r_row(tm, t)[0] == r_row(transposed, t)[0]
 
     @pytest.mark.parametrize("tm", SMALL_CORPUS[:8], ids=lambda tm: f"d{tm.dim}")
     def test_top_t_level_always_zero(self, tm):
@@ -115,12 +120,10 @@ class TestProfiles:
             else:
                 assert p.witnesses[t] is None
 
-    def test_profile_deterministic_across_calls_and_threads(self):
+    def test_profile_deterministic_across_calls(self):
         tm = random_unitary(4, 9)
         a = deficiency_profile(tm)
-        b = deficiency_profile(tm)
-        c = deficiency_profile(tm, threads=4)
-        for other in (b, c):
+        for other in (deficiency_profile(tm), deficiency_profile(tm)):
             assert a.r_values == other.r_values
             assert a.witnesses == other.witnesses
             assert a.worst_gap_ratio == other.worst_gap_ratio
@@ -130,6 +133,44 @@ class TestProfiles:
             r_row(identity(3), 3)
         with pytest.raises(ValueError):
             r_col(identity(3), -1)
+
+
+class TestOneSearchPerLevel:
+    """The column side is derived from the row search, never searched."""
+
+    TRANSPOSE_CORPUS = [random_unitary(d, seed) for d in range(2, 7) for seed in range(10)] + [
+        bronzan_rotation(t1, t2)
+        for t1 in np.linspace(0, math.pi / 2, 4)
+        for t2 in np.linspace(0, math.pi / 2, 4)
+    ]
+
+    @pytest.mark.parametrize("idx", range(len(TRANSPOSE_CORPUS)))
+    def test_profile_matches_transpose_search(self, idx):
+        # The row search on U^T is the old column search: an independent oracle.
+        tm = self.TRANSPOSE_CORPUS[idx]
+        p = deficiency_profile(tm)
+        assert p.r_values == deficiency_profile(from_array(tm.matrix.T)).r_values
+        assert p.r_row_values == p.r_col_values
+
+    @pytest.mark.parametrize(
+        "tm", [identity(5), dft_matrix(6), bronzan_rotation(math.pi / 5, math.pi / 7)],
+        ids=lambda tm: f"d{tm.dim}",
+    )
+    def test_extremal_checks_search_nothing(self, tm, monkeypatch):
+        profile = deficiency_profile(tm)
+        assert profile.tau >= 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extremal_checks ran a level search")
+
+        monkeypatch.setattr(incompat.deficiency, "_max_row_deficiency", refuse)
+        assert all(extremal_checks(tm, profile).values())
+
+    def test_side_mismatch_fails_shape_check(self):
+        p = deficiency_profile(identity(4))
+        skewed = dataclasses.replace(p, r_col_values=(p.r_col_values[0] - 1,) + p.r_col_values[1:])
+        assert profile_shape_checks(p)["levels_max_of_sides"]
+        assert not profile_shape_checks(skewed)["levels_max_of_sides"]
 
 
 class TestTauFast:

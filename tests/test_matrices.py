@@ -182,9 +182,10 @@ class TestSelector:
         with pytest.raises(ValueError):
             SubmatrixSelector(rows=(-1,), cols=(0,))
 
-    def test_transpose_swaps(self):
+    def test_complement_omits_selected(self):
         sel = SubmatrixSelector(rows=(0, 2), cols=(1,))
-        assert sel.transpose() == SubmatrixSelector(rows=(1,), cols=(0, 2))
+        assert sel.complement(4) == SubmatrixSelector(rows=(1, 3), cols=(0, 2, 3))
+        assert sel.complement(4).complement(4) == sel
 
 
 class TestLoadMatrix:

@@ -93,10 +93,10 @@ class TestMinSupportUncertainty:
         assert 2 <= w.n_ab <= tm.dim + 1
         assert np.isclose(np.linalg.norm(w.state_in_a), 1.0)
 
-    def test_witness_deterministic_across_threads(self):
+    def test_witness_deterministic_across_calls(self):
         tm = dft_matrix(6)
         a = min_support_uncertainty(tm)
-        b = min_support_uncertainty(tm, threads=3)
+        b = min_support_uncertainty(tm)
         assert (a.subset_a, a.subset_b) == (b.subset_a, b.subset_b)
         assert np.array_equal(a.state_in_a, b.state_in_a)
 
