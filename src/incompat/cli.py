@@ -3,7 +3,8 @@
 Subcommands: analyze, profile-curve, zeta-curve, verify-corpus.
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 input error, 3 subset-search cap exceeded (partial report emitted),
-4 numerically near-degenerate input (a support witness could not be rebuilt).
+4 numerically near-degenerate input (a support witness could not be rebuilt;
+analyze still emits the partial report without the support result).
 """
 
 from __future__ import annotations
@@ -150,6 +151,9 @@ def cmd_analyze(args) -> int:
         print(render_text(report))
     if args.verify and not report.all_checks_pass:
         return 1
+    if report.support_degenerate:
+        print(f"error: {report.support_skipped}", file=sys.stderr)
+        return 4
     if report.support_skipped is not None:
         print(f"note: partial report, {report.support_skipped}", file=sys.stderr)
         return 3

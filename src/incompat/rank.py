@@ -5,6 +5,15 @@ max(rows, cols). By default sigma_scale is the matrix's own largest singular
 value; searches over submatrices of a unitary pass scale=1.0 so that nearly
 zero submatrices (all singular values at roundoff level relative to the
 parent) are decided at the parent's scale rather than their own.
+
+The searches' batched step, batch_ranks, first tries to prove each block
+full rank from its Gram matrix G: sigma_min^2 = lambda_min(G) >= det(G) *
+((k - 1) / tr G)^(k - 1) for a k x k Gram matrix (AM-GM on the other
+eigenvalues), evaluated with an explicit allowance for rounding. A block is
+certified only when that bound puts sigma_min above CERT_MARGIN times the
+threshold, where the SVD would keep all k singular values too, so the
+certificate skips SVDs without changing a decision. Every other block, every
+kernel witness and numerical_rank are decided by SVD.
 """
 
 from __future__ import annotations
@@ -23,6 +32,9 @@ FRAGILE_GAP_RATIO = 1e-3
 # Witness coefficients with modulus above this count as nonzero.
 NONZERO_COEFF_THRESHOLD = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-9
+# batch_ranks certifies a block full rank without an SVD only when its
+# smallest singular value provably exceeds the threshold by this factor.
+CERT_MARGIN = 1e4
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,9 @@ def rank_from_singular_values(
 
     The keep/drop rule is the one batch_ranks applies to whole batches: both
     count singular values above rank_threshold, so every caller decides rank
-    identically.
+    identically. Blocks that batch_ranks certifies full rank without an SVD
+    have every singular value above CERT_MARGIN * threshold, so this rule
+    would keep all of them too.
     """
     if scale is None:
         scale = float(s[0]) if s.size else 0.0
@@ -65,22 +79,87 @@ def rank_from_singular_values(
 def batch_ranks(
     a: np.ndarray, rows, col_sets: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks and gap ratios of a[rows, K] for every column set K (one SVD call).
+    """Ranks and gap ratios of a[rows, K] for every column set K.
 
-    Both combinatorial searches decide rank here: the blocks are gathered,
-    singular values above ``threshold`` are counted, and the dropped/kept
-    ratio at the rank boundary is returned (0 for zero- or full-rank blocks).
+    Both combinatorial searches decide rank here. A block that the Gram
+    determinant certificate (_certified_full_rank) proves to have every
+    singular value above CERT_MARGIN * threshold gets rank k = min(rows,
+    cols) and gap 0 without an SVD: the SVD would keep all k singular values
+    of such a block, and the gap of a full-rank block is 0. The other blocks
+    go to one batched SVD, whose singular values above ``threshold`` are
+    counted, with the dropped/kept ratio at the rank boundary as the gap (0
+    for zero- or full-rank blocks). No SVD is called when every block is
+    certified.
     """
-    sub = a[np.asarray(rows)][:, col_sets].transpose(1, 0, 2)
-    s = np.linalg.svd(sub, compute_uv=False)
-    ranks = (s > threshold).sum(axis=1)
-    gaps = np.zeros(len(ranks))
-    inner = (ranks > 0) & (ranks < s.shape[1])
-    if inner.any():
-        where = np.nonzero(inner)[0]
-        r = ranks[where]
-        gaps[where] = s[where, r] / s[where, r - 1]
+    block_rows = a[np.asarray(rows)]
+    k = min(len(block_rows), col_sets.shape[1])
+    ranks = np.full(len(col_sets), k)
+    gaps = np.zeros(len(col_sets))
+    todo = np.nonzero(~_certified_full_rank(block_rows, col_sets, threshold))[0]
+    if todo.size:
+        sub = block_rows[:, col_sets[todo]].transpose(1, 0, 2)
+        s = np.linalg.svd(sub, compute_uv=False)
+        r = (s > threshold).sum(axis=1)
+        ranks[todo] = r
+        inner = (r > 0) & (r < k)
+        if inner.any():
+            where = np.nonzero(inner)[0]
+            gaps[todo[where]] = s[where, r[where]] / s[where, r[where] - 1]
     return ranks, gaps
+
+
+def _certified_full_rank(
+    block_rows: np.ndarray, col_sets: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Which blocks block_rows[:, K] have sigma_min > CERT_MARGIN * threshold, proven.
+
+    With k = min(rows, cols) and G the k x k Gram matrix of a block S (S S^H
+    or S^H S), sigma_min(S)^2 = lambda_min(G), and since the other k - 1
+    eigenvalues have product at most ((tr G) / (k - 1))^(k - 1) (AM-GM),
+
+        lambda_min(G) >= det(G) * ((k - 1) / tr G)^(k - 1)
+
+    (det G itself for k = 1). The bound is evaluated on A = G / tr G + shift
+    * I, with shift = 32 (n + k)^2 eps and n = max(rows, cols): det(A) is the
+    squared product of the diagonal of A's Cholesky factor, and tr A = 1 + k
+    * shift. Rounding in the Gram sums, the division, the factorization and
+    the bound itself moves lambda_min(A) by a few tens of (n + k) units of
+    roundoff, well below shift, so lambda_min(G) / tr G >= bound(A) - 2 *
+    shift. A's eigenvalues are then at least about shift, far above the
+    20 k^1.5 units of roundoff below which the Cholesky factorization can
+    break down, so it cannot fail.
+
+    A block is certified when tr G * (bound(A) - 2 * shift) > (CERT_MARGIN *
+    threshold)^2; all-zero blocks (tr G = 0) never are. A certified block
+    also has sigma_min^2 > shift / 2 * tr G >= shift / 2 * sigma_max^2, far
+    above the SVD's own roundoff of a few eps * sigma_max, so the SVD would
+    find all k singular values above threshold: certification cannot change
+    a rank decision.
+    """
+    m, d = block_rows.shape
+    n_blocks, c = col_sets.shape
+    k = min(m, c)
+    shift = 32 * (max(m, c) + k) ** 2 * np.finfo(float).eps
+    col_norms = np.einsum("ij,ij->j", block_rows, block_rows.conj()).real
+    trace = col_norms[col_sets].sum(axis=1)
+    inv_trace = 1.0 / np.where(trace > 0, trace, 1.0)
+    if m <= c:
+        # S S^H / tr G is a weighted sum of the outer products of a's columns.
+        weights = np.zeros((n_blocks, d))
+        weights[np.arange(n_blocks)[:, None], col_sets] = inv_trace[:, None]
+        outer = np.einsum("il,jl->lij", block_rows, block_rows.conj())
+        g = weights @ outer.reshape(d, k * k)
+    else:
+        # S^H S is a principal submatrix of the selected rows' Gram matrix.
+        gram = block_rows.conj().T @ block_rows
+        g = gram[col_sets[:, :, None], col_sets[:, None, :]] * inv_trace[:, None, None]
+        g = g.reshape(n_blocks, k * k)
+    g[:, :: k + 1] += shift
+    diag = np.linalg.cholesky(g.reshape(n_blocks, k, k)).diagonal(axis1=1, axis2=2).real
+    bound = diag.prod(axis=1) ** 2 * ((k - 1) / (1 + k * shift)) ** (k - 1)
+    # A product, not ** 2: a huge threshold must give inf, not OverflowError.
+    margin = CERT_MARGIN * threshold
+    return trace * (bound - 2 * shift) > margin * margin
 
 
 def numerical_rank(

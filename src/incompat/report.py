@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .deficiency import DeficiencyProfile, deficiency_profile
-from .errors import NoKernelError
+from .errors import DegenerateWitnessError, NoKernelError
 from .matrices import TransitionMatrix, matrix_to_json_dict
 from .rank import DEFAULT_RANK_TOL, FRAGILE_GAP_RATIO, kernel_witness
 from .support import (
@@ -36,6 +36,9 @@ class AnalysisReport:
     support_skipped: Optional[str]
     checks: dict
     timings: dict = field(default_factory=dict)
+    # True when the subset search ran but its witness could not be rebuilt
+    # (support_skipped then holds the reason), False when it ran or was capped.
+    support_degenerate: bool = False
 
     @property
     def fragile(self) -> bool:
@@ -101,7 +104,13 @@ def analyze_transition(
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> AnalysisReport:
     """Run the deficiency route, the subset-search route when affordable,
-    and every cross-check both routes allow."""
+    and every cross-check both routes allow.
+
+    A support witness that cannot be rebuilt (DegenerateWitnessError) does
+    not discard the deficiency route: the report is returned without the
+    support result, with the reason in support_skipped and
+    support_degenerate set.
+    """
     timings: dict = {}
 
     start = time.perf_counter()
@@ -110,14 +119,19 @@ def analyze_transition(
 
     support = None
     support_skipped = None
+    support_degenerate = False
     if tm.dim <= support_cap:
         start = time.perf_counter()
-        support = min_support_uncertainty(
-            tm,
-            zero_threshold=zero_threshold,
-            rank_tol=rank_tol,
-            max_dim=support_cap,
-        )
+        try:
+            support = min_support_uncertainty(
+                tm,
+                zero_threshold=zero_threshold,
+                rank_tol=rank_tol,
+                max_dim=support_cap,
+            )
+        except DegenerateWitnessError as exc:
+            support_skipped = str(exc)
+            support_degenerate = True
         timings["support"] = time.perf_counter() - start
     else:
         support_skipped = (
@@ -145,6 +159,7 @@ def analyze_transition(
         support_skipped=support_skipped,
         checks=checks,
         timings=timings,
+        support_degenerate=support_degenerate,
     )
 
 

@@ -3,7 +3,8 @@
 Deliberately different from the package internals: plain unpruned
 enumeration, ranks via numpy.linalg.matrix_rank with an absolute cutoff, and
 the span-intersection test done by stacking explicit basis vectors rather
-than by the complement-rows criterion.
+than by the complement-rows criterion. svd_batch_ranks is the batched rank
+step with every block decided by SVD, the reference for the certified one.
 """
 
 import itertools
@@ -15,6 +16,20 @@ ABS_RANK_CUTOFF = 1e-8  # singular values below this count as zero
 
 def rank(matrix) -> int:
     return int(np.linalg.matrix_rank(np.asarray(matrix, dtype=complex), tol=ABS_RANK_CUTOFF))
+
+
+def svd_batch_ranks(a: np.ndarray, rows, col_sets: np.ndarray, threshold: float):
+    """rank.batch_ranks without the certificate: gather, one SVD, count, gap."""
+    sub = a[np.asarray(rows)][:, col_sets].transpose(1, 0, 2)
+    s = np.linalg.svd(sub, compute_uv=False)
+    ranks = (s > threshold).sum(axis=1)
+    gaps = np.zeros(len(ranks))
+    inner = (ranks > 0) & (ranks < s.shape[1])
+    if inner.any():
+        where = np.nonzero(inner)[0]
+        r = ranks[where]
+        gaps[where] = s[where, r] / s[where, r - 1]
+    return ranks, gaps
 
 
 def brute_r_row(a: np.ndarray, t: int) -> int:

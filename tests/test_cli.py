@@ -124,6 +124,16 @@ class TestAnalyze:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "near-degenerate" in lines[0]
+        # The deficiency route succeeded, so its partial report is still emitted.
+        code, out, err = run_cli(
+            capsys, "analyze", "--family", "qubit", "--theta", "1e-9", "--json"
+        )
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["deficiency"]["chi"] == 3
+        assert doc["support"] is None
+        assert "near-degenerate" in doc["support_skipped"]
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestProfileCurve:

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -5,19 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import incompat.deficiency
+import incompat.support
+from bruteforce import svd_batch_ranks
 from incompat import (
+    DegenerateWitnessError,
     NoKernelError,
     NonFiniteEntryError,
     SubmatrixSelector,
     bronzan_rotation,
+    deficiency_profile,
     dft_matrix,
     extract_submatrix,
+    from_array,
     identity,
     kernel_witness,
+    min_support_uncertainty,
     numerical_rank,
     random_unitary,
+    tau_fast,
 )
-from incompat.rank import FRAGILE_GAP_RATIO
+from incompat.rank import (
+    CERT_MARGIN,
+    FRAGILE_GAP_RATIO,
+    _certified_full_rank,
+    batch_ranks,
+    rank_threshold,
+)
 
 
 class TestExtractSubmatrix:
@@ -166,3 +182,118 @@ class TestKernelWitness:
     def test_invalid_side_rejected(self):
         with pytest.raises(ValueError):
             kernel_witness(np.eye(2), "up", SubmatrixSelector((0,), (0,)))
+
+
+def _batch(blocks):
+    """Lay blocks of one shape side by side: a[:, col_sets[i]] is blocks[i]."""
+    rows, cols = blocks[0].shape
+    a = np.concatenate(blocks, axis=1)
+    return a, tuple(range(rows)), np.arange(len(blocks) * cols).reshape(len(blocks), cols)
+
+
+def _block(rng, rows, cols, sigmas):
+    """U diag(sigmas) V^H with Haar-like U, V: singular values exactly sigmas."""
+    u, _ = np.linalg.qr(_random_complex(rng, rows, rows))
+    v, _ = np.linalg.qr(_random_complex(rng, cols, cols))
+    s = np.zeros((rows, cols))
+    s[np.arange(len(sigmas)), np.arange(len(sigmas))] = sigmas
+    return u @ s @ v.conj().T
+
+
+SHAPES = {
+    "wide": [(k, k + 1 + k % 3) for k in range(1, 7)],
+    "tall": [(k + 1 + k % 3, k) for k in range(1, 7)],
+    "square": [(k, k) for k in range(1, 7)],
+}
+
+
+class TestCertifiedBatchRanks:
+    """batch_ranks must return exactly what the SVD-only step returns."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-2])
+    @pytest.mark.parametrize("kind", sorted(SHAPES))
+    def test_matches_svd_across_the_margin(self, rank_tol, kind):
+        rng = np.random.default_rng(0)
+        certified = uncertified = 0
+        for rows, cols in SHAPES[kind]:
+            k = min(rows, cols)
+            threshold = rank_threshold((rows, cols), rank_tol, 1.0)
+            blocks, smallest = [], []
+            for factor in (0.5, 2, 1e3, 1e4, 1e5, 1e6):
+                low = factor * threshold
+                for top in (1.0, 1e3):
+                    high = max(top, low)
+                    # A flat spectrum (the others all at the top) and a spread one.
+                    for others in (np.full(k - 1, high), rng.uniform(low, high, k - 1)):
+                        blocks.append(_block(rng, rows, cols, np.append(others, low)))
+                        smallest.append(low)
+            a, sel, col_sets = _batch(blocks)
+            got = batch_ranks(a, sel, col_sets, threshold)
+            want = svd_batch_ranks(a, sel, col_sets, threshold)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            cert = _certified_full_rank(a[np.asarray(sel)], col_sets, threshold)
+            # Sound: never certified unless sigma_min is beyond the margin.
+            assert not cert[np.array(smallest) <= CERT_MARGIN * threshold].any()
+            certified += int(cert.sum())
+            uncertified += int((~cert).sum())
+        assert certified > 0 and uncertified > 0
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 5), (5, 2), (4, 4)])
+    def test_zero_blocks(self, rows, cols):
+        rng = np.random.default_rng(rows * 10 + cols)
+        k = min(rows, cols)
+        zero = np.zeros((rows, cols), dtype=complex)
+        full = _block(rng, rows, cols, np.ones(k))
+        threshold = rank_threshold((rows, cols), 1e-10, 1.0)
+        for blocks in ([zero] * 4, [zero, full, zero, full]):
+            a, sel, col_sets = _batch(blocks)
+            got = batch_ranks(a, sel, col_sets, threshold)
+            want = svd_batch_ranks(a, sel, col_sets, threshold)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert list(got[0]) == [0, k, 0, k]
+
+    def test_huge_threshold_certifies_nothing(self):
+        a, sel, col_sets = _batch([np.eye(3, dtype=complex)] * 2)
+        assert not _certified_full_rank(a, col_sets, 1e200).any()
+        assert list(batch_ranks(a, sel, col_sets, 1e200)[0]) == [0, 0]
+
+
+def _perturbed_dft(d, eps, seed):
+    """DFT(d) exp(i eps H) for a seeded Hermitian H."""
+    rng = np.random.default_rng(seed)
+    x = _random_complex(rng, d, d)
+    w, v = np.linalg.eigh((x + x.conj().T) / 2)
+    return from_array(dft_matrix(d).matrix @ (v * np.exp(1j * eps * w)) @ v.conj().T)
+
+
+SEARCH_CORPUS = (
+    [identity(d) for d in range(1, 8)]
+    + [dft_matrix(d) for d in range(1, 8)]
+    + [
+        bronzan_rotation(t1, t2)
+        for t1, t2 in itertools.product(np.linspace(0, math.pi / 2, 4), repeat=2)
+    ]
+    + [random_unitary(d, seed) for d in range(2, 7) for seed in (0, 1)]
+    + [_perturbed_dft(6, eps, 0) for eps in (1e-12, 1e-10, 1e-9, 1e-8)]
+)
+
+
+class TestCertifiedSearches:
+    def test_every_batch_matches_svd(self, monkeypatch):
+        batches = []
+
+        def checked(a, rows, col_sets, threshold):
+            got = batch_ranks(a, rows, col_sets, threshold)
+            want = svd_batch_ranks(a, rows, col_sets, threshold)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            batches.append(len(col_sets))
+            return got
+
+        monkeypatch.setattr(incompat.deficiency, "batch_ranks", checked)
+        monkeypatch.setattr(incompat.support, "batch_ranks", checked)
+        for tm in SEARCH_CORPUS:
+            deficiency_profile(tm)
+            tau_fast(tm)
+            with contextlib.suppress(DegenerateWitnessError):
+                min_support_uncertainty(tm)
+        assert len(batches) > 1000
