@@ -122,27 +122,43 @@ def _certified_full_rank(
     (det G itself for k = 1). The bound is evaluated on A = G / tr G + shift
     * I, with shift = 32 (n + k)^2 eps and n = max(rows, cols): det(A) is the
     squared product of the diagonal of A's Cholesky factor, and tr A = 1 + k
-    * shift. Rounding in the Gram sums, the division, the factorization and
-    the bound itself moves lambda_min(A) by a few tens of (n + k) units of
-    roundoff, well below shift, so lambda_min(G) / tr G >= bound(A) - 2 *
-    shift. A's eigenvalues are then at least about shift, far above the
-    20 k^1.5 units of roundoff below which the Cholesky factorization can
-    break down, so it cannot fail.
+    * shift. Rounding in the trace, the Gram sums, the division, the
+    factorization and the bound itself moves lambda_min(A) by a few tens of
+    (n + k) units of roundoff, well below shift, so lambda_min(G) / tr G >=
+    bound(A) - 2 * shift. A's eigenvalues are then at least about shift, far
+    above the 20 k^1.5 units of roundoff below which the Cholesky
+    factorization can break down, so it cannot fail.
 
     A block is certified when tr G * (bound(A) - 2 * shift) > (CERT_MARGIN *
-    threshold)^2; all-zero blocks (tr G = 0) never are. A certified block
-    also has sigma_min^2 > shift / 2 * tr G >= shift / 2 * sigma_max^2, far
-    above the SVD's own roundoff of a few eps * sigma_max, so the SVD would
-    find all k singular values above threshold: certification cannot change
-    a rank decision.
+    threshold)^2. Since bound(A) - 2 * shift < 1, only blocks with tr G above
+    that square are candidates, and only those with tr G above the smallest
+    normal float, where underflow in the Gram sums costs at most n units of
+    roundoff relative to tr G, and no column of squared norm above 1 / (d *
+    that float), where nothing overflows. The rest (all-zero blocks, blocks
+    of tiny or huge entries) get A = shift * I, whose bound(A) - 2 * shift
+    is negative, so they are left to the SVD. A certified block also has
+    sigma_min^2 > shift / 2 * tr G >= shift / 2 * sigma_max^2, far above the
+    SVD's own roundoff of a few eps * sigma_max, so the SVD would find all k
+    singular values above threshold: certification cannot change a rank
+    decision.
     """
     m, d = block_rows.shape
     n_blocks, c = col_sets.shape
     k = min(m, c)
     shift = 32 * (max(m, c) + k) ** 2 * np.finfo(float).eps
+    tiny = np.finfo(float).tiny
     col_norms = np.einsum("ij,ij->j", block_rows, block_rows.conj()).real
+    # Columns of squared norm above 1 / (d tiny), or not finite, are in no
+    # candidate; zeroing them keeps every sum and product finite.
+    if not col_norms.max() <= 1 / (d * tiny):
+        bad = ~(col_norms <= 1 / (d * tiny))
+        block_rows = np.where(bad, 0, block_rows)
+        col_norms = np.where(bad, np.nan, col_norms)
     trace = col_norms[col_sets].sum(axis=1)
-    inv_trace = 1.0 / np.where(trace > 0, trace, 1.0)
+    # A product, not ** 2: a huge threshold must give inf, not OverflowError.
+    margin = CERT_MARGIN * threshold
+    candidate = trace > max(tiny, margin * margin)
+    inv_trace = np.divide(1.0, trace, out=np.zeros(n_blocks), where=candidate)
     if m <= c:
         # S S^H / tr G is a weighted sum of the outer products of a's columns.
         weights = np.zeros((n_blocks, d))
@@ -157,8 +173,6 @@ def _certified_full_rank(
     g[:, :: k + 1] += shift
     diag = np.linalg.cholesky(g.reshape(n_blocks, k, k)).diagonal(axis1=1, axis2=2).real
     bound = diag.prod(axis=1) ** 2 * ((k - 1) / (1 + k * shift)) ** (k - 1)
-    # A product, not ** 2: a huge threshold must give inf, not OverflowError.
-    margin = CERT_MARGIN * threshold
     return trace * (bound - 2 * shift) > margin * margin
 
 

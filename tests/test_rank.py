@@ -24,6 +24,7 @@ from incompat import (
     kernel_witness,
     min_support_uncertainty,
     numerical_rank,
+    qubit_rotation,
     random_unitary,
     tau_fast,
 )
@@ -252,6 +253,25 @@ class TestCertifiedBatchRanks:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert list(got[0]) == [0, k, 0, k]
 
+    @pytest.mark.parametrize("rank_tol", [1e-10, 0.0])
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (2, 3), (3, 2)])
+    def test_tiny_and_huge_entries(self, rank_tol, rows, cols):
+        # Squared entries near or below the smallest normal float, or above the
+        # largest one, must leave the decision to the SVD.
+        rng = np.random.default_rng(rows * 10 + cols)
+        k = min(rows, cols)
+        threshold = rank_threshold((rows, cols), rank_tol, 1.0)
+        for scale in (1e-200, 1e-162, 1e-160, 1e-155, 1e-154, 1e-150, 1e150, 1e154, 1e160):
+            blocks = [
+                scale * _block(rng, rows, cols, np.ones(k)),
+                scale * _block(rng, rows, cols, np.geomspace(1.0, 0.1, k)),
+                _block(rng, rows, cols, np.ones(k)),
+            ]
+            a, sel, col_sets = _batch(blocks)
+            got = batch_ranks(a, sel, col_sets, threshold)
+            want = svd_batch_ranks(a, sel, col_sets, threshold)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_huge_threshold_certifies_nothing(self):
         a, sel, col_sets = _batch([np.eye(3, dtype=complex)] * 2)
         assert not _certified_full_rank(a, col_sets, 1e200).any()
@@ -275,6 +295,7 @@ SEARCH_CORPUS = (
     ]
     + [random_unitary(d, seed) for d in range(2, 7) for seed in (0, 1)]
     + [_perturbed_dft(6, eps, 0) for eps in (1e-12, 1e-10, 1e-9, 1e-8)]
+    + [qubit_rotation(theta) for theta in (1e-160, 1e-155, 1e-300)]
 )
 
 
