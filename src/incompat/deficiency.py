@@ -25,7 +25,14 @@ from typing import Optional
 import numpy as np
 
 from .matrices import SubmatrixSelector, TransitionMatrix
-from .rank import DEFAULT_RANK_TOL, batch_ranks, extract_submatrix, numerical_rank, rank_threshold
+from .rank import (
+    DEFAULT_RANK_TOL,
+    batch_ranks,
+    extract_submatrix,
+    numerical_rank,
+    rank_threshold,
+    row_batches,
+)
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,13 @@ def _max_row_deficiency(
       property of consecutive levels, or 1 when only existence of deficiency
       matters); reaching it ends the search immediately.
 
+    Row sets are decided a chunk at a time (rank.row_batches, one
+    batch_ranks call each), and the chunk's rows are then replayed in order
+    as if decided one by one: the witness is the first to achieve the
+    maximum, an exit happens at the first row that reaches the ceiling or
+    stop_at, and the worst gap ratio covers only the rows up to that exit,
+    not those the chunk evaluated past it.
+
     Returns (value, selector or None, worst gap ratio seen).
     """
     d = a.shape[0]
@@ -100,21 +114,30 @@ def _max_row_deficiency(
         if ceiling <= best:
             continue
         c = m + t
+        limit = ceiling if stop_at is None else min(ceiling, stop_at)
         col_sets = np.array(list(itertools.combinations(range(d), c)))
         threshold = rank_threshold((m, c), rank_tol, 1.0)
-        for rows in itertools.combinations(range(d), m):
+        row_sets = itertools.combinations(range(d), m)
+        for rows in row_batches(row_sets, m, col_sets, d):
             ranks, gaps = batch_ranks(a, rows, col_sets, threshold)
-            worst_gap = max(worst_gap, float(gaps.max()))
-            deficiencies = m - ranks
-            vmax = int(deficiencies.max())
-            if vmax > best:
-                first = int(np.argmax(deficiencies == vmax))
-                best = vmax
-                best_sel = SubmatrixSelector(rows, tuple(int(x) for x in col_sets[first]))
+            row_best = m - ranks.min(axis=1)
+            # Replay the row sets in order: the sequential search stops at
+            # the first that reaches the limit, and only the rows it visits
+            # count towards the gap.
+            visited = len(rows)
+            for i in np.flatnonzero(row_best > best):
+                if row_best[i] > best:
+                    best = int(row_best[i])
+                    first = int(np.argmin(ranks[i]))
+                    best_sel = SubmatrixSelector(rows[i].tolist(), col_sets[first].tolist())
+                    if best >= limit:
+                        visited = i + 1
+                        break
+            worst_gap = max(worst_gap, float(gaps[:visited].max()))
+            if best >= limit:
                 if stop_at is not None and best >= stop_at:
                     return best, best_sel, worst_gap
-                if best >= ceiling:
-                    break
+                break
     return best, best_sel, worst_gap
 
 

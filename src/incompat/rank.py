@@ -6,18 +6,26 @@ value; searches over submatrices of a unitary pass scale=1.0 so that nearly
 zero submatrices (all singular values at roundoff level relative to the
 parent) are decided at the parent's scale rather than their own.
 
-The searches' batched step, batch_ranks, first tries to prove each block
-full rank from its Gram matrix G: sigma_min^2 = lambda_min(G) >= det(G) *
-((k - 1) / tr G)^(k - 1) for a k x k Gram matrix (AM-GM on the other
-eigenvalues), evaluated with an explicit allowance for rounding. A block is
-certified only when that bound puts sigma_min above CERT_MARGIN times the
-threshold, where the SVD would keep all k singular values too, so the
-certificate skips SVDs without changing a decision. Every other block, every
-kernel witness and numerical_rank are decided by SVD.
+The searches' batched step, batch_ranks, decides a grid: many row sets
+times every column set of one shape, in batches of at most BATCH_ENTRIES
+block entries, so one call covers many row sets and memory does not grow
+with d. The searches take their row sets in chunks of one batch each
+(row_batches) and replay the chunk's rows in the sequential order, so the
+first-achieving witness, the early exits and the worst gap are those of a
+search that decides one row set at a time. In each batch, batch_ranks first
+tries to prove each block full rank from its Gram matrix G: sigma_min^2 =
+lambda_min(G) >= det(G) * ((k - 1) / tr G)^(k - 1) for a k x k Gram matrix
+(AM-GM on the other eigenvalues), evaluated with an explicit allowance for
+rounding. A block is certified only when that bound puts sigma_min above
+CERT_MARGIN times the threshold, where the SVD would keep all k singular
+values too, so the certificate skips SVDs without changing a decision. Every
+other block, every kernel witness and numerical_rank are decided by SVD.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +43,12 @@ WITNESS_RESIDUAL_TOL = 1e-9
 # batch_ranks certifies a block full rank without an SVD only when its
 # smallest singular value provably exceeds the threshold by this factor.
 CERT_MARGIN = 1e4
+# A batch of batch_ranks holds at most this many block entries (blocks x
+# rows x cols), and its row sets at most this many entries of d x d work,
+# whatever d is, unless one block or one row set alone is larger. A batch's
+# Gram stack and Cholesky factor then take at most 128 KiB together; larger
+# batches save little per-call time and raise the peak memory.
+BATCH_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -77,45 +91,81 @@ def rank_from_singular_values(
 
 
 def batch_ranks(
-    a: np.ndarray, rows, col_sets: np.ndarray, threshold: float
+    a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks and gap ratios of a[rows, K] for every column set K.
+    """Ranks and gap ratios of a[R, K] for every row set R and column set K.
 
-    Both combinatorial searches decide rank here. A block that the Gram
-    determinant certificate (_certified_full_rank) proves to have every
-    singular value above CERT_MARGIN * threshold gets rank k = min(rows,
-    cols) and gap 0 without an SVD: the SVD would keep all k singular values
-    of such a block, and the gap of a full-rank block is 0. The other blocks
-    go to one batched SVD, whose singular values above ``threshold`` are
-    counted, with the dropped/kept ratio at the rank boundary as the gap (0
-    for zero- or full-rank blocks). No SVD is called when every block is
-    certified.
+    Both combinatorial searches decide rank here, a grid of row sets x
+    column sets of one shape at a time; entry [i, j] of each returned array
+    is the decision for a[row_sets[i], col_sets[j]]. The grid is decided in
+    batches of at most BATCH_ENTRIES block entries (_rows_per_batch row sets
+    each, or slices of one row set's column sets when those alone are over
+    the budget), so memory does not grow with d. In each batch a block that
+    the Gram determinant certificate (_certified_full_rank) proves to have
+    every singular value above CERT_MARGIN * threshold gets rank k =
+    min(rows, cols) and gap 0 without an SVD: the SVD would keep all k
+    singular values of such a block, and the gap of a full-rank block is 0.
+    The other blocks of the batch go to one batched SVD, whose singular
+    values above ``threshold`` are counted, with the dropped/kept ratio at
+    the rank boundary as the gap (0 for zero- or full-rank blocks). No SVD is
+    called for a batch whose blocks are all certified.
     """
-    block_rows = a[np.asarray(rows)]
-    k = min(len(block_rows), col_sets.shape[1])
-    ranks = np.full(len(col_sets), k)
-    gaps = np.zeros(len(col_sets))
-    todo = np.nonzero(~_certified_full_rank(block_rows, col_sets, threshold))[0]
-    if todo.size:
-        sub = block_rows[:, col_sets[todo]].transpose(1, 0, 2)
-        s = np.linalg.svd(sub, compute_uv=False)
-        r = (s > threshold).sum(axis=1)
-        ranks[todo] = r
-        inner = (r > 0) & (r < k)
-        if inner.any():
-            where = np.nonzero(inner)[0]
-            gaps[todo[where]] = s[where, r[where]] / s[where, r[where] - 1]
+    (n_rows, m), (n_cols, c) = row_sets.shape, col_sets.shape
+    k = min(m, c)
+    ranks = np.full((n_rows, n_cols), k)
+    gaps = np.zeros((n_rows, n_cols))
+    col_step = min(n_cols, max(1, BATCH_ENTRIES // (m * c)))
+    row_step = _rows_per_batch(col_step, m, c, a.shape[1])
+    for i in range(0, n_rows, row_step):
+        rows = row_sets[i : i + row_step]
+        for j in range(0, n_cols, col_step):
+            cols = col_sets[j : j + col_step]
+            todo_r, todo_c = np.nonzero(~_certified_full_rank(a, rows, cols, threshold))
+            if not todo_r.size:
+                continue
+            sub = a[rows[todo_r][:, :, None], cols[todo_c][:, None, :]]
+            s = np.linalg.svd(sub, compute_uv=False)
+            r = (s > threshold).sum(axis=1)
+            ranks[i + todo_r, j + todo_c] = r
+            inner = np.nonzero((r > 0) & (r < k))[0]
+            if inner.size:
+                ri = r[inner]
+                gaps[i + todo_r[inner], j + todo_c[inner]] = s[inner, ri] / s[inner, ri - 1]
     return ranks, gaps
 
 
-def _certified_full_rank(
-    block_rows: np.ndarray, col_sets: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Which blocks block_rows[:, K] have sigma_min > CERT_MARGIN * threshold, proven.
+def _rows_per_batch(n_cols: int, m: int, c: int, d: int) -> int:
+    """Row sets of m rows that fit one batch with n_cols column sets of c.
 
-    With k = min(rows, cols) and G the k x k Gram matrix of a block S (S S^H
-    or S^H S), sigma_min(S)^2 = lambda_min(G), and since the other k - 1
-    eigenvalues have product at most ((tr G) / (k - 1))^(k - 1) (AM-GM),
+    Each brings n_cols blocks of m x c entries, and the certificate's work on
+    its rows (their d x d Gram matrix, or their d columns' outer products).
+    """
+    return max(1, BATCH_ENTRIES // max(n_cols * m * c, d * d))
+
+
+def row_batches(row_sets: Iterable, m: int, col_sets: np.ndarray, d: int) -> Iterator[np.ndarray]:
+    """Consecutive row sets in arrays of as many as one batch_ranks batch holds.
+
+    The batch is sized for blocks of m rows of a d x d matrix against every
+    set in col_sets. The sets are taken from the iterable as they are
+    needed, so a search that stops early never builds the rest of its level.
+    """
+    it = iter(row_sets)
+    size = _rows_per_batch(len(col_sets), m, col_sets.shape[1], d)
+    while chunk := list(itertools.islice(it, size)):
+        yield np.array(chunk)
+
+
+def _certified_full_rank(
+    a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Which blocks a[R, K] have sigma_min > CERT_MARGIN * threshold, proven.
+
+    Decides a grid like batch_ranks: entry [i, j] is for row set i and
+    column set j. With k = min(rows, cols) and G the k x k Gram matrix of a
+    block S (S S^H or S^H S), sigma_min(S)^2 = lambda_min(G), and since the
+    other k - 1 eigenvalues have product at most ((tr G) / (k - 1))^(k - 1)
+    (AM-GM),
 
         lambda_min(G) >= det(G) * ((k - 1) / tr G)^(k - 1)
 
@@ -141,39 +191,50 @@ def _certified_full_rank(
     SVD's own roundoff of a few eps * sigma_max, so the SVD would find all k
     singular values above threshold: certification cannot change a rank
     decision.
+
+    Column norms, traces and the overflow guard are per row set, so a bad
+    column under one row set leaves the blocks of every other row set as
+    they would be alone. For rows <= cols the Gram stack of the whole grid
+    is one matmul, a 0/1 column-indicator matrix times each row set's column
+    outer products, scaled by 1 / tr G in place.
     """
-    m, d = block_rows.shape
-    n_blocks, c = col_sets.shape
+    (n_rows, m), (n_cols, c) = row_sets.shape, col_sets.shape
+    d = a.shape[1]
     k = min(m, c)
     shift = 32 * (max(m, c) + k) ** 2 * np.finfo(float).eps
     tiny = np.finfo(float).tiny
-    col_norms = np.einsum("ij,ij->j", block_rows, block_rows.conj()).real
+    blocks = a[row_sets]
+    col_norms = np.einsum("rij,rij->rj", blocks, blocks.conj()).real
     # Columns of squared norm above 1 / (d tiny), or not finite, are in no
     # candidate; zeroing them keeps every sum and product finite.
     if not col_norms.max() <= 1 / (d * tiny):
         bad = ~(col_norms <= 1 / (d * tiny))
-        block_rows = np.where(bad, 0, block_rows)
+        blocks = np.where(bad[:, None, :], 0, blocks)
         col_norms = np.where(bad, np.nan, col_norms)
-    trace = col_norms[col_sets].sum(axis=1)
+    trace = col_norms[:, col_sets].sum(axis=2)
     # A product, not ** 2: a huge threshold must give inf, not OverflowError.
     margin = CERT_MARGIN * threshold
     candidate = trace > max(tiny, margin * margin)
-    inv_trace = np.divide(1.0, trace, out=np.zeros(n_blocks), where=candidate)
+    inv_trace = np.divide(1.0, trace, out=np.zeros(trace.shape), where=candidate)
     if m <= c:
-        # S S^H / tr G is a weighted sum of the outer products of a's columns.
-        weights = np.zeros((n_blocks, d))
-        weights[np.arange(n_blocks)[:, None], col_sets] = inv_trace[:, None]
-        outer = np.einsum("il,jl->lij", block_rows, block_rows.conj())
-        g = weights @ outer.reshape(d, k * k)
+        # S S^H is the sum of the outer products of the selected columns: one
+        # matmul of a 0/1 column indicator with every row set's outer products.
+        indicator = np.zeros((n_cols, d), dtype=complex)
+        indicator[np.arange(n_cols)[:, None], col_sets] = 1
+        outer = np.einsum("ril,rjl->rlij", blocks, blocks.conj(), order="C")
+        g = indicator @ outer.reshape(n_rows, d, k * k)
+        del outer  # freed before the Cholesky factor is allocated
+        g *= inv_trace[:, :, None]
     else:
         # S^H S is a principal submatrix of the selected rows' Gram matrix.
-        gram = block_rows.conj().T @ block_rows
-        g = gram[col_sets[:, :, None], col_sets[:, None, :]] * inv_trace[:, None, None]
-        g = g.reshape(n_blocks, k * k)
-    g[:, :: k + 1] += shift
-    diag = np.linalg.cholesky(g.reshape(n_blocks, k, k)).diagonal(axis1=1, axis2=2).real
+        gram = blocks.conj().transpose(0, 2, 1) @ blocks
+        g = gram[:, col_sets[:, :, None], col_sets[:, None, :]]
+        g *= inv_trace[:, :, None, None]
+        g = g.reshape(n_rows, n_cols, k * k)
+    g[:, :, :: k + 1] += shift
+    diag = np.linalg.cholesky(g.reshape(-1, k, k)).diagonal(axis1=1, axis2=2).real
     bound = diag.prod(axis=1) ** 2 * ((k - 1) / (1 + k * shift)) ** (k - 1)
-    return trace * (bound - 2 * shift) > margin * margin
+    return trace * (bound.reshape(n_rows, n_cols) - 2 * shift) > margin * margin
 
 
 def numerical_rank(

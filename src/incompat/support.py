@@ -19,7 +19,7 @@ import numpy as np
 from .deficiency import tau_fast
 from .errors import DegenerateWitnessError, DimensionCapError, NonFiniteEntryError, ZeroVectorError
 from .matrices import TransitionMatrix
-from .rank import DEFAULT_RANK_TOL, _normalize_phase, batch_ranks, rank_threshold
+from .rank import DEFAULT_RANK_TOL, _normalize_phase, batch_ranks, rank_threshold, row_batches
 
 DEFAULT_ZERO_THRESHOLD = 1e-8
 # 4^d subset pairs; above this the search is refused unless the cap is raised.
@@ -71,7 +71,10 @@ def min_support_uncertainty(
     S_A and columns S_B has rank below |S_B|; its kernel vector rebuilds the
     state as a combination of the selected columns. The search always
     terminates by s = d + 1, where S_A is everything and any single column
-    works.
+    works. A subsets are decided a chunk at a time (rank.row_batches, one
+    batch_ranks call on their complements each); the hit returned is the
+    chunk's first in the order above, the one a search deciding one A subset
+    at a time would stop at.
     """
     d = tm.dim
     if d > max_dim:
@@ -92,17 +95,22 @@ def min_support_uncertainty(
                 return _build_witness(tm, tuple(range(d)), (0,), y, zero_threshold)
             col_sets = np.array(list(itertools.combinations(range(d), nb)))
             threshold = rank_threshold((d - na, nb), rank_tol, 1.0)
-            for rows_a in itertools.combinations(range(d), na):
-                comp = tuple(sorted(set(range(d)) - set(rows_a)))
-                ranks, _ = batch_ranks(a, comp, col_sets, threshold)
-                hits = np.nonzero(ranks < nb)[0]
-                if hits.size == 0:
+            subsets_a = itertools.combinations(range(d), na)
+            for rows_a in row_batches(subsets_a, d - na, col_sets, d):
+                outside = np.ones((len(rows_a), d), dtype=bool)
+                outside[np.arange(len(rows_a))[:, None], rows_a] = False
+                comp = np.nonzero(outside)[1].reshape(len(rows_a), d - na)
+                hits = batch_ranks(a, comp, col_sets, threshold)[0] < nb
+                # The first hit in the sequential order: A subset, then B subset.
+                hit_rows = np.flatnonzero(hits.any(axis=1))
+                if hit_rows.size == 0:
                     continue
-                subset_b = tuple(int(x) for x in col_sets[hits[0]])
-                sub = a[np.asarray(comp)][:, np.asarray(subset_b)]
+                i = hit_rows[0]
+                subset_b = tuple(col_sets[np.argmax(hits[i])].tolist())
+                sub = a[comp[i]][:, np.asarray(subset_b)]
                 _, _, vh = np.linalg.svd(sub)
                 y = _normalize_phase(vh[-1].conj())
-                return _build_witness(tm, rows_a, subset_b, y, zero_threshold)
+                return _build_witness(tm, tuple(rows_a[i].tolist()), subset_b, y, zero_threshold)
     raise AssertionError("unreachable: the search terminates by s = d + 1")
 
 

@@ -18,8 +18,16 @@ def rank(matrix) -> int:
     return int(np.linalg.matrix_rank(np.asarray(matrix, dtype=complex), tol=ABS_RANK_CUTOFF))
 
 
-def svd_batch_ranks(a: np.ndarray, rows, col_sets: np.ndarray, threshold: float):
-    """rank.batch_ranks without the certificate: gather, one SVD, count, gap."""
+def svd_batch_ranks(a: np.ndarray, row_sets, col_sets: np.ndarray, threshold: float):
+    """rank.batch_ranks without the certificate or batching.
+
+    One row set at a time: gather its blocks, one SVD, count, gap.
+    """
+    results = [_svd_ranks(a, rows, col_sets, threshold) for rows in row_sets]
+    return np.array([r for r, _ in results]), np.array([g for _, g in results])
+
+
+def _svd_ranks(a: np.ndarray, rows, col_sets: np.ndarray, threshold: float):
     sub = a[np.asarray(rows)][:, col_sets].transpose(1, 0, 2)
     s = np.linalg.svd(sub, compute_uv=False)
     ranks = (s > threshold).sum(axis=1)

@@ -221,6 +221,19 @@ class TestVerifyCorpus:
         assert "FAIL" not in out
         assert "runtime" in out
 
+    def test_degenerate_witness_recorded_as_failure(self, capsys):
+        # A zero threshold this coarse makes some support witnesses degenerate:
+        # each is a failed agreement case, and the table is still printed.
+        code, out, err = run_cli(
+            capsys, "verify-corpus", "--max-dim", "4", "--seeds", "3",
+            "--zero-threshold", "0.3",
+        )
+        assert code == 1
+        assert err == ""
+        assert "deficiency route vs subset-search route" in out
+        assert "(degenerate support witness)" in out
+        assert "runtime" in out
+
     def test_vacuous_dimension_one(self, capsys):
         code, out, _ = run_cli(capsys, "verify-corpus", "--max-dim", "1", "--seeds", "2")
         assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incompat.deficiency
+import incompat.rank
 import incompat.support
 from bruteforce import svd_batch_ranks
 from incompat import (
@@ -186,10 +187,10 @@ class TestKernelWitness:
 
 
 def _batch(blocks):
-    """Lay blocks of one shape side by side: a[:, col_sets[i]] is blocks[i]."""
+    """Lay blocks of one shape side by side: a[row_sets[0], col_sets[i]] is blocks[i]."""
     rows, cols = blocks[0].shape
     a = np.concatenate(blocks, axis=1)
-    return a, tuple(range(rows)), np.arange(len(blocks) * cols).reshape(len(blocks), cols)
+    return a, np.arange(rows)[None, :], np.arange(len(blocks) * cols).reshape(len(blocks), cols)
 
 
 def _block(rng, rows, cols, sigmas):
@@ -232,7 +233,7 @@ class TestCertifiedBatchRanks:
             got = batch_ranks(a, sel, col_sets, threshold)
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            cert = _certified_full_rank(a[np.asarray(sel)], col_sets, threshold)
+            cert = _certified_full_rank(a, sel, col_sets, threshold)[0]
             # Sound: never certified unless sigma_min is beyond the margin.
             assert not cert[np.array(smallest) <= CERT_MARGIN * threshold].any()
             certified += int(cert.sum())
@@ -251,7 +252,7 @@ class TestCertifiedBatchRanks:
             got = batch_ranks(a, sel, col_sets, threshold)
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert list(got[0]) == [0, k, 0, k]
+        assert list(got[0][0]) == [0, k, 0, k]
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 0.0])
     @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (2, 3), (3, 2)])
@@ -274,8 +275,8 @@ class TestCertifiedBatchRanks:
 
     def test_huge_threshold_certifies_nothing(self):
         a, sel, col_sets = _batch([np.eye(3, dtype=complex)] * 2)
-        assert not _certified_full_rank(a, col_sets, 1e200).any()
-        assert list(batch_ranks(a, sel, col_sets, 1e200)[0]) == [0, 0]
+        assert not _certified_full_rank(a, sel, col_sets, 1e200).any()
+        assert list(batch_ranks(a, sel, col_sets, 1e200)[0][0]) == [0, 0]
 
 
 def _perturbed_dft(d, eps, seed):
@@ -307,7 +308,7 @@ class TestCertifiedSearches:
             got = batch_ranks(a, rows, col_sets, threshold)
             want = svd_batch_ranks(a, rows, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            batches.append(len(col_sets))
+            batches.append(got[0].size)
             return got
 
         monkeypatch.setattr(incompat.deficiency, "batch_ranks", checked)
@@ -317,4 +318,83 @@ class TestCertifiedSearches:
             tau_fast(tm)
             with contextlib.suppress(DegenerateWitnessError):
                 min_support_uncertainty(tm)
-        assert len(batches) > 1000
+        # One call per row-set chunk, so count blocks, not calls: at least
+        # the 73,037 that one call per row set compared on this corpus.
+        assert sum(batches) >= 73_037
+
+
+# Borderline inputs: DFT(d) exp(i eps H) keeps the DFT's deficient blocks
+# within a few eps of singular. d = 8 keeps two of them, for test time.
+FRAGILE_DFTS = [
+    _perturbed_dft(d, eps, 0)
+    for d, epsilons in ((4, (1e-11, 1e-10, 1e-9, 1e-8, 1e-7)),
+                        (6, (1e-11, 1e-10, 1e-9, 1e-8, 1e-7)),
+                        (8, (1e-11, 1e-9)))
+    for eps in epsilons
+]
+
+
+def _search_results(tm):
+    """Everything the searches report that batching could disturb."""
+    p = deficiency_profile(tm)
+    try:
+        w = min_support_uncertainty(tm)
+        support = (w.subset_a, w.subset_b, w.state_in_a.tobytes())
+    except DegenerateWitnessError as exc:
+        support = str(exc)
+    return (
+        p.r_values, p.r_row_values, p.r_col_values, p.witnesses, p.worst_gap_ratio,
+        tau_fast(tm), support,
+    )
+
+
+def _budget_checked(monkeypatch, budget):
+    """Set the batch budget; return the list of batch sizes, checked as they come."""
+    batches = []
+
+    def checked(a, row_sets, col_sets, threshold):
+        (n_rows, m), (n_cols, c) = row_sets.shape, col_sets.shape
+        assert n_rows * n_cols * m * c <= budget or n_rows * n_cols == 1
+        assert n_rows * a.shape[1] ** 2 <= budget or n_rows == 1
+        batches.append(n_rows * n_cols)
+        return _certified_full_rank(a, row_sets, col_sets, threshold)
+
+    monkeypatch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
+    monkeypatch.setattr(incompat.rank, "_certified_full_rank", checked)
+    return batches
+
+
+class TestBatchBudget:
+    def test_searches_do_not_depend_on_the_budget(self, monkeypatch):
+        corpus = SEARCH_CORPUS + FRAGILE_DFTS
+        want = [_search_results(tm) for tm in corpus]
+        batches = _budget_checked(monkeypatch, 1)
+        got = [_search_results(tm) for tm in corpus]
+        assert got == want
+        assert set(batches) == {1}
+
+    @pytest.mark.parametrize("budget", [1, 7, 40, 600])
+    @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 2), (3, 2), (2, 5)])
+    def test_grid_does_not_depend_on_the_budget(self, monkeypatch, budget, rows, cols):
+        rng = np.random.default_rng(rows * 10 + cols)
+        d = 8
+        a = _random_complex(rng, d, d)
+        a[2] *= 1e160  # huge entries under some row sets only
+        a[:, 5] = 0  # zero and rank-deficient blocks, decided by SVD
+        row_sets = np.array(list(itertools.combinations(range(d), rows)))
+        col_sets = np.array(list(itertools.combinations(range(d), cols)))
+        threshold = rank_threshold((rows, cols), 1e-10, 1.0)
+        want = batch_ranks(a, row_sets, col_sets, threshold)
+        assert np.array_equal(want[0], svd_batch_ranks(a, row_sets, col_sets, threshold)[0])
+        # The overflow guard acts per row set: row 2 certifies nothing under
+        # its own row sets and leaves the others as they are alone.
+        cert = _certified_full_rank(a, row_sets, col_sets, threshold)
+        for i in range(len(row_sets)):
+            alone = _certified_full_rank(a, row_sets[i : i + 1], col_sets, threshold)
+            assert np.array_equal(cert[i], alone[0])
+        has_2 = (row_sets == 2).any(axis=1)
+        assert not cert[has_2].any() and cert[~has_2].any()
+        batches = _budget_checked(monkeypatch, budget)
+        got = batch_ranks(a, row_sets, col_sets, threshold)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert sum(batches) == row_sets.shape[0] * col_sets.shape[0]
