@@ -23,6 +23,7 @@ from .errors import (
     DimensionCapError,
     IncompatError,
     InvalidDimensionError,
+    InvalidParameterError,
     MatrixFormatError,
     MatrixShapeError,
     NoKernelError,
@@ -81,6 +82,7 @@ __all__ = [
     "DivisorDecomposition",
     "IncompatError",
     "InvalidDimensionError",
+    "InvalidParameterError",
     "KernelWitness",
     "MatrixFormatError",
     "MatrixShapeError",

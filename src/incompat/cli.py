@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,6 +40,14 @@ from .support import DEFAULT_SUPPORT_CAP, DEFAULT_ZERO_THRESHOLD
 FAMILIES = ("identity", "dft", "qubit", "bronzan", "random")
 
 
+def tolerance(text: str) -> float:
+    """A tolerance option's value: a finite float >= 0 (argparse exits 2 otherwise)."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="incompat",
@@ -63,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="unitarity tolerance for file input")
 
     tuning = argparse.ArgumentParser(add_help=False)
-    tuning.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+    tuning.add_argument("--rank-tol", type=tolerance, default=DEFAULT_RANK_TOL,
                         help="relative SVD rank tolerance")
-    tuning.add_argument("--zero-threshold", type=float, default=DEFAULT_ZERO_THRESHOLD,
+    tuning.add_argument("--zero-threshold", type=tolerance, default=DEFAULT_ZERO_THRESHOLD,
                         help="support-counting zero threshold")
 
     p = sub.add_parser("analyze", parents=[source, tuning],

@@ -13,7 +13,9 @@ complementing maps the row candidates at level t one to one onto the column
 candidates at level t with equal deficiency: the two sides have the same
 value, and the complement of a row witness is a column witness. The column
 value reported is the column deficiency of that complement, decided by its
-own SVD, so the profile still cross-checks the two sides numerically.
+own SVD, so the profile still cross-checks the two sides numerically. The
+row search takes its rank decisions from rank.batch_ranks, a batch of row
+sets at a time, and replays each batch in the sequential order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .rank import (
     extract_submatrix,
     numerical_rank,
     rank_threshold,
-    row_batches,
 )
 
 
@@ -96,12 +97,12 @@ def _max_row_deficiency(
       property of consecutive levels, or 1 when only existence of deficiency
       matters); reaching it ends the search immediately.
 
-    Row sets are decided a chunk at a time (rank.row_batches, one
-    batch_ranks call each), and the chunk's rows are then replayed in order
-    as if decided one by one: the witness is the first to achieve the
-    maximum, an exit happens at the first row that reaches the ceiling or
-    stop_at, and the worst gap ratio covers only the rows up to that exit,
-    not those the chunk evaluated past it.
+    rank.batch_ranks decides the row sets a batch at a time, and each
+    batch's rows are then replayed in order as if decided one by one: the
+    witness is the first to achieve the maximum, an exit happens at the
+    first row that reaches the ceiling or stop_at, and the worst gap ratio
+    covers only the rows up to that exit, not those the batch decided past
+    it.
 
     Returns (value, selector or None, worst gap ratio seen).
     """
@@ -118,22 +119,20 @@ def _max_row_deficiency(
         col_sets = np.array(list(itertools.combinations(range(d), c)))
         threshold = rank_threshold((m, c), rank_tol, 1.0)
         row_sets = itertools.combinations(range(d), m)
-        for rows in row_batches(row_sets, m, col_sets, d):
-            ranks, gaps = batch_ranks(a, rows, col_sets, threshold)
+        for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold):
+            # Replay the batch in order: the sequential search stops at the
+            # first row set that reaches the limit, its best is the first
+            # maximum up to there, and only the rows it visits count towards
+            # the gap.
             row_best = m - ranks.min(axis=1)
-            # Replay the row sets in order: the sequential search stops at
-            # the first that reaches the limit, and only the rows it visits
-            # count towards the gap.
-            visited = len(rows)
-            for i in np.flatnonzero(row_best > best):
-                if row_best[i] > best:
-                    best = int(row_best[i])
-                    first = int(np.argmin(ranks[i]))
-                    best_sel = SubmatrixSelector(rows[i].tolist(), col_sets[first].tolist())
-                    if best >= limit:
-                        visited = i + 1
-                        break
+            reached = np.flatnonzero(row_best >= limit)
+            visited = reached[0] + 1 if reached.size else len(rows)
+            i = int(np.argmax(row_best[:visited]))
             worst_gap = max(worst_gap, float(gaps[:visited].max()))
+            if row_best[i] > best:
+                best = int(row_best[i])
+                first = int(np.argmin(ranks[i]))
+                best_sel = SubmatrixSelector(rows[i].tolist(), col_sets[first].tolist())
             if best >= limit:
                 if stop_at is not None and best >= stop_at:
                     return best, best_sel, worst_gap

@@ -9,6 +9,11 @@ class InvalidDimensionError(IncompatError, ValueError):
     """A dimension argument is zero, negative, or otherwise unusable."""
 
 
+class InvalidParameterError(IncompatError, ValueError):
+    """A numeric parameter (an angle, a seed or a tolerance) is NaN, infinite
+    or out of range."""
+
+
 class UnitarityError(IncompatError, ValueError):
     """A matrix failed the unitarity check at the requested tolerance."""
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     InvalidDimensionError,
+    InvalidParameterError,
     MatrixFormatError,
     MatrixShapeError,
     NonFiniteEntryError,
@@ -88,8 +89,11 @@ class TransitionMatrix:
             raise MatrixShapeError(
                 f"expected a {self.dim} x {self.dim} matrix, got shape {arr.shape}"
             )
-        if self.unitarity_tolerance < 0:
-            raise ValueError("unitarity tolerance must be non-negative")
+        tol = self.unitarity_tolerance
+        if not (math.isfinite(tol) and tol >= 0):
+            raise InvalidParameterError(
+                f"unitarity tolerance must be finite and >= 0, got {tol!r}"
+            )
         residual = unitarity_residual(arr)
         if residual > self.unitarity_tolerance:
             raise UnitarityError(
@@ -130,7 +134,7 @@ def qubit_rotation(theta: float, phi1: float = 0.0, phi2: float = 0.0) -> Transi
     """
     for name, value in (("theta", theta), ("phi1", phi1), ("phi2", phi2)):
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     s, c = math.sin(theta), math.cos(theta)
     arr = np.array(
         [
@@ -145,7 +149,7 @@ def bronzan_rotation(theta1: float, theta2: float) -> TransitionMatrix:
     """Two-angle real orthogonal 3 x 3 transition with a structural zero at (2, 1)."""
     for name, value in (("theta1", theta1), ("theta2", theta2)):
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     c1, s1 = math.cos(theta1), math.sin(theta1)
     c2, s2 = math.cos(theta2), math.sin(theta2)
     arr = np.array(
@@ -180,6 +184,8 @@ def random_unitary(dim: int, seed: int) -> TransitionMatrix:
     """
     if dim < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)

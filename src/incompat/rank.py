@@ -6,11 +6,11 @@ value; searches over submatrices of a unitary pass scale=1.0 so that nearly
 zero submatrices (all singular values at roundoff level relative to the
 parent) are decided at the parent's scale rather than their own.
 
-The searches' batched step, batch_ranks, decides a grid: many row sets
-times every column set of one shape, in batches of at most BATCH_ENTRIES
-block entries, so one call covers many row sets and memory does not grow
-with d. The searches take their row sets in chunks of one batch each
-(row_batches) and replay the chunk's rows in the sequential order, so the
+The searches' one rank step, batch_ranks, decides a grid: row sets, taken
+lazily in search order, times every column set of one shape. It sizes its
+own batches, at most BATCH_ENTRIES block entries each, so memory does not
+grow with d, and yields each batch's rows with their ranks and gaps. The
+searches replay each batch's rows in the sequential order, so the
 first-achieving witness, the early exits and the worst gap are those of a
 search that decides one row set at a time. In each batch, batch_ranks first
 tries to prove each block full rank from its Gram matrix G: sigma_min^2 =
@@ -91,33 +91,38 @@ def rank_from_singular_values(
 
 
 def batch_ranks(
-    a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
+    a: np.ndarray, row_sets: Iterable, col_sets: np.ndarray, threshold: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Ranks and gap ratios of a[R, K] for every row set R and column set K.
 
-    Both combinatorial searches decide rank here, a grid of row sets x
-    column sets of one shape at a time; entry [i, j] of each returned array
-    is the decision for a[row_sets[i], col_sets[j]]. The grid is decided in
-    batches of at most BATCH_ENTRIES block entries (_rows_per_batch row sets
-    each, or slices of one row set's column sets when those alone are over
-    the budget), so memory does not grow with d. In each batch a block that
-    the Gram determinant certificate (_certified_full_rank) proves to have
-    every singular value above CERT_MARGIN * threshold gets rank k =
-    min(rows, cols) and gap 0 without an SVD: the SVD would keep all k
-    singular values of such a block, and the gap of a full-rank block is 0.
-    The other blocks of the batch go to one batched SVD, whose singular
-    values above ``threshold`` are counted, with the dropped/kept ratio at
-    the rank boundary as the gap (0 for zero- or full-rank blocks). No SVD is
-    called for a batch whose blocks are all certified.
+    Both combinatorial searches decide rank here. The row sets are taken from
+    the iterable in order, a batch at a time, so a search that stops early
+    never builds the rest of its level; each batch is yielded as (rows,
+    ranks, gaps), with the batch's row sets as an array and the decision for
+    a[rows[i], col_sets[j]] at [i, j]. A batch keeps within BATCH_ENTRIES; a
+    row set whose column sets alone are over it is a batch of its own,
+    decided in slices of its column sets. A block that the Gram determinant
+    certificate (_certified_full_rank) proves to have every singular value
+    above CERT_MARGIN * threshold gets rank k = min(rows, cols) and gap 0
+    without an SVD: the SVD would keep all k singular values of such a
+    block, and the gap of a full-rank block is 0. The other blocks of a
+    slice go to one batched SVD, whose singular values above ``threshold``
+    are counted, with the dropped/kept ratio at the rank boundary as the gap
+    (0 for zero- or full-rank blocks); none is called when all are certified.
     """
-    (n_rows, m), (n_cols, c) = row_sets.shape, col_sets.shape
+    it = iter(row_sets)
+    first = next(it, None)
+    if first is None:
+        return
+    m, (n_cols, c) = len(first), col_sets.shape
     k = min(m, c)
-    ranks = np.full((n_rows, n_cols), k)
-    gaps = np.zeros((n_rows, n_cols))
     col_step = min(n_cols, max(1, BATCH_ENTRIES // (m * c)))
-    row_step = _rows_per_batch(col_step, m, c, a.shape[1])
-    for i in range(0, n_rows, row_step):
-        rows = row_sets[i : i + row_step]
+    row_step = max(1, BATCH_ENTRIES // max(col_step * m * c, a.shape[1] ** 2))
+    it = itertools.chain([first], it)
+    while chunk := list(itertools.islice(it, row_step)):
+        rows = np.array(chunk)
+        ranks = np.full((len(rows), n_cols), k)
+        gaps = np.zeros((len(rows), n_cols))
         for j in range(0, n_cols, col_step):
             cols = col_sets[j : j + col_step]
             todo_r, todo_c = np.nonzero(~_certified_full_rank(a, rows, cols, threshold))
@@ -126,34 +131,12 @@ def batch_ranks(
             sub = a[rows[todo_r][:, :, None], cols[todo_c][:, None, :]]
             s = np.linalg.svd(sub, compute_uv=False)
             r = (s > threshold).sum(axis=1)
-            ranks[i + todo_r, j + todo_c] = r
+            ranks[todo_r, j + todo_c] = r
             inner = np.nonzero((r > 0) & (r < k))[0]
             if inner.size:
                 ri = r[inner]
-                gaps[i + todo_r[inner], j + todo_c[inner]] = s[inner, ri] / s[inner, ri - 1]
-    return ranks, gaps
-
-
-def _rows_per_batch(n_cols: int, m: int, c: int, d: int) -> int:
-    """Row sets of m rows that fit one batch with n_cols column sets of c.
-
-    Each brings n_cols blocks of m x c entries, and the certificate's work on
-    its rows (their d x d Gram matrix, or their d columns' outer products).
-    """
-    return max(1, BATCH_ENTRIES // max(n_cols * m * c, d * d))
-
-
-def row_batches(row_sets: Iterable, m: int, col_sets: np.ndarray, d: int) -> Iterator[np.ndarray]:
-    """Consecutive row sets in arrays of as many as one batch_ranks batch holds.
-
-    The batch is sized for blocks of m rows of a d x d matrix against every
-    set in col_sets. The sets are taken from the iterable as they are
-    needed, so a search that stops early never builds the rest of its level.
-    """
-    it = iter(row_sets)
-    size = _rows_per_batch(len(col_sets), m, col_sets.shape[1], d)
-    while chunk := list(itertools.islice(it, size)):
-        yield np.array(chunk)
+                gaps[todo_r[inner], j + todo_c[inner]] = s[inner, ri] / s[inner, ri - 1]
+        yield rows, ranks, gaps
 
 
 def _certified_full_rank(

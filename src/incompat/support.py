@@ -6,7 +6,9 @@ uncertainty is the number of A coordinates above the zero threshold plus the
 number of B coordinates above it. The minimum over all nonzero states is
 found by an exhaustive subset search: spans of a row subset and a column
 subset intersect nontrivially exactly when the submatrix on the complementary
-rows and the chosen columns is column rank deficient.
+rows and the chosen columns is column rank deficient. Those rank decisions
+come from rank.batch_ranks, the rank step the level search uses too, fed the
+complementary row sets directly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .deficiency import tau_fast
 from .errors import DegenerateWitnessError, DimensionCapError, NonFiniteEntryError, ZeroVectorError
 from .matrices import TransitionMatrix
-from .rank import DEFAULT_RANK_TOL, _normalize_phase, batch_ranks, rank_threshold, row_batches
+from .rank import DEFAULT_RANK_TOL, _normalize_phase, batch_ranks, rank_threshold
 
 DEFAULT_ZERO_THRESHOLD = 1e-8
 # 4^d subset pairs; above this the search is refused unless the cap is raised.
@@ -71,10 +73,9 @@ def min_support_uncertainty(
     S_A and columns S_B has rank below |S_B|; its kernel vector rebuilds the
     state as a combination of the selected columns. The search always
     terminates by s = d + 1, where S_A is everything and any single column
-    works. A subsets are decided a chunk at a time (rank.row_batches, one
-    batch_ranks call on their complements each); the hit returned is the
-    chunk's first in the order above, the one a search deciding one A subset
-    at a time would stop at.
+    works. rank.batch_ranks decides the complements of the A subsets a batch
+    at a time; the hit returned is the batch's first in the order above, the
+    one a search deciding one A subset at a time would stop at.
     """
     d = tm.dim
     if d > max_dim:
@@ -84,10 +85,8 @@ def min_support_uncertainty(
         )
     a = tm.matrix
     for s in range(2, d + 2):
-        for nb in range(1, min(d, s - 1) + 1):
+        for nb in range(1, s):
             na = s - nb
-            if na > d:
-                continue
             if na == d:
                 # No complementary rows: spans always intersect. Reached only
                 # at s = d + 1 with nb == 1, so the state is a single B column.
@@ -95,22 +94,22 @@ def min_support_uncertainty(
                 return _build_witness(tm, tuple(range(d)), (0,), y, zero_threshold)
             col_sets = np.array(list(itertools.combinations(range(d), nb)))
             threshold = rank_threshold((d - na, nb), rank_tol, 1.0)
-            subsets_a = itertools.combinations(range(d), na)
-            for rows_a in row_batches(subsets_a, d - na, col_sets, d):
-                outside = np.ones((len(rows_a), d), dtype=bool)
-                outside[np.arange(len(rows_a))[:, None], rows_a] = False
-                comp = np.nonzero(outside)[1].reshape(len(rows_a), d - na)
-                hits = batch_ranks(a, comp, col_sets, threshold)[0] < nb
+            # The complements of the A subsets in lexicographic order are the
+            # (d - na)-subsets in reverse lexicographic order.
+            outside = reversed(list(itertools.combinations(range(d), d - na)))
+            for rows, ranks, _ in batch_ranks(a, outside, col_sets, threshold):
+                hits = ranks < nb
                 # The first hit in the sequential order: A subset, then B subset.
                 hit_rows = np.flatnonzero(hits.any(axis=1))
                 if hit_rows.size == 0:
                     continue
                 i = hit_rows[0]
+                subset_a = tuple(sorted(set(range(d)).difference(rows[i].tolist())))
                 subset_b = tuple(col_sets[np.argmax(hits[i])].tolist())
-                sub = a[comp[i]][:, np.asarray(subset_b)]
+                sub = a[rows[i]][:, np.asarray(subset_b)]
                 _, _, vh = np.linalg.svd(sub)
                 y = _normalize_phase(vh[-1].conj())
-                return _build_witness(tm, tuple(rows_a[i].tolist()), subset_b, y, zero_threshold)
+                return _build_witness(tm, subset_a, subset_b, y, zero_threshold)
     raise AssertionError("unreachable: the search terminates by s = d + 1")
 
 

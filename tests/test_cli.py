@@ -118,6 +118,54 @@ class TestAnalyze:
         assert code == 2
         assert "tolerance" in err
 
+    def test_bad_unitarity_tolerance_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 2, "re": [[5, 1], [2, 7]]}))
+        for tol in ("nan", "inf", "-1"):
+            code, out, err = run_cli(
+                capsys, "analyze", "--input", str(path), "--unitarity-tol", tol, "--json"
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: unitarity tolerance must be finite")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "qubit", "--theta", "nan"),
+            ("--family", "bronzan", "--theta1", "inf", "--theta2", "0"),
+            ("--family", "random", "--dim", "3", "--seed", "-1"),
+        ],
+    )
+    def test_bad_family_parameter_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("option", ["--rank-tol", "--zero-threshold"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--family", "identity", "--dim", "4"),
+            ("profile-curve", "--family", "identity", "--dim", "4", "--output", "-"),
+            ("verify-corpus", "--max-dim", "2", "--seeds", "0"),
+        ],
+    )
+    def test_bad_tolerance_option_exit_2(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument {option}: must be finite and >= 0" in captured.err
+
+    def test_zero_tolerances_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--family", "identity", "--dim", "4", "--json",
+            "--rank-tol", "0", "--zero-threshold", "0",
+        )
+        assert code == 0
+        assert json.loads(out)["tolerances"]["rank_tol"] == 0.0
+
     def test_near_degenerate_witness_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--family", "qubit", "--theta", "1e-9")
         assert code == 4

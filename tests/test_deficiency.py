@@ -120,6 +120,17 @@ class TestProfiles:
             else:
                 assert p.witnesses[t] is None
 
+    @pytest.mark.parametrize(
+        "tm,rows,cols",
+        [(dft_matrix(9), (0, 3, 6), (0, 1, 3, 4, 6, 7)), (identity(5), (0,), (1, 2, 3, 4))],
+    )
+    def test_row_witness_at_tau_pinned(self, tm, rows, cols):
+        # The first maximizer in the documented enumeration order.
+        p = deficiency_profile(tm)
+        w = p.witnesses[p.tau]
+        assert (w.side, w.selector) == ("row", SubmatrixSelector(rows, cols))
+        assert r_row(tm, p.tau)[1] == w.selector
+
     def test_profile_deterministic_across_calls(self):
         tm = random_unitary(4, 9)
         a = deficiency_profile(tm)

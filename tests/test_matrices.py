@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from incompat import (
     InvalidDimensionError,
+    InvalidParameterError,
     MatrixFormatError,
     MatrixShapeError,
     NonFiniteEntryError,
@@ -124,6 +125,10 @@ class TestRandomUnitary:
         tm = random_unitary(1, 1)
         assert np.isclose(abs(tm.matrix[0, 0]), 1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            random_unitary(3, -1)
+
 
 @pytest.mark.parametrize(
     "tm",
@@ -158,6 +163,13 @@ class TestTransitionMatrixValidation:
     def test_rejects_non_square(self):
         with pytest.raises(MatrixShapeError):
             from_array(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        # NaN compares false with every residual, so it used to skip the check.
+        for entries in ([[5, 1], [2, 7]], np.eye(2)):
+            with pytest.raises(InvalidParameterError):
+                from_array(entries, unitarity_tolerance=tol)
 
     def test_matrix_is_read_only(self):
         tm = identity(3)

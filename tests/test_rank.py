@@ -186,6 +186,12 @@ class TestKernelWitness:
             kernel_witness(np.eye(2), "up", SubmatrixSelector((0,), (0,)))
 
 
+def _grid(a, row_sets, col_sets, threshold):
+    """batch_ranks with its batches stacked back into the full (ranks, gaps) grid."""
+    _, ranks, gaps = zip(*batch_ranks(a, row_sets, col_sets, threshold))
+    return np.concatenate(ranks), np.concatenate(gaps)
+
+
 def _batch(blocks):
     """Lay blocks of one shape side by side: a[row_sets[0], col_sets[i]] is blocks[i]."""
     rows, cols = blocks[0].shape
@@ -230,7 +236,7 @@ class TestCertifiedBatchRanks:
                         blocks.append(_block(rng, rows, cols, np.append(others, low)))
                         smallest.append(low)
             a, sel, col_sets = _batch(blocks)
-            got = batch_ranks(a, sel, col_sets, threshold)
+            got = _grid(a, sel, col_sets, threshold)
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             cert = _certified_full_rank(a, sel, col_sets, threshold)[0]
@@ -249,7 +255,7 @@ class TestCertifiedBatchRanks:
         threshold = rank_threshold((rows, cols), 1e-10, 1.0)
         for blocks in ([zero] * 4, [zero, full, zero, full]):
             a, sel, col_sets = _batch(blocks)
-            got = batch_ranks(a, sel, col_sets, threshold)
+            got = _grid(a, sel, col_sets, threshold)
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert list(got[0][0]) == [0, k, 0, k]
@@ -269,14 +275,14 @@ class TestCertifiedBatchRanks:
                 _block(rng, rows, cols, np.ones(k)),
             ]
             a, sel, col_sets = _batch(blocks)
-            got = batch_ranks(a, sel, col_sets, threshold)
+            got = _grid(a, sel, col_sets, threshold)
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_huge_threshold_certifies_nothing(self):
         a, sel, col_sets = _batch([np.eye(3, dtype=complex)] * 2)
         assert not _certified_full_rank(a, sel, col_sets, 1e200).any()
-        assert list(batch_ranks(a, sel, col_sets, 1e200)[0][0]) == [0, 0]
+        assert list(_grid(a, sel, col_sets, 1e200)[0][0]) == [0, 0]
 
 
 def _perturbed_dft(d, eps, seed):
@@ -304,12 +310,12 @@ class TestCertifiedSearches:
     def test_every_batch_matches_svd(self, monkeypatch):
         batches = []
 
-        def checked(a, rows, col_sets, threshold):
-            got = batch_ranks(a, rows, col_sets, threshold)
-            want = svd_batch_ranks(a, rows, col_sets, threshold)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            batches.append(got[0].size)
-            return got
+        def checked(a, row_sets, col_sets, threshold):
+            for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold):
+                want = svd_batch_ranks(a, rows, col_sets, threshold)
+                assert np.array_equal(ranks, want[0]) and np.array_equal(gaps, want[1])
+                batches.append(ranks.size)
+                yield rows, ranks, gaps
 
         monkeypatch.setattr(incompat.deficiency, "batch_ranks", checked)
         monkeypatch.setattr(incompat.support, "batch_ranks", checked)
@@ -384,7 +390,7 @@ class TestBatchBudget:
         row_sets = np.array(list(itertools.combinations(range(d), rows)))
         col_sets = np.array(list(itertools.combinations(range(d), cols)))
         threshold = rank_threshold((rows, cols), 1e-10, 1.0)
-        want = batch_ranks(a, row_sets, col_sets, threshold)
+        want = _grid(a, row_sets, col_sets, threshold)
         assert np.array_equal(want[0], svd_batch_ranks(a, row_sets, col_sets, threshold)[0])
         # The overflow guard acts per row set: row 2 certifies nothing under
         # its own row sets and leaves the others as they are alone.
@@ -395,6 +401,27 @@ class TestBatchBudget:
         has_2 = (row_sets == 2).any(axis=1)
         assert not cert[has_2].any() and cert[~has_2].any()
         batches = _budget_checked(monkeypatch, budget)
-        got = batch_ranks(a, row_sets, col_sets, threshold)
+        got = _grid(a, row_sets, col_sets, threshold)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert sum(batches) == row_sets.shape[0] * col_sets.shape[0]
+
+    @pytest.mark.parametrize("budget", [1, 40, 2**12])
+    def test_row_sets_taken_lazily(self, monkeypatch, budget):
+        # One batch is taken from the row sets per item yielded: each item's
+        # rows are exactly those pulled since the item before.
+        monkeypatch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
+        d, m, c = 8, 3, 3
+        a = random_unitary(d, 0).matrix
+        col_sets = np.array(list(itertools.combinations(range(d), c)))
+        pulled = []
+
+        def row_sets():
+            for rows in itertools.combinations(range(d), m):
+                pulled.append(rows)
+                yield rows
+
+        seen = items = 0
+        for rows, _, _ in batch_ranks(a, row_sets(), col_sets, rank_threshold((m, c), 1e-10, 1.0)):
+            assert [tuple(r) for r in rows.tolist()] == pulled[seen:]
+            seen, items = len(pulled), items + 1
+        assert seen == math.comb(d, m) and items > 1

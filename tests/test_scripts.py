@@ -37,3 +37,12 @@ def test_make_figure_data_writes_three_csvs(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == header
         assert len(lines) > 1
+
+
+def test_report_digest_repeats():
+    first, second = (run_script("report_digest.py", "--max-dim", "4") for _ in range(2))
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    lines = first.stdout.splitlines()
+    assert lines[0].startswith("runs ") and int(lines[0].split()[1]) > 0
+    assert len(lines[1].split()[1]) == 64
+    assert second.stdout == first.stdout

@@ -100,6 +100,20 @@ class TestMinSupportUncertainty:
         assert (a.subset_a, a.subset_b) == (b.subset_a, b.subset_b)
         assert np.array_equal(a.state_in_a, b.state_in_a)
 
+    @pytest.mark.parametrize(
+        "tm,subset_a,subset_b",
+        [
+            (dft_matrix(6), (0, 2, 4), (0, 3)),
+            (dft_matrix(8), (0, 2, 4, 6), (0, 4)),
+            (dft_matrix(9), (0, 3, 6), (0, 3, 6)),
+            (bronzan_rotation(math.pi / 5, math.pi / 7), (0, 1), (1,)),
+        ],
+    )
+    def test_witness_subsets_pinned(self, tm, subset_a, subset_b):
+        # The first hit in the documented search order.
+        w = min_support_uncertainty(tm)
+        assert (w.subset_a, w.subset_b) == (subset_a, subset_b)
+
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             min_support_uncertainty(identity(11))
