@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -20,12 +19,13 @@ import numpy as np
 
 from .corpus import render_table, run_corpus_checks
 from .deficiency import deficiency_profile
-from .errors import DegenerateWitnessError, DimensionCapError, IncompatError
+from .errors import DegenerateWitnessError, DimensionCapError, IncompatError, InvalidParameterError
 from .fourier import divisor_decomposition, zeta
 from .matrices import (
     LOADED_MATRIX_TOL,
     TransitionMatrix,
     bronzan_rotation,
+    check_tolerance,
     dft_matrix,
     from_array,
     identity,
@@ -42,10 +42,10 @@ FAMILIES = ("identity", "dft", "qubit", "bronzan", "random")
 
 def tolerance(text: str) -> float:
     """A tolerance option's value: a finite float >= 0 (argparse exits 2 otherwise)."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
+    try:
+        return check_tolerance("tolerance", float(text))
+    except InvalidParameterError:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

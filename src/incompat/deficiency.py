@@ -16,17 +16,29 @@ value reported is the column deficiency of that complement, decided by its
 own SVD, so the profile still cross-checks the two sides numerically. The
 row search takes its rank decisions from rank.batch_ranks, a batch of row
 sets at a time, and replays each batch in the sequential order.
+
+Level 0 is decided first. Levels are nonincreasing in t, so when no square
+block of U is singular (complete incompatibility, chi = d + 1) every level is
+0 and no other level is searched. By Jacobi's complementary-minor identity,
+|det U[R, C]| = |det U[R^c, C^c]| for a unitary, and by the CS decomposition
+a square block and its complement have the same singular values below 1; so
+only blocks with m <= d/2 rows are decided, and at m = d/2, where the
+complement is another block of the same size, only the row sets that hold
+row 0. Each block is decided at its complement's threshold, the larger of
+the two (shape (m, d - m)), which is the decision the full level-0 search
+reaches on one of the pair.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .matrices import SubmatrixSelector, TransitionMatrix
+from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
 from .rank import (
     DEFAULT_RANK_TOL,
     batch_ranks,
@@ -68,9 +80,33 @@ class DeficiencyProfile:
     worst_gap_ratio: float
 
 
-def _check_level(dim: int, t: int) -> None:
+def _check_level(dim: int, t: int, rank_tol: float) -> None:
     if not 0 <= t <= dim - 1:
         raise ValueError(f"level t must be in [0, {dim - 1}], got {t}")
+    check_tolerance("rank_tol", rank_tol)
+
+
+def _square_block_deficient(a: np.ndarray, rank_tol: float) -> bool:
+    """Whether some square block of the unitary a is rank deficient (R_0 >= 1).
+
+    Decides the m x m blocks for m = 1..d//2, each at the threshold of its
+    (d - m) x (d - m) complement, whose singular values below 1 are the
+    block's own; at m = d/2 only the row sets that hold row 0, the first
+    C(d - 1, m - 1) in lexicographic order, because the other blocks are
+    their complements. Stops at the first batch with a deficient block. When
+    it returns False every decision was full rank, so every gap was 0.
+    """
+    d = a.shape[0]
+    for m in range(1, d // 2 + 1):
+        col_sets = np.array(list(itertools.combinations(range(d), m)))
+        row_sets = itertools.combinations(range(d), m)
+        if 2 * m == d:
+            row_sets = itertools.islice(row_sets, math.comb(d - 1, m - 1))
+        threshold = rank_threshold((m, d - m), rank_tol, 1.0)
+        for _, ranks, _ in batch_ranks(a, row_sets, col_sets, threshold):
+            if ranks.min() < m:
+                return True
+    return False
 
 
 def _max_row_deficiency(
@@ -160,7 +196,7 @@ def r_row(
     tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> tuple[int, Optional[SubmatrixSelector]]:
     """Level-t row deficiency with the first maximizing selector."""
-    _check_level(tm.dim, t)
+    _check_level(tm.dim, t, rank_tol)
     value, sel, _ = _max_row_deficiency(tm.matrix, t, rank_tol=rank_tol)
     return value, sel
 
@@ -169,14 +205,14 @@ def r_col(
     tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> tuple[int, Optional[SubmatrixSelector]]:
     """Level-t column deficiency with the complement of r_row's witness."""
-    _check_level(tm.dim, t)
+    _check_level(tm.dim, t, rank_tol)
     _, sel, value, _ = _level(tm.matrix, t, rank_tol=rank_tol)
     return value, sel.complement(tm.dim) if sel is not None else None
 
 
 def r_t(tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Level-t deficiency: the larger of the row and column values."""
-    _check_level(tm.dim, t)
+    _check_level(tm.dim, t, rank_tol)
     row_value, _, col_value, _ = _level(tm.matrix, t, rank_tol=rank_tol)
     return max(row_value, col_value)
 
@@ -186,11 +222,29 @@ def deficiency_profile(
 ) -> DeficiencyProfile:
     """Compute every level, tau, chi, and per-level witnesses.
 
-    Levels are computed for t descending so that the row value at t + 1
+    Level 0 is decided first, on the square blocks with m <= d/2 at their
+    complements' thresholds (see the module docstring). If none is
+    deficient, every level is 0, tau = -1, there are no witnesses, and
+    worst_gap_ratio is that of those decisions, all full rank: 0. Otherwise
+    the levels are computed for t descending so that the row value at t + 1
     bounds the value at t from above by one unit, giving an early exit the
-    moment that bound is reached.
+    moment that bound is reached; the witnesses and worst_gap_ratio are
+    those of this descent.
     """
+    check_tolerance("rank_tol", rank_tol)
     d = tm.dim
+    if not _square_block_deficient(tm.matrix, rank_tol):
+        zeros = (0,) * d
+        return DeficiencyProfile(
+            dim=d,
+            r_values=zeros,
+            r_row_values=zeros,
+            r_col_values=zeros,
+            tau=-1,
+            chi=d + 1,
+            witnesses=(None,) * d,
+            worst_gap_ratio=0.0,
+        )
     row_vals = [0] * d
     col_vals = [0] * d
     row_wits: list[Optional[SubmatrixSelector]] = [None] * d
@@ -228,14 +282,19 @@ def deficiency_profile(
 def tau_fast(tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """The deficiency index without computing full levels.
 
-    Descends t from d - 2 and returns the first t at which any rank-deficient
-    m x (m+t) submatrix exists; -1 if none. The row side alone decides this,
-    because a column-deficient block's complement is row deficient at the
-    same t. Agrees with deficiency_profile(...).tau because levels are
-    nonincreasing in t.
+    Decides level 0 first, on the square blocks with m <= d/2 at their
+    complements' thresholds (see the module docstring), and returns -1 if
+    none is deficient. Otherwise it descends t from d - 2 and returns the
+    first t >= 1 at which any rank-deficient m x (m+t) submatrix exists; 0 if
+    none. The row side alone decides this, because a column-deficient
+    block's complement is row deficient at the same t. Agrees with
+    deficiency_profile(...).tau because levels are nonincreasing in t.
     """
-    for t in range(tm.dim - 2, -1, -1):
+    check_tolerance("rank_tol", rank_tol)
+    if not _square_block_deficient(tm.matrix, rank_tol):
+        return -1
+    for t in range(tm.dim - 2, 0, -1):
         value, _, _ = _max_row_deficiency(tm.matrix, t, stop_at=1, rank_tol=rank_tol)
         if value >= 1:
             return t
-    return -1
+    return 0

@@ -89,11 +89,7 @@ class TransitionMatrix:
             raise MatrixShapeError(
                 f"expected a {self.dim} x {self.dim} matrix, got shape {arr.shape}"
             )
-        tol = self.unitarity_tolerance
-        if not (math.isfinite(tol) and tol >= 0):
-            raise InvalidParameterError(
-                f"unitarity tolerance must be finite and >= 0, got {tol!r}"
-            )
+        check_tolerance("unitarity tolerance", self.unitarity_tolerance)
         residual = unitarity_residual(arr)
         if residual > self.unitarity_tolerance:
             raise UnitarityError(
@@ -103,6 +99,14 @@ class TransitionMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "residual", residual)
+
+
+def check_tolerance(name: str, value: float) -> float:
+    """Return a tolerance that is a finite number >= 0; raise InvalidParameterError
+    for NaN, infinite or negative values. 0 is legal."""
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 def unitarity_residual(arr: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .deficiency import DeficiencyProfile, deficiency_profile
 from .errors import DegenerateWitnessError, NoKernelError
-from .matrices import TransitionMatrix, matrix_to_json_dict
+from .matrices import TransitionMatrix, check_tolerance, matrix_to_json_dict
 from .rank import DEFAULT_RANK_TOL, FRAGILE_GAP_RATIO, kernel_witness
 from .support import (
     DEFAULT_SUPPORT_CAP,
@@ -111,6 +111,8 @@ def analyze_transition(
     support result, with the reason in support_skipped and
     support_degenerate set.
     """
+    check_tolerance("rank_tol", rank_tol)
+    check_tolerance("zero_threshold", zero_threshold)
     timings: dict = {}
 
     start = time.perf_counter()

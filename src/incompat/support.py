@@ -20,7 +20,7 @@ import numpy as np
 
 from .deficiency import tau_fast
 from .errors import DegenerateWitnessError, DimensionCapError, NonFiniteEntryError, ZeroVectorError
-from .matrices import TransitionMatrix
+from .matrices import TransitionMatrix, check_tolerance
 from .rank import DEFAULT_RANK_TOL, _normalize_phase, batch_ranks, rank_threshold
 
 DEFAULT_ZERO_THRESHOLD = 1e-8
@@ -77,6 +77,8 @@ def min_support_uncertainty(
     at a time; the hit returned is the batch's first in the order above, the
     one a search deciding one A subset at a time would stop at.
     """
+    check_tolerance("zero_threshold", zero_threshold)
+    check_tolerance("rank_tol", rank_tol)
     d = tm.dim
     if d > max_dim:
         raise DimensionCapError(
@@ -166,6 +168,7 @@ def cross_check(
     max_dim: int = DEFAULT_SUPPORT_CAP,
 ) -> CrossCheck:
     """Compare chi from the deficiency route against the subset-search minimum."""
+    check_tolerance("zero_threshold", zero_threshold)
     tau = tau_fast(tm, rank_tol=rank_tol)
     chi = tm.dim - tau
     witness = min_support_uncertainty(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,10 @@ from incompat import (
     random_unitary,
     tau_fast,
 )
+from incompat.deficiency import _max_row_deficiency, _square_block_deficient
+from incompat.rank import batch_ranks, rank_threshold
 from incompat.report import extremal_checks, profile_shape_checks
+from test_rank import FRAGILE_DFTS, SEARCH_CORPUS, _perturbed_dft
 
 SMALL_CORPUS = (
     [identity(d) for d in (2, 3, 4, 5)]
@@ -202,6 +206,76 @@ class TestTauFast:
 
     def test_d1(self):
         assert tau_fast(identity(1)) == -1
+
+
+class TestLevelZeroFirst:
+    """Level 0 is decided first, on square blocks with m <= d/2."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_block_and_complement_share_sigma_min(self, d):
+        # Jacobi / CS decomposition: the shortcut's ground.
+        a = random_unitary(d, d).matrix
+        for m in range(1, d // 2 + 1):
+            sets = list(itertools.combinations(range(d), m))
+            blocks = np.array([a[np.ix_(r, c)] for r in sets for c in sets])
+            comps = np.array([
+                np.delete(np.delete(a, r, axis=0), c, axis=1) for r in sets for c in sets
+            ])
+            s = np.linalg.svd(blocks, compute_uv=False)[:, -1]
+            s_comp = np.linalg.svd(comps, compute_uv=False)[:, -1]
+            assert np.max(np.abs(s - s_comp)) <= 1e-12
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_agrees_with_level_zero_search(self, rank_tol):
+        for tm in SEARCH_CORPUS + FRAGILE_DFTS:
+            full, _, _ = _max_row_deficiency(tm.matrix, 0, stop_at=1, rank_tol=rank_tol)
+            assert _square_block_deficient(tm.matrix, rank_tol) == (full >= 1)
+
+    @pytest.mark.parametrize("eps,rank_tol", [(1e-8, 1e-10), (1e-4, 1e-6)])
+    def test_complement_threshold_pinned(self, eps, rank_tol):
+        # A 3 x 3 block of this DFT(8) has sigma_min between 3 and 5 times
+        # rank_tol: deficient at its 5 x 5 complement's threshold, which the
+        # full level-0 search applies, but not at its own.
+        tm = _perturbed_dft(8, eps, 8)
+        assert _square_block_deficient(tm.matrix, rank_tol)
+        assert tau_fast(tm, rank_tol=rank_tol) == 0
+        assert deficiency_profile(tm, rank_tol=rank_tol).r_values[0] == 1
+        sets = np.array(list(itertools.combinations(range(8), 3)))
+        own = batch_ranks(tm.matrix, sets, sets, rank_threshold((3, 3), rank_tol, 1.0))
+        assert all(ranks.min() == 3 for _, ranks, _ in own)
+
+    @pytest.mark.parametrize(
+        "tm",
+        [random_unitary(d, 0) for d in range(2, 9)] + [dft_matrix(p) for p in (2, 3, 5, 7, 11)],
+        ids=lambda tm: f"d{tm.dim}",
+    )
+    def test_no_level_searched_without_a_singular_square_block(self, tm, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a level was searched")
+
+        monkeypatch.setattr(incompat.deficiency, "_max_row_deficiency", refuse)
+        d = tm.dim
+        assert tau_fast(tm) == -1
+        p = deficiency_profile(tm)
+        assert (p.tau, p.chi) == (-1, d + 1)
+        assert p.r_values == p.r_row_values == p.r_col_values == (0,) * d
+        assert p.witnesses == (None,) * d and p.worst_gap_ratio == 0.0
+
+    @pytest.mark.parametrize(
+        "tm",
+        [identity(1), from_array([[1j]]), random_unitary(2, 3)]
+        + [random_unitary(d, 1) for d in (3, 6, 7)]
+        + [dft_matrix(6), dft_matrix(7), identity(7)],
+        ids=lambda tm: f"d{tm.dim}",
+    )
+    def test_small_odd_and_even_match_brute_force(self, tm):
+        # Beyond SMALL_CORPUS (d = 2..5): d = 1, and d = 6, 7 on both paths.
+        r_values, row_vals, col_vals, tau, chi = brute_profile(tm.matrix)
+        p = deficiency_profile(tm)
+        assert (list(p.r_values), list(p.r_row_values), list(p.r_col_values)) == (
+            r_values, row_vals, col_vals,
+        )
+        assert (p.tau, p.chi, tau_fast(tm)) == (tau, chi, tau)
 
 
 class TestProfileShapeLaws:

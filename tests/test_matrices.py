@@ -14,14 +14,22 @@ from incompat import (
     NonFiniteEntryError,
     SubmatrixSelector,
     UnitarityError,
+    analyze_transition,
     bronzan_rotation,
+    cross_check,
+    deficiency_profile,
     dft_matrix,
     from_array,
     identity,
     load_matrix,
+    min_support_uncertainty,
     qubit_rotation,
+    r_col,
+    r_row,
+    r_t,
     random_unitary,
     save_matrix,
+    tau_fast,
 )
 from incompat.matrices import UNITARITY_TOL_PER_DIM, unitarity_residual
 
@@ -175,6 +183,38 @@ class TestTransitionMatrixValidation:
         tm = identity(3)
         with pytest.raises(ValueError):
             tm.matrix[0, 0] = 5.0
+
+
+# Every library entry point that takes a tolerance, called on a 4 x 4 matrix.
+TOLERANCE_ENTRY_POINTS = {
+    "r_row": (lambda tm, **kw: r_row(tm, 0, **kw), ("rank_tol",)),
+    "r_col": (lambda tm, **kw: r_col(tm, 0, **kw), ("rank_tol",)),
+    "r_t": (lambda tm, **kw: r_t(tm, 0, **kw), ("rank_tol",)),
+    "deficiency_profile": (deficiency_profile, ("rank_tol",)),
+    "tau_fast": (tau_fast, ("rank_tol",)),
+    "min_support_uncertainty": (min_support_uncertainty, ("rank_tol", "zero_threshold")),
+    "cross_check": (cross_check, ("rank_tol", "zero_threshold")),
+    "analyze_transition": (
+        lambda tm, **kw: analyze_transition(tm, {}, **kw), ("rank_tol", "zero_threshold")
+    ),
+}
+
+
+class TestLibraryTolerances:
+    @pytest.mark.parametrize("name", TOLERANCE_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_tolerance_rejected(self, name, bad):
+        # Unchecked, a NaN rank_tol makes every count of singular values
+        # above the threshold 0, and a generic unitary reads chi 2.
+        call, keywords = TOLERANCE_ENTRY_POINTS[name]
+        for keyword in keywords:
+            with pytest.raises(InvalidParameterError, match=keyword):
+                call(random_unitary(4, 0), **{keyword: bad})
+
+    @pytest.mark.parametrize("name", TOLERANCE_ENTRY_POINTS)
+    def test_zero_tolerance_accepted(self, name):
+        call, keywords = TOLERANCE_ENTRY_POINTS[name]
+        call(identity(4), **{keyword: 0.0 for keyword in keywords})
 
 
 class TestSelector:

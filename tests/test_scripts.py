@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts, run the way the README runs them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -46,3 +47,18 @@ def test_report_digest_repeats():
     assert lines[0].startswith("runs ") and int(lines[0].split()[1]) > 0
     assert len(lines[1].split()[1]) == 64
     assert second.stdout == first.stdout
+
+
+def test_perf_table_renders_committed_bench_files():
+    out = run_script("perf_table.py")
+    assert out.returncode == 0, out.stderr
+    header, rule, *rows = out.stdout.splitlines()
+    bench = json.loads((ROOT / "BENCH_6.json").read_text())["workloads"]
+    assert "`analyze_s` BENCH_6" in header and "`tau_s` BENCH_6" in header
+    assert rule.count("---") == header.count("|") - 1
+    assert len(rows) == len(bench)
+    for row, (workload, metrics) in zip(rows, bench.items()):
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert cells[0] == f"`{workload}`"
+        for metric in ("analyze_s", "tau_s"):
+            assert f"{metrics[metric]['median']:.3f}" in cells
