@@ -10,10 +10,9 @@ and, for each of `analyze_s` and `tau_s`, one column per file in order of n,
 each cell the median over the file's runs in calibrated seconds. The README's
 performance table takes its newest column from this output.
 
-    python3 scripts/perf_table.py [BENCH_6.json ...]
+    python3 scripts/perf_table.py
 """
 
-import argparse
 import json
 import re
 import sys
@@ -22,15 +21,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def bench_number(path: Path) -> int:
-    match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
-    if match is None:
-        raise ValueError(f"{path.name} is not named BENCH_<n>.json")
-    return int(match.group(1))
-
-
 def render(paths: list[Path]) -> str:
-    paths = sorted(paths, key=bench_number)
+    paths = sorted(paths, key=lambda path: int(re.search(r"\d+", path.stem).group()))
     benches = [(path.stem, json.loads(path.read_text())["workloads"]) for path in paths]
     workloads = list(dict.fromkeys(w for _, summary in benches for w in summary))
     header = ["workload"] + [
@@ -47,12 +39,8 @@ def render(paths: list[Path]) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="*", type=Path,
-                        help="BENCH_<n>.json files (default: every one at the checkout root)")
-    args = parser.parse_args(argv)
-    paths = args.files or list(ROOT.glob("BENCH_*.json"))
+def main() -> int:
+    paths = list(ROOT.glob("BENCH_*.json"))
     if not paths:
         print("no BENCH_<n>.json files", file=sys.stderr)
         return 2

@@ -24,9 +24,13 @@ block of U is singular (complete incompatibility, chi = d + 1) every level is
 a square block and its complement have the same singular values below 1; so
 only blocks with m <= d/2 rows are decided, and at m = d/2, where the
 complement is another block of the same size, only the row sets that hold
-row 0. Each block is decided at its complement's threshold, the larger of
-the two (shape (m, d - m)), which is the decision the full level-0 search
-reaches on one of the pair.
+row 0. The step only certifies. Each block is decided at its complement's
+threshold, the larger of the two (shape (m, d - m)), raised by
+2 d ||U^dag U - I||_max, a bound on how far the smallest singular values of
+a block and its complement can part when U is only near unitary. If every
+block is full rank there, the level search would decide every block full
+rank at every level (see _square_blocks_clear); otherwise it runs exactly
+as without the step.
 """
 
 from __future__ import annotations
@@ -86,27 +90,36 @@ def _check_level(dim: int, t: int, rank_tol: float) -> None:
     check_tolerance("rank_tol", rank_tol)
 
 
-def _square_block_deficient(a: np.ndarray, rank_tol: float) -> bool:
-    """Whether some square block of the unitary a is rank deficient (R_0 >= 1).
+def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
+    """Whether the level search would find every block of tm full rank.
 
-    Decides the m x m blocks for m = 1..d//2, each at the threshold of its
-    (d - m) x (d - m) complement, whose singular values below 1 are the
-    block's own; at m = d/2 only the row sets that hold row 0, the first
-    C(d - 1, m - 1) in lexicographic order, because the other blocks are
-    their complements. Stops at the first batch with a deficient block. When
-    it returns False every decision was full rank, so every gap was 0.
+    Decides the m x m blocks for m = 1..d//2, each at threshold
+    tol * (d - m) + 2 d * residual; at m = d/2 only the row sets that hold
+    row 0, the first C(d - 1, m - 1) in lexicographic order, because the
+    other blocks are their complements. Stops at the first batch with a
+    block under its threshold. Let V be the unitary nearest U, e =
+    ||U - V||_2 <= ||U^dag U - I||_2 <= d * residual. Blocks of U and V
+    differ in each singular value by at most e, and in V a block and its
+    complement share their singular values below 1 (CS decomposition). So
+    True gives every n x n block X of V smallest singular value above
+    tol * max(n, d - n) + e. Every decision of the level search is then
+    full rank: a square block at tol * n directly, and an m x (m + t)
+    block S at tol * (m + t) because its m-th singular value in V is at
+    least that of any (d - m - t)-square block inside its complement,
+    whose threshold tol * max(d - m - t, m + t) is no smaller.
     """
-    d = a.shape[0]
+    a = tm.matrix
+    d = tm.dim
     for m in range(1, d // 2 + 1):
         col_sets = np.array(list(itertools.combinations(range(d), m)))
         row_sets = itertools.combinations(range(d), m)
         if 2 * m == d:
             row_sets = itertools.islice(row_sets, math.comb(d - 1, m - 1))
-        threshold = rank_threshold((m, d - m), rank_tol, 1.0)
+        threshold = rank_threshold((m, d - m), rank_tol, 1.0) + 2 * d * tm.residual
         for _, ranks, _ in batch_ranks(a, row_sets, col_sets, threshold):
             if ranks.min() < m:
-                return True
-    return False
+                return False
+    return True
 
 
 def _max_row_deficiency(
@@ -222,18 +235,17 @@ def deficiency_profile(
 ) -> DeficiencyProfile:
     """Compute every level, tau, chi, and per-level witnesses.
 
-    Level 0 is decided first, on the square blocks with m <= d/2 at their
-    complements' thresholds (see the module docstring). If none is
-    deficient, every level is 0, tau = -1, there are no witnesses, and
-    worst_gap_ratio is that of those decisions, all full rank: 0. Otherwise
-    the levels are computed for t descending so that the row value at t + 1
-    bounds the value at t from above by one unit, giving an early exit the
-    moment that bound is reached; the witnesses and worst_gap_ratio are
-    those of this descent.
+    Level 0 is decided first, on the square blocks with m <= d/2 (see the
+    module docstring). If they certify that no block is deficient, every
+    level is 0, tau = -1, there are no witnesses, and worst_gap_ratio is 0,
+    as the level search would give. Otherwise the levels are computed for t
+    descending so that the row value at t + 1 bounds the value at t from
+    above by one unit, giving an early exit the moment that bound is
+    reached; the witnesses and worst_gap_ratio are those of this descent.
     """
     check_tolerance("rank_tol", rank_tol)
     d = tm.dim
-    if not _square_block_deficient(tm.matrix, rank_tol):
+    if _square_blocks_clear(tm, rank_tol):
         zeros = (0,) * d
         return DeficiencyProfile(
             dim=d,
@@ -282,19 +294,19 @@ def deficiency_profile(
 def tau_fast(tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """The deficiency index without computing full levels.
 
-    Decides level 0 first, on the square blocks with m <= d/2 at their
-    complements' thresholds (see the module docstring), and returns -1 if
-    none is deficient. Otherwise it descends t from d - 2 and returns the
-    first t >= 1 at which any rank-deficient m x (m+t) submatrix exists; 0 if
-    none. The row side alone decides this, because a column-deficient
-    block's complement is row deficient at the same t. Agrees with
-    deficiency_profile(...).tau because levels are nonincreasing in t.
+    Decides level 0 first, on the square blocks with m <= d/2 (see the
+    module docstring), and returns -1 if they certify that no block is
+    deficient. Otherwise it descends t from d - 2 and returns the first t at
+    which any rank-deficient m x (m+t) submatrix exists; -1 if none. The row
+    side alone decides this, because a column-deficient block's complement
+    is row deficient at the same t. Agrees with deficiency_profile(...).tau
+    because levels are nonincreasing in t.
     """
     check_tolerance("rank_tol", rank_tol)
-    if not _square_block_deficient(tm.matrix, rank_tol):
+    if _square_blocks_clear(tm, rank_tol):
         return -1
-    for t in range(tm.dim - 2, 0, -1):
+    for t in range(tm.dim - 2, -1, -1):
         value, _, _ = _max_row_deficiency(tm.matrix, t, stop_at=1, rank_tol=rank_tol)
         if value >= 1:
             return t
-    return 0
+    return -1

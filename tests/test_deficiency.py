@@ -23,7 +23,7 @@ from incompat import (
     random_unitary,
     tau_fast,
 )
-from incompat.deficiency import _max_row_deficiency, _square_block_deficient
+from incompat.deficiency import _max_row_deficiency, _square_blocks_clear
 from incompat.rank import batch_ranks, rank_threshold
 from incompat.report import extremal_checks, profile_shape_checks
 from test_rank import FRAGILE_DFTS, SEARCH_CORPUS, _perturbed_dft
@@ -229,7 +229,7 @@ class TestLevelZeroFirst:
     def test_agrees_with_level_zero_search(self, rank_tol):
         for tm in SEARCH_CORPUS + FRAGILE_DFTS:
             full, _, _ = _max_row_deficiency(tm.matrix, 0, stop_at=1, rank_tol=rank_tol)
-            assert _square_block_deficient(tm.matrix, rank_tol) == (full >= 1)
+            assert _square_blocks_clear(tm, rank_tol) == (full == 0)
 
     @pytest.mark.parametrize("eps,rank_tol", [(1e-8, 1e-10), (1e-4, 1e-6)])
     def test_complement_threshold_pinned(self, eps, rank_tol):
@@ -237,12 +237,52 @@ class TestLevelZeroFirst:
         # rank_tol: deficient at its 5 x 5 complement's threshold, which the
         # full level-0 search applies, but not at its own.
         tm = _perturbed_dft(8, eps, 8)
-        assert _square_block_deficient(tm.matrix, rank_tol)
+        assert not _square_blocks_clear(tm, rank_tol)
         assert tau_fast(tm, rank_tol=rank_tol) == 0
         assert deficiency_profile(tm, rank_tol=rank_tol).r_values[0] == 1
         sets = np.array(list(itertools.combinations(range(8), 3)))
         own = batch_ranks(tm.matrix, sets, sets, rank_threshold((3, 3), rank_tol, 1.0))
         assert all(ranks.min() == 3 for _, ranks, _ in own)
+
+    @staticmethod
+    def near_unitary_d3():
+        """A real 3 x 3 within 3e-9 of orthogonal: U[2, 2] = 1e-9, while the
+        top-left 2 x 2 block, its complement, is made singular by moving U[0, 0]
+        by about 1e-9. Loaded at the default unitarity tolerance, 1e-8."""
+        c, s = 1e-9, math.sqrt(1 - 1e-18)
+        tilt = np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
+        turn = np.array([[math.cos(0.7), -math.sin(0.7), 0], [math.sin(0.7), math.cos(0.7), 0],
+                         [0, 0, 1]])
+        u = turn @ tilt @ turn.T
+        u[0, 0] = u[0, 1] * u[1, 0] / u[1, 1]
+        return from_array(u.tolist())
+
+    @staticmethod
+    def without_level_zero_step(tm, monkeypatch, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(incompat.deficiency, "_square_blocks_clear", lambda *a: False)
+            return tau_fast(tm, **kwargs), deficiency_profile(tm, **kwargs)
+
+    def test_near_unitary_input_matches_level_search(self, monkeypatch):
+        # The 1 x 1 block U[2, 2] = 1e-9 is above every threshold at d = 3
+        # (2e-10), yet its complement is singular: only the residual margin
+        # keeps the step from certifying chi = d + 1.
+        tm = self.near_unitary_d3()
+        assert 1e-9 < tm.residual < 1e-8 and abs(tm.matrix[2, 2]) > 2e-10
+        assert not _square_blocks_clear(tm, 1e-10)
+        tau, p = self.without_level_zero_step(tm, monkeypatch)
+        assert (tau, p.r_row_values, p.tau) == (0, (1, 0, 0), 0)
+        assert tau_fast(tm) == tau
+        assert dataclasses.astuple(deficiency_profile(tm)) == dataclasses.astuple(p)
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_outputs_equal_the_level_search(self, rank_tol, monkeypatch):
+        near = [from_array(tm.matrix * (1 + 1e-9)) for tm in SEARCH_CORPUS if tm.dim > 1]
+        for tm in SEARCH_CORPUS + FRAGILE_DFTS + near:
+            tau, p = self.without_level_zero_step(tm, monkeypatch, rank_tol=rank_tol)
+            assert tau_fast(tm, rank_tol=rank_tol) == tau
+            got = deficiency_profile(tm, rank_tol=rank_tol)
+            assert dataclasses.astuple(got) == dataclasses.astuple(p)
 
     @pytest.mark.parametrize(
         "tm",
