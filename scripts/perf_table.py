@@ -8,7 +8,7 @@ Each BENCH_<n>.json at the root of the checkout holds the summary that
 wrote for one version of the package. The table has one row per workload
 and, for each of `analyze_s` and `tau_s`, one column per file in order of n,
 each cell the median over the file's runs in calibrated seconds. The README's
-performance table takes its newest column from this output.
+performance table is this output, verbatim.
 
     python3 scripts/perf_table.py
 """

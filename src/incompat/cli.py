@@ -108,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _matrix_from_args(args) -> tuple[TransitionMatrix, dict]:
+    check_tolerance("unitarity tolerance", args.unitarity_tol)
     if bool(args.input) == bool(args.family):
         raise IncompatError("provide exactly one of --input or --family")
     if args.input:

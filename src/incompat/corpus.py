@@ -93,7 +93,7 @@ def run_corpus_checks(
         try:
             n_ab = min_support_uncertainty(
                 tm, zero_threshold=zero_threshold, rank_tol=rank_tol,
-                max_dim=max(tm.dim, 10),
+                max_dim=tm.dim,
             ).n_ab
         except DegenerateWitnessError:
             # The rank and zero thresholds disagree on this input: the

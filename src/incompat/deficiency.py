@@ -17,20 +17,9 @@ own SVD, so the profile still cross-checks the two sides numerically. The
 row search takes its rank decisions from rank.batch_ranks, a batch of row
 sets at a time, and replays each batch in the sequential order.
 
-Level 0 is decided first. Levels are nonincreasing in t, so when no square
-block of U is singular (complete incompatibility, chi = d + 1) every level is
-0 and no other level is searched. By Jacobi's complementary-minor identity,
-|det U[R, C]| = |det U[R^c, C^c]| for a unitary, and by the CS decomposition
-a square block and its complement have the same singular values below 1; so
-only blocks with m <= d/2 rows are decided, and at m = d/2, where the
-complement is another block of the same size, only the row sets that hold
-row 0. The step only certifies. Each block is decided at its complement's
-threshold, the larger of the two (shape (m, d - m)), raised by
-2 d ||U^dag U - I||_max, a bound on how far the smallest singular values of
-a block and its complement can part when U is only near unitary. If every
-block is full rank there, the level search would decide every block full
-rank at every level (see _square_blocks_clear); otherwise it runs exactly
-as without the step.
+Both deficiency_profile and tau_fast read the levels off one descent,
+_descent: level 0 decided first on half-size square blocks
+(_square_blocks_clear), then t from d - 1 down to 0.
 """
 
 from __future__ import annotations
@@ -93,15 +82,21 @@ def _check_level(dim: int, t: int, rank_tol: float) -> None:
 def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
     """Whether the level search would find every block of tm full rank.
 
-    Decides the m x m blocks for m = 1..d//2, each at threshold
-    tol * (d - m) + 2 d * residual; at m = d/2 only the row sets that hold
-    row 0, the first C(d - 1, m - 1) in lexicographic order, because the
-    other blocks are their complements. Stops at the first batch with a
-    block under its threshold. Let V be the unitary nearest U, e =
-    ||U - V||_2 <= ||U^dag U - I||_2 <= d * residual. Blocks of U and V
-    differ in each singular value by at most e, and in V a block and its
-    complement share their singular values below 1 (CS decomposition). So
-    True gives every n x n block X of V smallest singular value above
+    Levels are nonincreasing in t, so when no square block of U is singular
+    (complete incompatibility, chi = d + 1) every level is 0. By Jacobi's
+    complementary-minor identity, |det U[R, C]| = |det U[R^c, C^c]| for a
+    unitary, so only the m x m blocks for m = 1..d//2 are decided, each at
+    its complement's threshold, the larger of the two (shape (m, d - m)),
+    raised by 2 d * residual; at m = d/2 only the row sets that hold row 0,
+    the first C(d - 1, m - 1) in lexicographic order, because the other
+    blocks are their complements. Stops at the first batch with a block
+    under its threshold. The step only certifies: False says nothing about
+    any level, which the level search then decides.
+
+    Let V be the unitary nearest U, e = ||U - V||_2 <= ||U^dag U - I||_2 <=
+    d * residual. Blocks of U and V differ in each singular value by at most
+    e, and in V a block and its complement share their singular values below
+    1 (CS decomposition). So True gives every n x n block X of V smallest singular value above
     tol * max(n, d - n) + e. Every decision of the level search is then
     full rank: a square block at tol * n directly, and an m x (m + t)
     block S at tol * (m + t) because its m-th singular value in V is at
@@ -143,8 +138,8 @@ def _max_row_deficiency(
       (later candidates at the same m could only tie, and ties never replace
       the first-achieving selector);
     - stop_at: a caller-supplied hard upper bound (from the unit-step
-      property of consecutive levels, or 1 when only existence of deficiency
-      matters); reaching it ends the search immediately.
+      property of consecutive levels, see _descent); reaching it ends the
+      search immediately.
 
     rank.batch_ranks decides the row sets a batch at a time, and each
     batch's rows are then replayed in order as if decided one by one: the
@@ -189,20 +184,37 @@ def _max_row_deficiency(
     return best, best_sel, worst_gap
 
 
-def _level(a: np.ndarray, t: int, *, stop_at: int | None = None, rank_tol: float):
-    """Both sides of level t from one row search.
-
-    Returns (row value, row witness, column value, worst gap ratio of the
-    search). The column value is the column deficiency of the complement of
-    the row witness, decided at the complement's own shape threshold; it is 0
-    when there is no witness.
-    """
-    value, sel, gap = _max_row_deficiency(a, t, stop_at=stop_at, rank_tol=rank_tol)
+def _complement_deficiency(
+    a: np.ndarray, sel: Optional[SubmatrixSelector], rank_tol: float
+) -> int:
+    """Column deficiency of the complement of a row witness, decided at the
+    complement's own shape threshold; 0 when there is no witness."""
     if sel is None:
-        return value, None, 0, gap
+        return 0
     comp = sel.complement(a.shape[0])
     decided = numerical_rank(extract_submatrix(a, comp), rank_tol, scale=1.0)
-    return value, sel, len(comp.cols) - decided.rank, gap
+    return len(comp.cols) - decided.rank
+
+
+def _descent(tm: TransitionMatrix, rank_tol: float):
+    """The row search of every level that needs one, yielded as
+    (t, value, witness, worst gap ratio) for t descending from d - 1.
+
+    Nothing is yielded when _square_blocks_clear certifies that every level
+    is 0. Otherwise each level is searched with stop_at one above the value
+    at t + 1, the unit-step bound on consecutive levels, so a search ends the
+    moment it reaches that bound. Level d - 1 has no candidate (its
+    interlacing ceiling is 0), so the first bounded search is at t = d - 2
+    with stop_at 1: up to the first deficient level every search asks only
+    whether a deficient block exists, the question tau_fast asks.
+    """
+    if _square_blocks_clear(tm, rank_tol):
+        return
+    value = None
+    for t in range(tm.dim - 1, -1, -1):
+        stop_at = None if value is None else value + 1
+        value, sel, gap = _max_row_deficiency(tm.matrix, t, stop_at=stop_at, rank_tol=rank_tol)
+        yield t, value, sel, gap
 
 
 def r_row(
@@ -219,66 +231,42 @@ def r_col(
 ) -> tuple[int, Optional[SubmatrixSelector]]:
     """Level-t column deficiency with the complement of r_row's witness."""
     _check_level(tm.dim, t, rank_tol)
-    _, sel, value, _ = _level(tm.matrix, t, rank_tol=rank_tol)
+    _, sel, _ = _max_row_deficiency(tm.matrix, t, rank_tol=rank_tol)
+    value = _complement_deficiency(tm.matrix, sel, rank_tol)
     return value, sel.complement(tm.dim) if sel is not None else None
 
 
 def r_t(tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Level-t deficiency: the larger of the row and column values."""
     _check_level(tm.dim, t, rank_tol)
-    row_value, _, col_value, _ = _level(tm.matrix, t, rank_tol=rank_tol)
-    return max(row_value, col_value)
+    value, sel, _ = _max_row_deficiency(tm.matrix, t, rank_tol=rank_tol)
+    return max(value, _complement_deficiency(tm.matrix, sel, rank_tol))
 
 
 def deficiency_profile(
     tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> DeficiencyProfile:
-    """Compute every level, tau, chi, and per-level witnesses.
-
-    Level 0 is decided first, on the square blocks with m <= d/2 (see the
-    module docstring). If they certify that no block is deficient, every
-    level is 0, tau = -1, there are no witnesses, and worst_gap_ratio is 0,
-    as the level search would give. Otherwise the levels are computed for t
-    descending so that the row value at t + 1 bounds the value at t from
-    above by one unit, giving an early exit the moment that bound is
-    reached; the witnesses and worst_gap_ratio are those of this descent.
-    """
+    """Compute every level, tau, chi, and per-level witnesses from _descent;
+    a level it does not search is 0, and the witnesses and worst_gap_ratio
+    are those of its searches."""
     check_tolerance("rank_tol", rank_tol)
     d = tm.dim
-    if _square_blocks_clear(tm, rank_tol):
-        zeros = (0,) * d
-        return DeficiencyProfile(
-            dim=d,
-            r_values=zeros,
-            r_row_values=zeros,
-            r_col_values=zeros,
-            tau=-1,
-            chi=d + 1,
-            witnesses=(None,) * d,
-            worst_gap_ratio=0.0,
-        )
     row_vals = [0] * d
     col_vals = [0] * d
-    row_wits: list[Optional[SubmatrixSelector]] = [None] * d
+    witnesses: list[Optional[DeficiencyWitness]] = [None] * d
     worst = 0.0
-    prev = None
-    for t in range(d - 1, -1, -1):
-        row_vals[t], row_wits[t], col_vals[t], gap = _level(
-            tm.matrix, t, stop_at=None if prev is None else prev + 1, rank_tol=rank_tol
-        )
+    for t, value, sel, gap in _descent(tm, rank_tol):
+        col = _complement_deficiency(tm.matrix, sel, rank_tol)
+        row_vals[t], col_vals[t] = value, col
         worst = max(worst, gap)
-        prev = row_vals[t]
-
-    r_values = tuple(max(x, y) for x, y in zip(row_vals, col_vals))
-    tau = min(t for t in range(d) if r_values[t] == 0) - 1
-    witnesses: list[Optional[DeficiencyWitness]] = []
-    for t in range(d):
-        if r_values[t] == 0:
-            witnesses.append(None)
-        elif row_vals[t] >= col_vals[t]:
-            witnesses.append(DeficiencyWitness("row", row_wits[t], row_vals[t]))
-        else:
-            witnesses.append(DeficiencyWitness("col", row_wits[t].complement(d), col_vals[t]))
+        if sel is not None:
+            witnesses[t] = (
+                DeficiencyWitness("row", sel, value)
+                if value >= col
+                else DeficiencyWitness("col", sel.complement(d), col)
+            )
+    r_values = tuple(map(max, row_vals, col_vals))
+    tau = r_values.index(0) - 1
     return DeficiencyProfile(
         dim=d,
         r_values=r_values,
@@ -292,21 +280,8 @@ def deficiency_profile(
 
 
 def tau_fast(tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """The deficiency index without computing full levels.
-
-    Decides level 0 first, on the square blocks with m <= d/2 (see the
-    module docstring), and returns -1 if they certify that no block is
-    deficient. Otherwise it descends t from d - 2 and returns the first t at
-    which any rank-deficient m x (m+t) submatrix exists; -1 if none. The row
-    side alone decides this, because a column-deficient block's complement
-    is row deficient at the same t. Agrees with deficiency_profile(...).tau
-    because levels are nonincreasing in t.
-    """
+    """The deficiency index: the first t of _descent with a deficient block,
+    or -1, without the column checks of deficiency_profile (a column-deficient
+    block's complement is row deficient at the same t)."""
     check_tolerance("rank_tol", rank_tol)
-    if _square_blocks_clear(tm, rank_tol):
-        return -1
-    for t in range(tm.dim - 2, -1, -1):
-        value, _, _ = _max_row_deficiency(tm.matrix, t, stop_at=1, rank_tol=rank_tol)
-        if value >= 1:
-            return t
-    return -1
+    return next((t for t, value, _, _ in _descent(tm, rank_tol) if value > 0), -1)

@@ -225,10 +225,9 @@ def matrix_from_json(text: str) -> np.ndarray:
         ) from exc
     if not isinstance(doc, dict):
         raise MatrixFormatError("top-level JSON value must be an object")
-    try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFormatError("missing or non-integer 'rows'/'cols' fields") from exc
+    rows, cols = doc.get("rows"), doc.get("cols")
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (rows, cols)):
+        raise MatrixFormatError("missing or non-integer 'rows'/'cols' fields")
     if rows < 1 or cols < 1:
         raise MatrixShapeError(f"rows and cols must be positive, got {rows} x {cols}")
     re_part = _json_grid(doc.get("re"), "re", rows, cols)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .deficiency import DeficiencyProfile, deficiency_profile
-from .errors import DegenerateWitnessError, NoKernelError
+from .errors import DegenerateWitnessError, DimensionCapError, NoKernelError
 from .matrices import TransitionMatrix, check_tolerance, matrix_to_json_dict
 from .rank import DEFAULT_RANK_TOL, FRAGILE_GAP_RATIO, kernel_witness
 from .support import (
@@ -106,10 +106,11 @@ def analyze_transition(
     """Run the deficiency route, the subset-search route when affordable,
     and every cross-check both routes allow.
 
-    A support witness that cannot be rebuilt (DegenerateWitnessError) does
-    not discard the deficiency route: the report is returned without the
-    support result, with the reason in support_skipped and
-    support_degenerate set.
+    A dimension above support_cap (DimensionCapError) or a support witness
+    that cannot be rebuilt (DegenerateWitnessError) does not discard the
+    deficiency route: the report is returned without the support result,
+    with the reason in support_skipped, and support_degenerate set for a
+    witness that could not be rebuilt.
     """
     check_tolerance("rank_tol", rank_tol)
     check_tolerance("zero_threshold", zero_threshold)
@@ -122,23 +123,20 @@ def analyze_transition(
     support = None
     support_skipped = None
     support_degenerate = False
-    if tm.dim <= support_cap:
-        start = time.perf_counter()
-        try:
-            support = min_support_uncertainty(
-                tm,
-                zero_threshold=zero_threshold,
-                rank_tol=rank_tol,
-                max_dim=support_cap,
-            )
-        except DegenerateWitnessError as exc:
-            support_skipped = str(exc)
-            support_degenerate = True
-        timings["support"] = time.perf_counter() - start
-    else:
-        support_skipped = (
-            f"dimension {tm.dim} exceeds the subset-search cap {support_cap}"
+    start = time.perf_counter()
+    try:
+        support = min_support_uncertainty(
+            tm,
+            zero_threshold=zero_threshold,
+            rank_tol=rank_tol,
+            max_dim=support_cap,
         )
+    except DimensionCapError as exc:
+        support_skipped = str(exc)
+    except DegenerateWitnessError as exc:
+        support_skipped = str(exc)
+        support_degenerate = True
+    timings["support"] = time.perf_counter() - start
 
     start = time.perf_counter()
     checks = profile_shape_checks(profile)

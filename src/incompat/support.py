@@ -82,8 +82,7 @@ def min_support_uncertainty(
     d = tm.dim
     if d > max_dim:
         raise DimensionCapError(
-            f"subset search over dimension {d} exceeds the cap {max_dim}; "
-            f"raise max_dim explicitly to override"
+            f"subset search over dimension {d} exceeds the cap {max_dim}"
         )
     a = tm.matrix
     for s in range(2, d + 2):

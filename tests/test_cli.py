@@ -128,6 +128,14 @@ class TestAnalyze:
             assert (code, out) == (2, "")
             assert err.startswith("error: unitarity tolerance must be finite")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_unitarity_tolerance_with_family_exit_2(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "analyze", "--family", "dft", "--dim", "3", "--unitarity-tol", tol
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unitarity tolerance must be finite")
+
     @pytest.mark.parametrize(
         "argv",
         [

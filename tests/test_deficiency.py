@@ -207,6 +207,40 @@ class TestTauFast:
     def test_d1(self):
         assert tau_fast(identity(1)) == -1
 
+    def test_walks_the_profile_descent(self, monkeypatch):
+        # Every rank step tau_fast takes, with the row sets it pulls, is the
+        # profile's, in the same order; only the column checks are left out.
+        calls = []
+
+        def recorded(a, row_sets, col_sets, threshold):
+            pulled = []
+            calls.append((col_sets.shape, threshold, pulled))
+
+            def pull():
+                for rows in row_sets:
+                    pulled.append(tuple(rows))
+                    yield rows
+
+            yield from batch_ranks(a, pull(), col_sets, threshold)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tau_fast made a column check")
+
+        monkeypatch.setattr(incompat.deficiency, "batch_ranks", recorded)
+        searched = 0
+        for tm in SEARCH_CORPUS + FRAGILE_DFTS:
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(incompat.deficiency, "numerical_rank", refuse)
+                tau = tau_fast(tm)
+            fast = list(calls)
+            calls.clear()
+            assert deficiency_profile(tm).tau == tau
+            assert calls[: len(fast)] == fast
+            # Calls past the level-0 step: blocks with more columns than rows.
+            searched += sum(len(rows[0]) < shape[1] for shape, _, rows in fast if rows)
+        assert searched > 0
+
 
 class TestLevelZeroFirst:
     """Level 0 is decided first, on square blocks with m <= d/2."""

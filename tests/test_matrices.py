@@ -263,6 +263,15 @@ class TestLoadMatrix:
         with pytest.raises(MatrixFormatError, match=r"line \d+, column \d+"):
             load_matrix('{"rows":1, "cols":1, "re": [[1]', "json")
 
+    @pytest.mark.parametrize("value", ["true", '"1"', "1.9"])
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_json_non_integer_shape_rejected(self, field, value):
+        doc = {"rows": "1", "cols": "1", "re": "[[1]]"}
+        doc[field] = value
+        text = "{" + ",".join(f'"{k}":{v}' for k, v in doc.items()) + "}"
+        with pytest.raises(MatrixFormatError, match="non-integer"):
+            load_matrix(text, "json")
+
     def test_json_ragged_rows_rejected(self):
         with pytest.raises(MatrixShapeError, match="row 1"):
             load_matrix('{"rows":2,"cols":2,"re":[[1,2],[3]]}', "json")

@@ -49,6 +49,12 @@ def test_report_digest_repeats():
     assert second.stdout == first.stdout
 
 
+def test_readme_holds_the_perf_table():
+    out = run_script("perf_table.py")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout in (ROOT / "README.md").read_text()
+
+
 def test_perf_table_renders_committed_bench_files():
     out = run_script("perf_table.py")
     assert out.returncode == 0, out.stderr
