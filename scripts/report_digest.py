@@ -4,10 +4,11 @@
 Two checkouts whose searches decide alike print the same digest, so one
 command checks that a change leaves every output as it was. Each input is
 written to a file of a fixed name in a temporary directory (the report embeds
-the input path) and run as `analyze --input <file> --json` and through
-tau_fast, at rank tolerances 1e-10 and 1e-6; the exit code, stdout, stderr
-and tau of every run go into the hash. The package is imported from the
-checkout's own src/, and the inputs are made by its constructors.
+the input path) and run as `analyze --input <file> --json`, without and with
+--verify (which adds the subset-search check), and through tau_fast, at rank
+tolerances 1e-10 and 1e-6; the exit code, stdout, stderr and tau of every run
+go into the hash. The package is imported from the checkout's own src/, and
+the inputs are made by its constructors.
 
     python3 scripts/report_digest.py [--max-dim 9]
 """
@@ -81,16 +82,17 @@ def run(max_dim: int) -> tuple[int, str]:
             for name, tm in corpus(max_dim):
                 Path(INPUT_NAME).write_text(save_matrix(tm.matrix))
                 for rank_tol in RANK_TOLS:
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = main(["analyze", "--input", INPUT_NAME, "--json",
-                                     "--rank-tol", rank_tol])
                     tau = tau_fast(tm, rank_tol=float(rank_tol))
-                    digest.update(
-                        f"{name} {rank_tol}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n"
-                        f"{tau}\n".encode()
-                    )
-                    runs += 1
+                    for verify in ((), ("--verify",)):
+                        out, err = io.StringIO(), io.StringIO()
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                            code = main(["analyze", "--input", INPUT_NAME, "--json",
+                                         "--rank-tol", rank_tol, *verify])
+                        digest.update(
+                            f"{name} {rank_tol} {verify}\n{code}\n{out.getvalue()}\n"
+                            f"{err.getvalue()}\n{tau}\n".encode()
+                        )
+                        runs += 1
         finally:
             os.chdir(cwd)
     return runs, digest.hexdigest()

@@ -3,10 +3,10 @@
 Two orthonormal bases of a d-dimensional complex Hilbert space are related by
 a unitary transition matrix of overlaps. This package computes the
 rank-deficiency levels of that matrix, the deficiency index tau and the
-incompatibility order chi = d - tau, and cross-checks chi against the minimal
-support uncertainty found by exhaustive subset search. For the discrete
-Fourier transform it also provides the closed-form order, the classical
-support bounds, and the extremal comb states that realize them.
+incompatibility order chi = d - tau, and reads a state of minimal support
+uncertainty chi off the witness at tau; an exhaustive subset search finds that
+minimum independently, to check chi against. For the DFT it also provides the
+closed-form order, the classical support bounds and the comb states at them.
 """
 
 from .deficiency import (
@@ -63,10 +63,9 @@ from .rank import (
 )
 from .report import AnalysisReport, analyze_transition
 from .support import (
-    CrossCheck,
     SupportWitness,
-    cross_check,
     min_support_uncertainty,
+    support_at_tau,
     support_counts,
 )
 
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "CrossCheck",
     "DeficiencyProfile",
     "DeficiencyWitness",
     "DegenerateWitnessError",
@@ -98,7 +96,6 @@ __all__ = [
     "analyze_transition",
     "bronzan_rotation",
     "comb_submatrix_is_rank_one",
-    "cross_check",
     "deficiency_profile",
     "dft_chi",
     "dft_matrix",
@@ -119,6 +116,7 @@ __all__ = [
     "r_t",
     "random_unitary",
     "save_matrix",
+    "support_at_tau",
     "support_counts",
     "tau_fast",
     "zeta",

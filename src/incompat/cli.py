@@ -2,9 +2,10 @@
 
 Subcommands: analyze, profile-curve, zeta-curve, verify-corpus.
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 input error, 3 subset-search cap exceeded (partial report emitted),
-4 numerically near-degenerate input (a support witness could not be rebuilt;
-analyze still emits the partial report without the support result).
+2 input error, 3 the subset search asked for by analyze --verify was refused
+because d exceeds --support-cap (before any search; no report is emitted),
+4 numerically near-degenerate input (the support witness could not be
+rebuilt; analyze still emits the report without the support result).
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ def tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}") from None
 
 
+def positive_int(text: str) -> int:
+    """A count option's value: an integer >= 1 (argparse exits 2 otherwise)."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="incompat",
@@ -80,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[source, tuning],
                        help="full analysis of one matrix")
     p.add_argument("--verify", action="store_true",
-                   help="exit nonzero if any cross-check fails")
+                   help="also run the subset search; exit nonzero if any check fails")
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP,
-                   help="largest dimension for the subset search")
+    p.add_argument("--support-cap", type=positive_int, default=DEFAULT_SUPPORT_CAP,
+                   help="largest dimension for the --verify subset search")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("profile-curve", parents=[source, tuning],
@@ -153,7 +161,7 @@ def cmd_analyze(args) -> int:
         descriptor,
         rank_tol=args.rank_tol,
         zero_threshold=args.zero_threshold,
-        support_cap=args.support_cap,
+        oracle_cap=args.support_cap if args.verify else None,
     )
     if args.json:
         print(json.dumps(report_json_dict(report), indent=2))
@@ -161,12 +169,9 @@ def cmd_analyze(args) -> int:
         print(render_text(report))
     if args.verify and not report.all_checks_pass:
         return 1
-    if report.support_degenerate:
+    if report.support is None:
         print(f"error: {report.support_skipped}", file=sys.stderr)
         return 4
-    if report.support_skipped is not None:
-        print(f"note: partial report, {report.support_skipped}", file=sys.stderr)
-        return 3
     return 0
 
 

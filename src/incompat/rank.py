@@ -39,7 +39,6 @@ DEFAULT_RANK_TOL = 1e-10
 FRAGILE_GAP_RATIO = 1e-3
 # Witness coefficients with modulus above this count as nonzero.
 NONZERO_COEFF_THRESHOLD = 1e-8
-WITNESS_RESIDUAL_TOL = 1e-9
 # batch_ranks certifies a block full rank without an SVD only when its
 # smallest singular value provably exceeds the threshold by this factor.
 CERT_MARGIN = 1e4

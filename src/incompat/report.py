@@ -1,4 +1,5 @@
-"""Analysis reports: run both routes on a matrix, cross-check, render.
+"""Analysis reports: run the deficiency route on a matrix, read the support
+witness off it, check it (against the subset search too when asked), render.
 
 The machine-readable (JSON) form deliberately omits wall-clock timings so
 identical invocations produce byte-identical output; the human-readable text
@@ -14,14 +15,14 @@ from typing import Optional
 import numpy as np
 
 from .deficiency import DeficiencyProfile, deficiency_profile
-from .errors import DegenerateWitnessError, DimensionCapError, NoKernelError
+from .errors import DegenerateWitnessError, NoKernelError
 from .matrices import TransitionMatrix, check_tolerance, matrix_to_json_dict
 from .rank import DEFAULT_RANK_TOL, FRAGILE_GAP_RATIO, kernel_witness
 from .support import (
-    DEFAULT_SUPPORT_CAP,
     DEFAULT_ZERO_THRESHOLD,
     SupportWitness,
     min_support_uncertainty,
+    support_at_tau,
 )
 
 
@@ -32,13 +33,11 @@ class AnalysisReport:
     matrix: np.ndarray
     tolerances: dict
     profile: DeficiencyProfile
+    # None when the witness could not be rebuilt; support_skipped says why.
     support: Optional[SupportWitness]
     support_skipped: Optional[str]
     checks: dict
     timings: dict = field(default_factory=dict)
-    # True when the subset search ran but its witness could not be rebuilt
-    # (support_skipped then holds the reason), False when it ran or was capped.
-    support_degenerate: bool = False
 
     @property
     def fragile(self) -> bool:
@@ -101,48 +100,50 @@ def analyze_transition(
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
+    oracle_cap: int | None = None,
 ) -> AnalysisReport:
-    """Run the deficiency route, the subset-search route when affordable,
-    and every cross-check both routes allow.
+    """Run the deficiency route, take the support witness from its witness at
+    tau (support_at_tau), and run every check the profile allows.
 
-    A dimension above support_cap (DimensionCapError) or a support witness
+    With oracle_cap, the subset search (min_support_uncertainty) runs first,
+    so a dimension above oracle_cap raises DimensionCapError before any level
+    is searched; support_matches_deficiency then records whether its minimum
+    equals chi, False when its witness cannot be rebuilt. A support witness
     that cannot be rebuilt (DegenerateWitnessError) does not discard the
-    deficiency route: the report is returned without the support result,
-    with the reason in support_skipped, and support_degenerate set for a
-    witness that could not be rebuilt.
+    deficiency route: the report is returned with support None and the
+    reason in support_skipped.
     """
     check_tolerance("rank_tol", rank_tol)
     check_tolerance("zero_threshold", zero_threshold)
     timings: dict = {}
 
+    if oracle_cap is not None:
+        start = time.perf_counter()
+        try:
+            oracle_n_ab = min_support_uncertainty(
+                tm, zero_threshold=zero_threshold, rank_tol=rank_tol, max_dim=oracle_cap
+            ).n_ab
+        except DegenerateWitnessError:
+            oracle_n_ab = None
+        timings["oracle"] = time.perf_counter() - start
+
     start = time.perf_counter()
     profile = deficiency_profile(tm, rank_tol=rank_tol)
     timings["deficiency"] = time.perf_counter() - start
 
-    support = None
-    support_skipped = None
-    support_degenerate = False
+    support, support_skipped = None, None
     start = time.perf_counter()
     try:
-        support = min_support_uncertainty(
-            tm,
-            zero_threshold=zero_threshold,
-            rank_tol=rank_tol,
-            max_dim=support_cap,
-        )
-    except DimensionCapError as exc:
-        support_skipped = str(exc)
+        support = support_at_tau(tm, profile, zero_threshold=zero_threshold, rank_tol=rank_tol)
     except DegenerateWitnessError as exc:
         support_skipped = str(exc)
-        support_degenerate = True
     timings["support"] = time.perf_counter() - start
 
     start = time.perf_counter()
     checks = profile_shape_checks(profile)
     checks.update(extremal_checks(tm, profile, rank_tol=rank_tol))
-    if support is not None:
-        checks["support_matches_deficiency"] = support.n_ab == profile.chi
+    if oracle_cap is not None:
+        checks["support_matches_deficiency"] = oracle_n_ab == profile.chi
     timings["checks"] = time.perf_counter() - start
 
     return AnalysisReport(
@@ -159,7 +160,6 @@ def analyze_transition(
         support_skipped=support_skipped,
         checks=checks,
         timings=timings,
-        support_degenerate=support_degenerate,
     )
 
 

@@ -3,11 +3,13 @@
 A state expressed in basis A has coordinates x (x_j is the overlap of the
 j-th A vector with the state); its B coordinates are y = U^dag x. The support
 uncertainty is the number of A coordinates above the zero threshold plus the
-number of B coordinates above it. The minimum over all nonzero states is
-found by an exhaustive subset search: spans of a row subset and a column
-subset intersect nontrivially exactly when the submatrix on the complementary
-rows and the chosen columns is column rank deficient. Those rank decisions
-come from rank.batch_ranks, the rank step the level search uses too, fed the
+number of B coordinates above it. Its minimum over all nonzero states is chi,
+and support_at_tau reads a state achieving it off the deficiency profile's
+witness at t = tau. min_support_uncertainty finds the minimum independently,
+by an exhaustive subset search: spans of a row subset and a column subset
+intersect nontrivially exactly when the submatrix on the complementary rows
+and the chosen columns is column rank deficient. Those rank decisions come
+from rank.batch_ranks, the rank step the level search uses too, fed the
 complementary row sets directly.
 """
 
@@ -18,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deficiency import tau_fast
-from .errors import DegenerateWitnessError, DimensionCapError, NonFiniteEntryError, ZeroVectorError
-from .matrices import TransitionMatrix, check_tolerance
-from .rank import DEFAULT_RANK_TOL, _normalize_phase, batch_ranks, rank_threshold
+from .deficiency import DeficiencyProfile
+from .errors import DegenerateWitnessError, DimensionCapError, InvalidParameterError
+from .errors import NonFiniteEntryError, ZeroVectorError
+from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
+from .rank import DEFAULT_RANK_TOL, batch_ranks, kernel_witness, rank_threshold
 
 DEFAULT_ZERO_THRESHOLD = 1e-8
 # 4^d subset pairs; above this the search is refused unless the cap is raised.
@@ -57,6 +60,34 @@ def support_counts(
     return n_a, n_b, n_a + n_b
 
 
+def support_at_tau(
+    tm: TransitionMatrix,
+    profile: DeficiencyProfile,
+    *,
+    zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
+    rank_tol: float = DEFAULT_RANK_TOL,
+) -> SupportWitness:
+    """A state of minimal support uncertainty, read off the profile's witness.
+
+    The row witness U[R, C] at t = tau has a left kernel vector z (z^T U[R, C]
+    = 0), so x = conj(z) on R has B coordinates y = U^dag x vanishing on C:
+    n_a + n_b <= |R| + (d - |R| - tau) = chi, with equality as chi is the
+    minimum. For tau = -1 column 0 of U is a witness. _build_witness rebuilds
+    x from y on the complement of C and checks both supports.
+    """
+    check_tolerance("zero_threshold", zero_threshold)
+    check_tolerance("rank_tol", rank_tol)
+    d = tm.dim
+    if profile.tau < 0:
+        return _build_witness(tm, tuple(range(d)), (0,), np.ones(1, dtype=complex), zero_threshold)
+    w = profile.witnesses[profile.tau]
+    sel = w.selector if w.side == "row" else w.selector.complement(d)
+    z = kernel_witness(tm.matrix, "left", sel, tol=rank_tol, scale=1.0).coefficients
+    subset_b = sel.complement(d).cols
+    y = (tm.matrix[np.ix_(sel.rows, subset_b)].T @ z).conj()
+    return _build_witness(tm, sel.rows, subset_b, y, zero_threshold)
+
+
 def min_support_uncertainty(
     tm: TransitionMatrix,
     *,
@@ -64,7 +95,9 @@ def min_support_uncertainty(
     rank_tol: float = DEFAULT_RANK_TOL,
     max_dim: int = DEFAULT_SUPPORT_CAP,
 ) -> SupportWitness:
-    """Brute-force minimal support uncertainty with an explicit witness state.
+    """Brute-force minimal support uncertainty with an explicit witness state:
+    the route to chi independent of the level search, which analyze_transition
+    runs only when given an oracle_cap.
 
     Search order (first hit wins, so minimality holds by construction and the
     witness is deterministic): total size s ascending from 2; within s the
@@ -79,6 +112,8 @@ def min_support_uncertainty(
     """
     check_tolerance("zero_threshold", zero_threshold)
     check_tolerance("rank_tol", rank_tol)
+    if max_dim < 1:
+        raise InvalidParameterError(f"max_dim must be >= 1, got {max_dim}")
     d = tm.dim
     if d > max_dim:
         raise DimensionCapError(
@@ -107,9 +142,9 @@ def min_support_uncertainty(
                 i = hit_rows[0]
                 subset_a = tuple(sorted(set(range(d)).difference(rows[i].tolist())))
                 subset_b = tuple(col_sets[np.argmax(hits[i])].tolist())
-                sub = a[rows[i]][:, np.asarray(subset_b)]
-                _, _, vh = np.linalg.svd(sub)
-                y = _normalize_phase(vh[-1].conj())
+                y = kernel_witness(
+                    a, "right", SubmatrixSelector(rows[i], subset_b), tol=rank_tol, scale=1.0
+                ).coefficients
                 return _build_witness(tm, subset_a, subset_b, y, zero_threshold)
     raise AssertionError("unreachable: the search terminates by s = d + 1")
 
@@ -144,43 +179,4 @@ def _build_witness(
         n_ab=len(subset_a) + len(subset_b),
         subset_a=subset_a,
         subset_b=subset_b,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class CrossCheck:
-    """Both routes to the incompatibility order, and whether they agree."""
-
-    dim: int
-    tau: int
-    chi_from_deficiency: int
-    min_support: int
-    witness: SupportWitness
-    passed: bool
-
-
-def cross_check(
-    tm: TransitionMatrix,
-    *,
-    zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    max_dim: int = DEFAULT_SUPPORT_CAP,
-) -> CrossCheck:
-    """Compare chi from the deficiency route against the subset-search minimum."""
-    check_tolerance("zero_threshold", zero_threshold)
-    tau = tau_fast(tm, rank_tol=rank_tol)
-    chi = tm.dim - tau
-    witness = min_support_uncertainty(
-        tm,
-        zero_threshold=zero_threshold,
-        rank_tol=rank_tol,
-        max_dim=max_dim,
-    )
-    return CrossCheck(
-        dim=tm.dim,
-        tau=tau,
-        chi_from_deficiency=chi,
-        min_support=witness.n_ab,
-        witness=witness,
-        passed=chi == witness.n_ab,
     )

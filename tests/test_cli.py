@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from incompat import dft_matrix, save_matrix
+import incompat.report
+from incompat import dft_matrix, min_support_uncertainty, save_matrix
 from incompat.cli import main
 
 
@@ -59,17 +60,68 @@ class TestAnalyze:
         _, out, _ = run_cli(capsys, "analyze", "--family", "identity", "--dim", "3", "--json")
         assert "timings" not in json.loads(out)
 
-    def test_cap_exceeded_gives_partial_report_and_exit_3(self, capsys):
-        code, out, err = run_cli(
+    def test_cap_ignored_without_verify(self, capsys):
+        code, out, _ = run_cli(
             capsys, "analyze", "--family", "dft", "--dim", "5",
             "--support-cap", "4", "--json",
         )
-        assert code == 3
+        assert code == 0
         doc = json.loads(out)
-        assert doc["support"] is None
-        assert "cap" in doc["support_skipped"]
-        assert doc["deficiency"]["chi"] == 6
-        assert "partial report" in err
+        assert doc["support"]["n_ab"] == doc["deficiency"]["chi"] == 6
+        assert "support_matches_deficiency" not in doc["checks"]
+
+    def test_cap_exceeded_under_verify_exits_3_without_report(self, capsys):
+        code, out, err = run_cli(
+            capsys, "analyze", "--family", "dft", "--dim", "5",
+            "--support-cap", "4", "--json", "--verify",
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "cap 4" in lines[0]
+
+    @pytest.mark.parametrize("verify", [(), ("--verify",)])
+    @pytest.mark.parametrize("value", ["0", "-1", "x", "2.5"])
+    def test_bad_support_cap_exit_2(self, capsys, value, verify):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--family", "identity", "--dim", "3", "--support-cap", value,
+                  *verify])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --support-cap: must be an integer >= 1" in captured.err
+
+    def test_default_analyze_never_runs_the_subset_search(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the subset search ran")
+
+        monkeypatch.setattr(incompat.report, "min_support_uncertainty", refuse)
+        code, out, _ = run_cli(capsys, "analyze", "--family", "dft", "--dim", "6", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["support"]["n_ab"] == doc["deficiency"]["chi"] == 5
+
+    def test_verify_runs_the_subset_search_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["max_dim"])
+            return min_support_uncertainty(*args, **kwargs)
+
+        monkeypatch.setattr(incompat.report, "min_support_uncertainty", counted)
+        code, out, _ = run_cli(
+            capsys, "analyze", "--family", "dft", "--dim", "6", "--json", "--verify",
+            "--support-cap", "7",
+        )
+        assert (code, calls) == (0, [7])
+        assert json.loads(out)["checks"]["support_matches_deficiency"] is True
+
+    def test_support_witness_above_the_oracle_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--family", "random", "--dim", "11", "--seed", "0", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["support"]["n_ab"] == doc["deficiency"]["chi"] == 12
+        assert all(doc["checks"].values())
 
     def test_file_input_round_trip(self, capsys, tmp_path):
         path = tmp_path / "dft6.json"

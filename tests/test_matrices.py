@@ -16,7 +16,6 @@ from incompat import (
     UnitarityError,
     analyze_transition,
     bronzan_rotation,
-    cross_check,
     deficiency_profile,
     dft_matrix,
     from_array,
@@ -29,6 +28,7 @@ from incompat import (
     r_t,
     random_unitary,
     save_matrix,
+    support_at_tau,
     tau_fast,
 )
 from incompat.matrices import UNITARITY_TOL_PER_DIM, unitarity_residual
@@ -193,9 +193,17 @@ TOLERANCE_ENTRY_POINTS = {
     "deficiency_profile": (deficiency_profile, ("rank_tol",)),
     "tau_fast": (tau_fast, ("rank_tol",)),
     "min_support_uncertainty": (min_support_uncertainty, ("rank_tol", "zero_threshold")),
-    "cross_check": (cross_check, ("rank_tol", "zero_threshold")),
+    # analyze_transition with the subset search run as a cross-check of chi.
+    "cross_check": (
+        lambda tm, **kw: analyze_transition(tm, {}, oracle_cap=4, **kw),
+        ("rank_tol", "zero_threshold"),
+    ),
     "analyze_transition": (
         lambda tm, **kw: analyze_transition(tm, {}, **kw), ("rank_tol", "zero_threshold")
+    ),
+    "support_at_tau": (
+        lambda tm, **kw: support_at_tau(tm, deficiency_profile(tm), **kw),
+        ("rank_tol", "zero_threshold"),
     ),
 }
 

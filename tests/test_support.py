@@ -3,19 +3,26 @@ import math
 import numpy as np
 import pytest
 
+import incompat.report
 from bruteforce import brute_min_support, fft_support_counts
 from incompat import (
+    DegenerateWitnessError,
     DimensionCapError,
+    InvalidParameterError,
     ZeroVectorError,
+    analyze_transition,
     bronzan_rotation,
-    cross_check,
+    deficiency_profile,
     dft_matrix,
     identity,
     min_support_uncertainty,
     qubit_rotation,
     random_unitary,
+    support_at_tau,
     support_counts,
 )
+from incompat.report import extremal_checks, profile_shape_checks
+from test_rank import FRAGILE_DFTS, SEARCH_CORPUS
 
 # Brute-force subset-search minima for the DFT, frozen from the independent
 # span-intersection oracle in bruteforce.py; they equal the most balanced
@@ -121,30 +128,108 @@ class TestMinSupportUncertainty:
             min_support_uncertainty(identity(4), max_dim=3)
         assert min_support_uncertainty(identity(11), max_dim=11).n_ab == 2
 
+    @pytest.mark.parametrize("max_dim", [0, -1])
+    def test_cap_below_one_rejected(self, max_dim):
+        with pytest.raises(InvalidParameterError, match="max_dim"):
+            min_support_uncertainty(identity(1), max_dim=max_dim)
+
     def test_d1(self):
         w = min_support_uncertainty(identity(1))
         assert w.n_ab == 2 and w.n_a == w.n_b == 1
 
 
+def _oracle_or_degenerate(tm, rank_tol):
+    try:
+        return min_support_uncertainty(tm, rank_tol=rank_tol)
+    except DegenerateWitnessError:
+        return None
+
+
+class TestSupportAtTau:
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_agrees_with_the_subset_search(self, rank_tol):
+        # Where both witnesses rebuild, both routes reach the same minimum.
+        # The tau witness fails to rebuild only where the oracle's does too,
+        # or where the profile fails its own checks: in perturbed_dft(8, 1e-9)
+        # at 1e-10 the tau block (sigma_min 5.6e-10, threshold 6e-10) and its
+        # complement (threshold 3e-10) are decided apart.
+        compared = 0
+        for tm in SEARCH_CORPUS + FRAGILE_DFTS:
+            oracle = _oracle_or_degenerate(tm, rank_tol)
+            profile = deficiency_profile(tm, rank_tol=rank_tol)
+            try:
+                w = support_at_tau(tm, profile, rank_tol=rank_tol)
+            except DegenerateWitnessError:
+                checks = profile_shape_checks(profile)
+                checks.update(extremal_checks(tm, profile, rank_tol=rank_tol))
+                assert oracle is None or not all(checks.values())
+                continue
+            assert w.n_ab == profile.chi
+            assert support_counts(w.state_in_a, tm) == (w.n_a, w.n_b, w.n_ab)
+            if oracle is not None:
+                assert oracle.n_ab == w.n_ab
+                compared += 1
+        assert compared >= 40
+
+    @pytest.mark.parametrize(
+        "tm,subset_a,subset_b",
+        [
+            (identity(6), (0,), (0,)),
+            (dft_matrix(6), (0, 3), (1, 3, 5)),
+            (dft_matrix(5), (0, 1, 2, 3, 4), (0,)),
+        ],
+    )
+    def test_witness_comes_from_the_tau_block(self, tm, subset_a, subset_b):
+        w = support_at_tau(tm, deficiency_profile(tm))
+        assert (w.subset_a, w.subset_b) == (subset_a, subset_b)
+        assert np.isclose(np.linalg.norm(w.state_in_a), 1.0)
+
+
 class TestCrossCheck:
+    """analyze_transition with oracle_cap runs the subset search as a
+    cross-check of chi; support_matches_deficiency records the verdict."""
+
     @pytest.mark.parametrize("seed", range(20))
     def test_twenty_random_d4_agree(self, seed):
-        result = cross_check(random_unitary(4, seed))
-        assert result.passed
-        assert result.chi_from_deficiency == result.min_support
+        report = analyze_transition(random_unitary(4, seed), {}, oracle_cap=4)
+        assert report.checks["support_matches_deficiency"]
+        assert report.all_checks_pass
+        assert report.support.n_ab == report.profile.chi
 
     def test_identity_six(self):
-        result = cross_check(identity(6))
-        assert (result.chi_from_deficiency, result.min_support, result.passed) == (2, 2, True)
+        report = analyze_transition(identity(6), {}, oracle_cap=6)
+        verdict = report.checks["support_matches_deficiency"]
+        assert (report.profile.chi, report.support.n_ab, verdict) == (2, 2, True)
 
     def test_bronzan_boundary(self):
-        result = cross_check(bronzan_rotation(0.0, math.pi / 7))
-        assert (result.chi_from_deficiency, result.min_support, result.passed) == (2, 2, True)
+        report = analyze_transition(bronzan_rotation(0.0, math.pi / 7), {}, oracle_cap=3)
+        verdict = report.checks["support_matches_deficiency"]
+        assert (report.profile.chi, report.support.n_ab, verdict) == (2, 2, True)
 
     @pytest.mark.parametrize("d", [7, 8])
     def test_structured_families_at_larger_dimension(self, d):
-        assert cross_check(identity(d)).passed
-        assert cross_check(dft_matrix(d)).passed
+        assert analyze_transition(identity(d), {}, oracle_cap=d).all_checks_pass
+        assert analyze_transition(dft_matrix(d), {}, oracle_cap=d).all_checks_pass
+
+    def test_check_only_with_oracle_cap(self):
+        assert "support_matches_deficiency" not in analyze_transition(identity(3), {}).checks
+
+    def test_cap_refused_before_the_level_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the level search ran")
+
+        monkeypatch.setattr(incompat.report, "deficiency_profile", refuse)
+        with pytest.raises(DimensionCapError):
+            analyze_transition(dft_matrix(5), {}, oracle_cap=4)
+
+    def test_degenerate_oracle_witness_fails_the_check(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateWitnessError("near-degenerate")
+
+        monkeypatch.setattr(incompat.report, "min_support_uncertainty", degenerate)
+        report = analyze_transition(dft_matrix(4), {}, oracle_cap=4)
+        assert report.checks["support_matches_deficiency"] is False
+        assert report.support.n_ab == report.profile.chi == 4
 
 
 class TestDonohoStarkProduct:
