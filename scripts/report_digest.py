@@ -7,8 +7,11 @@ written to a file of a fixed name in a temporary directory (the report embeds
 the input path) and run as `analyze --input <file> --json`, without and with
 --verify (which adds the subset-search check), and through tau_fast, at rank
 tolerances 1e-10 and 1e-6; the exit code, stdout, stderr and tau of every run
-go into the hash. The package is imported from the checkout's own src/, and
-the inputs are made by its constructors.
+go into the hash. DFT(10), DFT(12) and perturbed DFT(12) are run through
+tau_fast alone, whatever --max-dim is: they reach the levels that the level
+search's coherence prune skips whole, which the analyze corpus does not. The
+package is imported from the checkout's own src/, and the inputs are made by
+its constructors.
 
     python3 scripts/report_digest.py [--max-dim 9]
 """
@@ -72,6 +75,15 @@ def corpus(max_dim: int):
                 yield f"perturbed_dft({d}, {eps!r})", perturbed_dft(d, eps, d)
 
 
+def tau_corpus():
+    """(name, transition matrix) pairs run through tau_fast alone."""
+    for d in (10, 12):
+        yield f"dft({d})", dft_matrix(d)
+    # Larger perturbations make DFT(12) generic: seconds per run, no prune.
+    for eps in (1e-14, 1e-12, 1e-10):
+        yield f"perturbed_dft(12, {eps!r})", perturbed_dft(12, eps, 12)
+
+
 def run(max_dim: int) -> tuple[int, str]:
     digest = hashlib.sha256()
     runs = 0
@@ -93,6 +105,11 @@ def run(max_dim: int) -> tuple[int, str]:
                             f"{err.getvalue()}\n{tau}\n".encode()
                         )
                         runs += 1
+            for name, tm in tau_corpus():
+                for rank_tol in RANK_TOLS:
+                    tau = tau_fast(tm, rank_tol=float(rank_tol))
+                    digest.update(f"{name} {rank_tol} tau\n{tau}\n".encode())
+                    runs += 1
         finally:
             os.chdir(cwd)
     return runs, digest.hexdigest()
@@ -101,7 +118,8 @@ def run(max_dim: int) -> tuple[int, str]:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-dim", type=int, default=9,
-                        help="largest input dimension in the corpus (default: 9)")
+                        help="largest input dimension of the analyze corpus (default: 9); "
+                        "the tau-only inputs are run at every value")
     args = parser.parse_args()
     runs, digest = run(args.max_dim)
     print(f"runs {runs}")

@@ -19,7 +19,10 @@ sets at a time, and replays each batch in the sequential order.
 
 Both deficiency_profile and tau_fast read the levels off one descent,
 _descent: level 0 decided first on half-size square blocks
-(_square_blocks_clear), then t from d - 1 down to 0.
+(_square_blocks_clear), then t from d - 1 down to 0. Within a level the
+search skips every m whose blocks the coherence bound sigma_min^2 >= 1 -
+mu^2 m (d - m - t) proves full rank; the proof and its allowance for
+near-unitary input are in _max_row_deficiency's docstring.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
+from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance, unitarity_residual
 from .rank import (
+    CERT_MARGIN,
     DEFAULT_RANK_TOL,
     batch_ranks,
     extract_submatrix,
@@ -117,6 +121,19 @@ def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
     return True
 
 
+def _coherence_full_rank(
+    shape: tuple[int, int], d: int, mu: float, e: float, threshold: float
+) -> bool:
+    """Whether every block of this shape of a d x d matrix within e of a
+    unitary, entries at most mu in modulus, provably has sigma_min above
+    CERT_MARGIN * threshold (the coherence prune of _max_row_deficiency).
+    Products, not ** 2: a huge threshold or e must give inf, not
+    OverflowError."""
+    m, c = shape
+    x, margin = mu + e, CERT_MARGIN * threshold + e
+    return m * (d - c) * x * x + margin * margin + 32 * d**3 * np.finfo(float).eps < 1
+
+
 def _max_row_deficiency(
     a: np.ndarray,
     t: int,
@@ -128,8 +145,8 @@ def _max_row_deficiency(
 
     Enumeration order: m ascending, row subsets lexicographic, column subsets
     lexicographic; the returned selector is the first one achieving the
-    maximum in that order. Three prunes, none of which can change the value
-    or the witness:
+    maximum in that order. Four prunes, none of which can change the value,
+    the witness or the worst gap ratio:
 
     - interlacing ceiling: a submatrix of a unitary with m rows and c columns
       has rank >= m + c - d, so no candidate at this m can exceed
@@ -139,7 +156,34 @@ def _max_row_deficiency(
       the first-achieving selector);
     - stop_at: a caller-supplied hard upper bound (from the unit-step
       property of consecutive levels, see _descent); reaching it ends the
-      search immediately.
+      search immediately;
+    - coherence: an m whose blocks are all proven full rank is skipped
+      before any row set is enumerated. For a unitary V, S = V[R, C] and
+      T = V[R, C^c] satisfy S S^H + T T^H = I_m, so
+
+          sigma_min(S)^2 = 1 - ||T||_2^2 >= 1 - ||T||_F^2
+                         >= 1 - mu_V^2 m (d - m - t),
+
+      with mu_V = max |V_jk|: the coherence bound n_a n_b >= 1 / mu^2 of
+      Donoho & Huo (IEEE TIT 2001) and Elad & Bruckstein (IEEE TIT 2002),
+      per block. For the input U, V is the nearest unitary and e = d *
+      residual >= ||U - V||_2, the allowance of _square_blocks_clear; then
+      mu_V <= mu + e with mu = max |U_jk|, and each singular value of a
+      block moves by at most e, so every block at this m has
+
+          sigma_min(S_U) >= sqrt(1 - (mu + e)^2 m (d - m - t)) - e.
+
+      The m is skipped (_coherence_full_rank) when m (d - m - t) (mu + e)^2
+      + (CERT_MARGIN * threshold + e)^2 + 32 d^3 eps < 1, i.e. when that
+      bound exceeds CERT_MARGIN times the threshold with room to spare. The
+      slack 32 d^3 eps covers the rounding of the computed residual (d^2
+      eps in e), of mu and of the test itself, and still leaves sigma_min
+      above the margin by 8 d^3 eps, more than the SVD's own error. So the
+      rank step would give every block rank m and gap 0: no row set at
+      this m is deficient, none reaches the ceiling or stop_at, and none
+      raises the gap ratio. For the DFT mu^2 = 1 / d, so at the default
+      tolerance every m of the levels above tau is skipped, and at tau all
+      but the extremal m, where m (d - m - tau) = d.
 
     rank.batch_ranks decides the row sets a batch at a time, and each
     batch's rows are then replayed in order as if decided one by one: the
@@ -151,6 +195,7 @@ def _max_row_deficiency(
     Returns (value, selector or None, worst gap ratio seen).
     """
     d = a.shape[0]
+    mu, e = float(np.abs(a).max()), d * unitarity_residual(a)
     best = 0
     best_sel: SubmatrixSelector | None = None
     worst_gap = 0.0
@@ -159,9 +204,11 @@ def _max_row_deficiency(
         if ceiling <= best:
             continue
         c = m + t
+        threshold = rank_threshold((m, c), rank_tol, 1.0)
+        if _coherence_full_rank((m, c), d, mu, e, threshold):
+            continue
         limit = ceiling if stop_at is None else min(ceiling, stop_at)
         col_sets = np.array(list(itertools.combinations(range(d), c)))
-        threshold = rank_threshold((m, c), rank_tol, 1.0)
         row_sets = itertools.combinations(range(d), m)
         for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold):
             # Replay the batch in order: the sequential search stops at the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import incompat.deficiency
 from bruteforce import brute_profile, brute_r_row
 from incompat import (
+    DegenerateWitnessError,
     SubmatrixSelector,
     bronzan_rotation,
     deficiency_profile,
@@ -21,6 +22,7 @@ from incompat import (
     r_row,
     r_t,
     random_unitary,
+    support_at_tau,
     tau_fast,
 )
 from incompat.deficiency import _max_row_deficiency, _square_blocks_clear
@@ -411,3 +413,142 @@ class TestChiInvariances:
         base = _chi(tm)
         assert _chi(from_array(tm.matrix.T, 1e-10)) == base
         assert _chi(from_array(tm.matrix.conj(), 1e-10)) == base
+
+
+def _coherence(tm):
+    """(mu, e) as the level search computes them: the largest entry modulus
+    and d times the unitarity residual."""
+    return float(np.abs(tm.matrix).max()), tm.dim * tm.residual
+
+
+class TestCoherencePrune:
+    """An m whose blocks the coherence bound proves full rank is skipped."""
+
+    COMPOSITE_DFTS = [dft_matrix(d) for d in (4, 6, 8, 9, 10, 12)]
+
+    @staticmethod
+    def unpruned(monkeypatch, run):
+        with monkeypatch.context() as patch:
+            patch.setattr(incompat.deficiency, "_coherence_full_rank", lambda *a: False)
+            return run()
+
+    @staticmethod
+    def count_prunes(monkeypatch):
+        fired = []
+        prune = incompat.deficiency._coherence_full_rank
+
+        def counted(shape, d, mu, e, threshold):
+            skip = prune(shape, d, mu, e, threshold)
+            if skip:
+                fired.append((d, shape))
+            return skip
+
+        monkeypatch.setattr(incompat.deficiency, "_coherence_full_rank", counted)
+        return fired
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 0.0])
+    def test_outputs_equal_the_unpruned_search(self, rank_tol, monkeypatch):
+        near = [from_array(tm.matrix * (1 + 1e-9)) for tm in SEARCH_CORPUS if tm.dim > 1]
+        # At rank_tol 0 no DFT block is deficient, so DFT(d) searches every
+        # level down to 0 with or without the prune (DFT(12) about 15 s each
+        # way): there the DFTs stop at d = 9.
+        dfts = [dft_matrix(d) for d in range(1, 13 if rank_tol else 10)]
+        fired = self.count_prunes(monkeypatch)
+        for tm in SEARCH_CORPUS + FRAGILE_DFTS + near + dfts:
+            tau = tau_fast(tm, rank_tol=rank_tol)
+            assert tau == self.unpruned(monkeypatch, lambda: tau_fast(tm, rank_tol=rank_tol))
+            if tm.dim <= 9:
+                got = deficiency_profile(tm, rank_tol=rank_tol)
+                want = self.unpruned(
+                    monkeypatch, lambda: deficiency_profile(tm, rank_tol=rank_tol)
+                )
+                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert {d for d, _ in fired} >= {6, 8, 9}
+
+    @given(
+        st.sampled_from(["haar", "dft", "perturbed"]),
+        st.integers(2, 6),
+        st.integers(0, 2**16),
+        st.sampled_from([1e-12, 1e-9, 1e-6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sigma_min_obeys_the_bound(self, family, d, seed, eps):
+        tm = {
+            "haar": lambda: random_unitary(d, seed),
+            "dft": lambda: dft_matrix(d),
+            "perturbed": lambda: _perturbed_dft(d, eps, seed),
+        }[family]()
+        mu, e = _coherence(tm)
+        slack = 32 * d**3 * np.finfo(float).eps
+        a = tm.matrix
+        for t in range(d):
+            for m in range(1, d - t + 1):
+                rows = np.array(list(itertools.combinations(range(d), m)))
+                cols = np.array(list(itertools.combinations(range(d), m + t)))
+                blocks = a[rows[:, None, :, None], cols[None, :, None, :]]
+                s = np.linalg.svd(blocks, compute_uv=False)[..., -1]
+                # sigma_min moves by at most e from the nearest unitary's.
+                assert s.min() ** 2 >= 1 - m * (d - m - t) * (mu + e) ** 2 - 2 * e - slack
+
+    def test_prune_only_where_the_bound_clears_the_margin(self):
+        # Soundness: never skip an m with m (d - m - t) (mu + e)^2 >=
+        # 1 - (margin + e)^2, margin = CERT_MARGIN * threshold.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            d = int(rng.integers(1, 17))
+            t = int(rng.integers(0, d))
+            m = int(rng.integers(1, d - t + 1))
+            mu = float(rng.uniform(0, 1.2)) / math.sqrt(d)
+            e = float(10.0 ** rng.uniform(-18, -1))
+            threshold = rank_threshold((m, m + t), float(10.0 ** rng.uniform(-16, -3)), 1.0)
+            margin = incompat.deficiency.CERT_MARGIN * threshold
+            if incompat.deficiency._coherence_full_rank((m, m + t), d, mu, e, threshold):
+                assert m * (d - m - t) * (mu + e) ** 2 < 1 - (margin + e) ** 2
+
+    @pytest.mark.parametrize(
+        "d,mu,e,threshold",
+        [
+            (6, 0.3, 0.0, 1e300),
+            (6, 0.3, 1e300, 0.0),
+            (6, 1e200, 0.0, 0.0),
+            # Within rounding of the tight DFT(6) bound at rank_tol 0: only
+            # the 32 d^3 eps slack keeps this m from being skipped.
+            (6, (1 - 1e-14) / math.sqrt(6), 0.0, 0.0),
+        ],
+    )
+    def test_no_prune_at_the_edges(self, d, mu, e, threshold):
+        # Huge terms give inf, not OverflowError, and no prune.
+        assert not incompat.deficiency._coherence_full_rank((2, 3), d, mu, e, threshold)
+
+    @pytest.mark.parametrize("tm", COMPOSITE_DFTS, ids=lambda tm: f"d{tm.dim}")
+    def test_tau_witness_at_a_tight_m_never_pruned(self, tm, monkeypatch):
+        # mu^2 = 1 / d: the bound is tight exactly where m (d - m - tau) = d.
+        d = tm.dim
+        fired = self.count_prunes(monkeypatch)
+        tau = tau_fast(tm)
+        # Every m above tau, and every m at tau before the witness's, is skipped.
+        above = {(d, (k, k + t)) for t in range(tau + 1, d) for k in range(1, d - t)}
+        assert above <= set(fired)
+        value, sel = r_row(tm, tau)
+        m = len(sel.rows)
+        assert value == 1 and m * (d - m - tau) == d
+        assert {(d, (k, k + tau)) for k in range(1, m)} <= set(fired)
+        assert (d, (m, m + tau)) not in fired
+        mu, e = _coherence(tm)
+        threshold = rank_threshold((m, m + tau), 1e-10, 1.0)
+        assert not incompat.deficiency._coherence_full_rank((m, m + tau), d, mu, e, threshold)
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_support_witness_obeys_the_product_bound(self, rank_tol):
+        # n_a n_b >= 1 / mu^2 (Donoho & Huo; Elad & Bruckstein), up to rounding.
+        checked = 0
+        for tm in SEARCH_CORPUS + FRAGILE_DFTS + self.COMPOSITE_DFTS[:-1]:
+            profile = deficiency_profile(tm, rank_tol=rank_tol)
+            try:
+                w = support_at_tau(tm, profile, rank_tol=rank_tol)
+            except DegenerateWitnessError:
+                continue
+            mu, _ = _coherence(tm)
+            assert w.n_a * w.n_b * mu * mu >= 1 - 1e-9
+            checked += 1
+        assert checked >= len(SEARCH_CORPUS)

@@ -319,9 +319,10 @@ class TestCertifiedSearches:
 
         monkeypatch.setattr(incompat.deficiency, "batch_ranks", checked)
         monkeypatch.setattr(incompat.support, "batch_ranks", checked)
-        # dft(8) keeps the corpus's block count above the floor now that
-        # inputs with no singular square block stop after level 0.
-        for tm in SEARCH_CORPUS + [dft_matrix(8)]:
+        # dft(8) and dft(9) keep the corpus's block count above the floor now
+        # that inputs with no singular square block stop after level 0 and
+        # the coherence prune skips the DFTs' levels above tau.
+        for tm in SEARCH_CORPUS + [dft_matrix(8), dft_matrix(9)]:
             deficiency_profile(tm)
             tau_fast(tm)
             with contextlib.suppress(DegenerateWitnessError):
