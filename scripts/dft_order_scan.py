@@ -2,13 +2,21 @@
 """Tabulate the DFT incompatibility order chi(d) = low + d/low over a range.
 
 With --verify, cross-checks the closed form against the deficiency route
-(tau_fast) for every d up to 12, and against the exhaustive subset search
-too for every d up to 8.
+for every d up to 12, both tau_fast and the full deficiency_profile (whose
+row and column values at tau must also agree), and against the exhaustive
+subset search too for every d up to 8.
 """
 
 import argparse
 
-from incompat import dft_chi, dft_matrix, divisor_decomposition, min_support_uncertainty, tau_fast
+from incompat import (
+    deficiency_profile,
+    dft_chi,
+    dft_matrix,
+    divisor_decomposition,
+    min_support_uncertainty,
+    tau_fast,
+)
 
 DEFICIENCY_MAX_DIM = 12
 SEARCH_MAX_DIM = 8
@@ -22,12 +30,17 @@ def run(max_dim: int, verify: bool) -> None:
         note = "prime, completely incompatible" if dec.low == 1 else ""
         if verify and d <= DEFICIENCY_MAX_DIM:
             tm = dft_matrix(d)
-            routes = {"deficiency": d - tau_fast(tm)}
+            profile = deficiency_profile(tm)
+            routes = {"deficiency": d - tau_fast(tm), "profile": profile.chi}
             if d <= SEARCH_MAX_DIM:
                 routes["search"] = min_support_uncertainty(tm).n_ab
-            status = "ok" if set(routes.values()) == {chi} else "MISMATCH " + " ".join(
-                f"{route}={value}" for route, value in routes.items()
-            )
+            tau = profile.tau
+            sides = (profile.r_row_values[tau], profile.r_col_values[tau]) if tau >= 0 else (0, 0)
+            status = "ok"
+            if set(routes.values()) != {chi} or sides[0] != sides[1]:
+                status = "MISMATCH " + " ".join(
+                    f"{route}={value}" for route, value in routes.items()
+                ) + f" rows={sides[0]} cols={sides[1]}"
             note = (note + " " if note else "") + f"[{status}]"
         print(f"{d:>4} {dec.low:>4} {dec.high:>5} {chi:>4}  {note}")
 
@@ -37,8 +50,9 @@ if __name__ == "__main__":
     parser.add_argument("--max-dim", type=int, default=40)
     parser.add_argument(
         "--verify", action="store_true",
-        help=f"cross-check d <= {DEFICIENCY_MAX_DIM} against tau_fast, "
-        f"and d <= {SEARCH_MAX_DIM} against the subset search too",
+        help=f"cross-check d <= {DEFICIENCY_MAX_DIM} against tau_fast and deficiency_profile "
+        f"(equal row and column values at tau), and d <= {SEARCH_MAX_DIM} against the "
+        "subset search too",
     )
     args = parser.parse_args()
     run(args.max_dim, args.verify)

@@ -7,13 +7,18 @@ written to a file of a fixed name in a temporary directory (the report embeds
 the input path) and run as `analyze --input <file> --json`, without and with
 --verify (which adds the subset-search check), and through tau_fast, at rank
 tolerances 1e-10 and 1e-6; the exit code, stdout, stderr and tau of every run
-go into the hash. DFT(10), DFT(12) and perturbed DFT(12) are run through
-tau_fast alone, whatever --max-dim is: they reach the levels that the level
-search's coherence prune skips whole, which the analyze corpus does not. The
-package is imported from the checkout's own src/, and the inputs are made by
-its constructors.
+go into the hash. Whatever --max-dim is, DFT(10) and DFT(12) are also run as
+`analyze --json` without --verify, the inputs where the level search's
+coherence cap cuts the most, and DFT(10), DFT(12) and perturbed DFT(12)
+through tau_fast alone: they reach the levels that the cap skips whole,
+which the analyze corpus does not. The package is imported from the
+checkout's own src/, and the inputs are made by its constructors.
 
-    python3 scripts/report_digest.py [--max-dim 9]
+With --records FILE, every run is also written to FILE as one JSON line
+(name, rank_tol, mode, code, stdout, stderr, tau), so two checkouts whose
+digests differ can be compared run by run.
+
+    python3 scripts/report_digest.py [--max-dim 9] [--records runs.jsonl]
 """
 
 import argparse
@@ -21,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import math
 import os
 import sys
@@ -75,18 +81,44 @@ def corpus(max_dim: int):
                 yield f"perturbed_dft({d}, {eps!r})", perturbed_dft(d, eps, d)
 
 
-def tau_corpus():
-    """(name, transition matrix) pairs run through tau_fast alone."""
+def analyze_corpus():
+    """(name, transition matrix) pairs run as analyze --json without --verify."""
     for d in (10, 12):
         yield f"dft({d})", dft_matrix(d)
+
+
+def tau_corpus():
+    """(name, transition matrix) pairs run through tau_fast alone."""
+    yield from analyze_corpus()
     # Larger perturbations make DFT(12) generic: seconds per run, no prune.
     for eps in (1e-14, 1e-12, 1e-10):
         yield f"perturbed_dft(12, {eps!r})", perturbed_dft(12, eps, 12)
 
 
-def run(max_dim: int) -> tuple[int, str]:
+def analyze(rank_tol: str, verify: tuple) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of analyze on the input file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--input", INPUT_NAME, "--json", "--rank-tol", rank_tol, *verify])
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(max_dim: int, records=None) -> tuple[int, str]:
     digest = hashlib.sha256()
     runs = 0
+
+    def record(name, rank_tol, mode, code, out, err, tau):
+        nonlocal runs
+        if mode == "tau":
+            digest.update(f"{name} {rank_tol} tau\n{tau}\n".encode())
+        else:
+            digest.update(f"{name} {rank_tol} {mode}\n{code}\n{out}\n{err}\n{tau}\n".encode())
+        runs += 1
+        if records is not None:
+            records.write(json.dumps({"name": name, "rank_tol": rank_tol, "mode": str(mode),
+                                      "code": code, "stdout": out, "stderr": err,
+                                      "tau": tau}) + "\n")
+
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
@@ -96,20 +128,15 @@ def run(max_dim: int) -> tuple[int, str]:
                 for rank_tol in RANK_TOLS:
                     tau = tau_fast(tm, rank_tol=float(rank_tol))
                     for verify in ((), ("--verify",)):
-                        out, err = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                            code = main(["analyze", "--input", INPUT_NAME, "--json",
-                                         "--rank-tol", rank_tol, *verify])
-                        digest.update(
-                            f"{name} {rank_tol} {verify}\n{code}\n{out.getvalue()}\n"
-                            f"{err.getvalue()}\n{tau}\n".encode()
-                        )
-                        runs += 1
+                        record(name, rank_tol, verify, *analyze(rank_tol, verify), tau)
+            for name, tm in analyze_corpus():
+                Path(INPUT_NAME).write_text(save_matrix(tm.matrix))
+                for rank_tol in RANK_TOLS:
+                    record(name, rank_tol, "analyze", *analyze(rank_tol, ()), None)
             for name, tm in tau_corpus():
                 for rank_tol in RANK_TOLS:
                     tau = tau_fast(tm, rank_tol=float(rank_tol))
-                    digest.update(f"{name} {rank_tol} tau\n{tau}\n".encode())
-                    runs += 1
+                    record(name, rank_tol, "tau", None, None, None, tau)
         finally:
             os.chdir(cwd)
     return runs, digest.hexdigest()
@@ -119,8 +146,10 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-dim", type=int, default=9,
                         help="largest input dimension of the analyze corpus (default: 9); "
-                        "the tau-only inputs are run at every value")
+                        "the DFT(10), DFT(12) and tau-only inputs are run at every value")
+    parser.add_argument("--records", type=argparse.FileType("w"),
+                        help="also write every run to this file, one JSON line each")
     args = parser.parse_args()
-    runs, digest = run(args.max_dim)
+    runs, digest = run(args.max_dim, args.records)
     print(f"runs {runs}")
     print(f"sha256 {digest}")

@@ -19,10 +19,13 @@ sets at a time, and replays each batch in the sequential order.
 
 Both deficiency_profile and tau_fast read the levels off one descent,
 _descent: level 0 decided first on half-size square blocks
-(_square_blocks_clear), then t from d - 1 down to 0. Within a level the
-search skips every m whose blocks the coherence bound sigma_min^2 >= 1 -
-mu^2 m (d - m - t) proves full rank; the proof and its allowance for
-near-unitary input are in _max_row_deficiency's docstring.
+(_square_blocks_clear), then t from d - 1 down to 0. Within a level each m
+has one ceiling on the deficiency of its blocks: the interlacing bound
+min(m, d - m - t), capped by the coherence bound sigma_{m-j+1}^2 >= 1 -
+mu^2 m (d - m - t) / j on the j-th smallest singular value. The search
+skips an m whose ceiling cannot beat the best found and leaves an m once
+its ceiling is reached; the proof and its allowance for near-unitary input
+are in _max_row_deficiency's docstring.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import numpy as np
 
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance, unitarity_residual
 from .rank import (
-    CERT_MARGIN,
     DEFAULT_RANK_TOL,
     batch_ranks,
     extract_submatrix,
@@ -121,17 +123,21 @@ def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
     return True
 
 
-def _coherence_full_rank(
+def _coherence_cap(
     shape: tuple[int, int], d: int, mu: float, e: float, threshold: float
-) -> bool:
-    """Whether every block of this shape of a d x d matrix within e of a
-    unitary, entries at most mu in modulus, provably has sigma_min above
-    CERT_MARGIN * threshold (the coherence prune of _max_row_deficiency).
-    Products, not ** 2: a huge threshold or e must give inf, not
-    OverflowError."""
+) -> int:
+    """The largest deficiency the rank step can find in a block of this
+    shape of a d x d matrix within e of a unitary, entries at most mu in
+    modulus, at this threshold: the largest j <= m with j (1 - (threshold
+    + e)^2 - 32 d^3 eps) <= m (d - c) (mu + e)^2, or m when the factor of
+    j is not positive (the coherence ceiling of _max_row_deficiency).
+    Products, not ** 2, and no int() of an unbounded quotient: a huge
+    threshold, e or mu must give m, not OverflowError."""
     m, c = shape
-    x, margin = mu + e, CERT_MARGIN * threshold + e
-    return m * (d - c) * x * x + margin * margin + 32 * d**3 * np.finfo(float).eps < 1
+    x, margin = mu + e, threshold + e
+    room = 1 - margin * margin - 32 * d**3 * np.finfo(float).eps
+    quotient = m * (d - c) * x * x / room if room > 0 else math.inf
+    return int(quotient) if quotient < m else m
 
 
 def _max_row_deficiency(
@@ -145,45 +151,53 @@ def _max_row_deficiency(
 
     Enumeration order: m ascending, row subsets lexicographic, column subsets
     lexicographic; the returned selector is the first one achieving the
-    maximum in that order. Four prunes, none of which can change the value,
-    the witness or the worst gap ratio:
+    maximum in that order. Each m has one ceiling, min(m, d - m - t, cap), a
+    bound on the deficiency the rank step can find in any of its blocks:
 
-    - interlacing ceiling: a submatrix of a unitary with m rows and c columns
-      has rank >= m + c - d, so no candidate at this m can exceed
-      min(m, d - m - t); an m whose ceiling cannot beat the current maximum
-      is skipped, and the search for one m stops once its ceiling is reached
-      (later candidates at the same m could only tie, and ties never replace
-      the first-achieving selector);
-    - stop_at: a caller-supplied hard upper bound (from the unit-step
-      property of consecutive levels, see _descent); reaching it ends the
-      search immediately;
-    - coherence: an m whose blocks are all proven full rank is skipped
-      before any row set is enumerated. For a unitary V, S = V[R, C] and
-      T = V[R, C^c] satisfy S S^H + T T^H = I_m, so
+    - interlacing: a submatrix of a unitary with m rows and c columns has
+      rank >= m + c - d, so no block exceeds min(m, d - m - t);
+    - coherence (cap, from _coherence_cap): for a unitary V, S = V[R, C]
+      and T = V[R, C^c] satisfy S S^H = I_m - T T^H, so for j = 1..m
 
-          sigma_min(S)^2 = 1 - ||T||_2^2 >= 1 - ||T||_F^2
-                         >= 1 - mu_V^2 m (d - m - t),
+          sigma_{m-j+1}(S)^2 = 1 - lambda_j(T T^H) >= 1 - ||T||_F^2 / j
+                             >= 1 - mu_V^2 m (d - m - t) / j,
 
-      with mu_V = max |V_jk|: the coherence bound n_a n_b >= 1 / mu^2 of
-      Donoho & Huo (IEEE TIT 2001) and Elad & Bruckstein (IEEE TIT 2002),
-      per block. For the input U, V is the nearest unitary and e = d *
-      residual >= ||U - V||_2, the allowance of _square_blocks_clear; then
-      mu_V <= mu + e with mu = max |U_jk|, and each singular value of a
-      block moves by at most e, so every block at this m has
+      with mu_V = max |V_jk| (lambda_j is at most the mean of the j largest
+      eigenvalues of T T^H, whose sum is at most its trace): the coherence
+      bound n_a n_b >= 1 / mu^2 of Donoho & Huo (IEEE TIT 2001) and Elad &
+      Bruckstein (IEEE TIT 2002), per block and per deficiency. For the
+      input U, V is the nearest unitary and e = d * residual >= ||U - V||_2,
+      the allowance of _square_blocks_clear; then mu_V <= mu + e with mu =
+      max |U_jk|, and each singular value of a block moves by at most e.
+      With X = m (d - m - t) (mu + e)^2, th the threshold and s = 32 d^3
+      eps, the cap is the largest j <= m with j (1 - (th + e)^2 - s) <= X.
+      For every larger j, 1 - X / j > (th + e)^2 + s, so
 
-          sigma_min(S_U) >= sqrt(1 - (mu + e)^2 m (d - m - t)) - e.
+          sigma_{m-j+1}(S_U) >= sqrt((th + e)^2 + s) - e >= th + s / 2,
 
-      The m is skipped (_coherence_full_rank) when m (d - m - t) (mu + e)^2
-      + (CERT_MARGIN * threshold + e)^2 + 32 d^3 eps < 1, i.e. when that
-      bound exceeds CERT_MARGIN times the threshold with room to spare. The
-      slack 32 d^3 eps covers the rounding of the computed residual (d^2
-      eps in e), of mu and of the test itself, and still leaves sigma_min
-      above the margin by 8 d^3 eps, more than the SVD's own error. So the
-      rank step would give every block rank m and gap 0: no row set at
-      this m is deficient, none reaches the ceiling or stop_at, and none
-      raises the gap ratio. For the DFT mu^2 = 1 / d, so at the default
-      tolerance every m of the levels above tau is skipped, and at tau all
-      but the extremal m, where m (d - m - tau) = d.
+      since sqrt(a^2 + s) - a = s / (sqrt(a^2 + s) + a) >= s / 2 when a^2 +
+      s < 1. That margin of 16 d^3 eps, less the rounding of the computed
+      residual (d^2 eps in e), of mu and of the test itself, is still more
+      than the SVD's own error of a few d eps, so the SVD keeps
+      sigma_{m-j+1} and every larger singular value; the Gram certificate
+      of batch_ranks certifies only blocks that are full rank. So the rank
+      step gives every block at this m rank >= m - cap, and at cap 0 rank m
+      and gap 0. For the DFT mu^2 = 1 / d and the cap is m (d - m - t) / d
+      rounded down (an exact integer quotient is kept, since s makes the
+      test round up): 0 at every m of the levels above tau, and at tau at
+      every m with m (d - m - tau) < d, which holds for every m before the
+      witness's.
+
+    An m whose ceiling cannot beat the current maximum is skipped before
+    any row set is enumerated, and the search of one m stops once its
+    ceiling is reached: later blocks at the same m could only tie, and ties
+    never replace the first-achieving selector. stop_at is a caller-supplied
+    hard upper bound (from the unit-step property of consecutive levels, see
+    _descent); reaching it ends the search immediately. None of these exits
+    changes the value or the witness. The worst gap ratio covers the
+    decisions the search makes, so a cap below the interlacing ceiling can
+    only lower it, by ending an m's search early or skipping an m; a cap of
+    0 never changes it, as every block it skips has gap 0.
 
     rank.batch_ranks decides the row sets a batch at a time, and each
     batch's rows are then replayed in order as if decided one by one: the
@@ -200,12 +214,10 @@ def _max_row_deficiency(
     best_sel: SubmatrixSelector | None = None
     worst_gap = 0.0
     for m in range(1, d - t + 1):
-        ceiling = min(m, d - m - t)
-        if ceiling <= best:
-            continue
         c = m + t
         threshold = rank_threshold((m, c), rank_tol, 1.0)
-        if _coherence_full_rank((m, c), d, mu, e, threshold):
+        ceiling = min(m, d - c, _coherence_cap((m, c), d, mu, e, threshold))
+        if ceiling <= best:
             continue
         limit = ceiling if stop_at is None else min(ceiling, stop_at)
         col_sets = np.array(list(itertools.combinations(range(d), c)))

@@ -17,12 +17,13 @@ import numpy as np
 from .deficiency import DeficiencyProfile, deficiency_profile
 from .errors import DegenerateWitnessError, NoKernelError
 from .matrices import TransitionMatrix, check_tolerance, matrix_to_json_dict
-from .rank import DEFAULT_RANK_TOL, FRAGILE_GAP_RATIO, kernel_witness
+from .rank import DEFAULT_RANK_TOL, FRAGILE_GAP_RATIO, KernelWitness, kernel_witness
 from .support import (
     DEFAULT_ZERO_THRESHOLD,
     SupportWitness,
     min_support_uncertainty,
     support_at_tau,
+    tau_kernel,
 )
 
 
@@ -70,23 +71,24 @@ def extremal_checks(
     profile: DeficiencyProfile,
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
+    kernel: KernelWitness | None = None,
 ) -> dict:
     """At t = tau both sides reach exactly 1 and their kernels are all nonzero.
 
     The row witness is the profile's and the column witness its complement,
     so no level is searched again. Vacuously true when tau = -1 (no
-    deficiency anywhere).
+    deficiency anywhere). kernel, when given, is the row witness's left
+    kernel from tau_kernel, shared with support_at_tau; otherwise it is
+    computed here.
     """
     if profile.tau < 0:
         return {"extremal_levels_balanced": True, "extremal_witness_nonzero": True}
     tau = profile.tau
     balanced = profile.r_row_values[tau] == 1 and profile.r_col_values[tau] == 1
-    w = profile.witnesses[tau]
-    row_sel = w.selector if w.side == "row" else w.selector.complement(tm.dim)
     try:
-        left = kernel_witness(tm.matrix, "left", row_sel, tol=rank_tol, scale=1.0)
+        left = kernel if kernel is not None else tau_kernel(tm, profile, rank_tol=rank_tol)
         right = kernel_witness(
-            tm.matrix, "right", row_sel.complement(tm.dim), tol=rank_tol, scale=1.0
+            tm.matrix, "right", left.selector.complement(tm.dim), tol=rank_tol, scale=1.0
         )
         nonzero = left.all_nonzero and right.all_nonzero
     except NoKernelError:
@@ -103,7 +105,9 @@ def analyze_transition(
     oracle_cap: int | None = None,
 ) -> AnalysisReport:
     """Run the deficiency route, take the support witness from its witness at
-    tau (support_at_tau), and run every check the profile allows.
+    tau (support_at_tau), and run every check the profile allows. The left
+    kernel of the row witness at tau is computed once (tau_kernel) and shared
+    by support_at_tau and extremal_checks.
 
     With oracle_cap, the subset search (min_support_uncertainty) runs first,
     so a dimension above oracle_cap raises DimensionCapError before any level
@@ -133,15 +137,18 @@ def analyze_transition(
 
     support, support_skipped = None, None
     start = time.perf_counter()
+    kernel = tau_kernel(tm, profile, rank_tol=rank_tol)
     try:
-        support = support_at_tau(tm, profile, zero_threshold=zero_threshold, rank_tol=rank_tol)
+        support = support_at_tau(
+            tm, profile, zero_threshold=zero_threshold, rank_tol=rank_tol, kernel=kernel
+        )
     except DegenerateWitnessError as exc:
         support_skipped = str(exc)
     timings["support"] = time.perf_counter() - start
 
     start = time.perf_counter()
     checks = profile_shape_checks(profile)
-    checks.update(extremal_checks(tm, profile, rank_tol=rank_tol))
+    checks.update(extremal_checks(tm, profile, rank_tol=rank_tol, kernel=kernel))
     if oracle_cap is not None:
         checks["support_matches_deficiency"] = oracle_n_ab == profile.chi
     timings["checks"] = time.perf_counter() - start

@@ -24,7 +24,7 @@ from .deficiency import DeficiencyProfile
 from .errors import DegenerateWitnessError, DimensionCapError, InvalidParameterError
 from .errors import NonFiniteEntryError, ZeroVectorError
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
-from .rank import DEFAULT_RANK_TOL, batch_ranks, kernel_witness, rank_threshold
+from .rank import DEFAULT_RANK_TOL, KernelWitness, batch_ranks, kernel_witness, rank_threshold
 
 DEFAULT_ZERO_THRESHOLD = 1e-8
 # 4^d subset pairs; above this the search is refused unless the cap is raised.
@@ -66,6 +66,7 @@ def support_at_tau(
     *,
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
     rank_tol: float = DEFAULT_RANK_TOL,
+    kernel: KernelWitness | None = None,
 ) -> SupportWitness:
     """A state of minimal support uncertainty, read off the profile's witness.
 
@@ -73,19 +74,35 @@ def support_at_tau(
     = 0), so x = conj(z) on R has B coordinates y = U^dag x vanishing on C:
     n_a + n_b <= |R| + (d - |R| - tau) = chi, with equality as chi is the
     minimum. For tau = -1 column 0 of U is a witness. _build_witness rebuilds
-    x from y on the complement of C and checks both supports.
+    x from y on the complement of C and checks both supports. kernel, when
+    given, is tau_kernel(tm, profile, rank_tol=rank_tol), computed once by a
+    caller that needs it elsewhere too; otherwise it is computed here.
     """
     check_tolerance("zero_threshold", zero_threshold)
     check_tolerance("rank_tol", rank_tol)
     d = tm.dim
     if profile.tau < 0:
         return _build_witness(tm, tuple(range(d)), (0,), np.ones(1, dtype=complex), zero_threshold)
-    w = profile.witnesses[profile.tau]
-    sel = w.selector if w.side == "row" else w.selector.complement(d)
-    z = kernel_witness(tm.matrix, "left", sel, tol=rank_tol, scale=1.0).coefficients
+    if kernel is None:
+        kernel = tau_kernel(tm, profile, rank_tol=rank_tol)
+    sel = kernel.selector
     subset_b = sel.complement(d).cols
-    y = (tm.matrix[np.ix_(sel.rows, subset_b)].T @ z).conj()
+    y = (tm.matrix[np.ix_(sel.rows, subset_b)].T @ kernel.coefficients).conj()
     return _build_witness(tm, sel.rows, subset_b, y, zero_threshold)
+
+
+def tau_kernel(
+    tm: TransitionMatrix, profile: DeficiencyProfile, *, rank_tol: float = DEFAULT_RANK_TOL
+) -> KernelWitness | None:
+    """The left kernel witness of the profile's row witness at tau (the
+    complement of its witness when that is on the column side), decided at
+    the block's own threshold; None for tau = -1. Raises NoKernelError when
+    the block is full rank there."""
+    if profile.tau < 0:
+        return None
+    w = profile.witnesses[profile.tau]
+    sel = w.selector if w.side == "row" else w.selector.complement(tm.dim)
+    return kernel_witness(tm.matrix, "left", sel, tol=rank_tol, scale=1.0)
 
 
 def min_support_uncertainty(

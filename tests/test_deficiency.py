@@ -26,7 +26,7 @@ from incompat import (
     tau_fast,
 )
 from incompat.deficiency import _max_row_deficiency, _square_blocks_clear
-from incompat.rank import batch_ranks, rank_threshold
+from incompat.rank import FRAGILE_GAP_RATIO, batch_ranks, rank_threshold
 from incompat.report import extremal_checks, profile_shape_checks
 from test_rank import FRAGILE_DFTS, SEARCH_CORPUS, _perturbed_dft
 
@@ -421,49 +421,88 @@ def _coherence(tm):
     return float(np.abs(tm.matrix).max()), tm.dim * tm.residual
 
 
+def _coherence_family(family, d, seed, eps):
+    return {
+        "haar": lambda: random_unitary(d, seed),
+        "dft": lambda: dft_matrix(d),
+        "perturbed": lambda: _perturbed_dft(d, eps, seed),
+    }[family]()
+
+
+def _block_singular_values(tm):
+    """(t, m, singular values) for every level t and row count m: one row
+    of descending singular values per m x (m + t) block."""
+    d, a = tm.dim, tm.matrix
+    for t in range(d):
+        for m in range(1, d - t + 1):
+            rows = np.array(list(itertools.combinations(range(d), m)))
+            cols = np.array(list(itertools.combinations(range(d), m + t)))
+            blocks = a[rows[:, None, :, None], cols[None, :, None, :]]
+            yield t, m, np.linalg.svd(blocks, compute_uv=False).reshape(-1, m)
+
+
 class TestCoherencePrune:
-    """An m whose blocks the coherence bound proves full rank is skipped."""
+    """The coherence cap lowers an m's ceiling to the largest deficiency the
+    bound allows; an m whose ceiling cannot beat the best is skipped."""
 
     COMPOSITE_DFTS = [dft_matrix(d) for d in (4, 6, 8, 9, 10, 12)]
 
     @staticmethod
     def unpruned(monkeypatch, run):
         with monkeypatch.context() as patch:
-            patch.setattr(incompat.deficiency, "_coherence_full_rank", lambda *a: False)
+            patch.setattr(incompat.deficiency, "_coherence_cap", lambda shape, *a: shape[0])
             return run()
 
     @staticmethod
-    def count_prunes(monkeypatch):
-        fired = []
-        prune = incompat.deficiency._coherence_full_rank
+    def record_caps(monkeypatch):
+        """Every cap the search computes, as (d, shape, cap)."""
+        caps = []
+        cap = incompat.deficiency._coherence_cap
 
-        def counted(shape, d, mu, e, threshold):
-            skip = prune(shape, d, mu, e, threshold)
-            if skip:
-                fired.append((d, shape))
-            return skip
+        def recorded(shape, d, mu, e, threshold):
+            caps.append((d, shape, cap(shape, d, mu, e, threshold)))
+            return caps[-1][2]
 
-        monkeypatch.setattr(incompat.deficiency, "_coherence_full_rank", counted)
-        return fired
+        monkeypatch.setattr(incompat.deficiency, "_coherence_cap", recorded)
+        return caps
+
+    def assert_matches_unpruned(self, tm, rank_tol, monkeypatch, profile=True):
+        tau = tau_fast(tm, rank_tol=rank_tol)
+        assert tau == self.unpruned(monkeypatch, lambda: tau_fast(tm, rank_tol=rank_tol))
+        if not profile:
+            return
+        got = deficiency_profile(tm, rank_tol=rank_tol)
+        want = self.unpruned(monkeypatch, lambda: deficiency_profile(tm, rank_tol=rank_tol))
+        exact = [f.name for f in dataclasses.fields(got) if f.name != "worst_gap_ratio"]
+        assert [getattr(got, f) for f in exact] == [getattr(want, f) for f in exact]
+        # The capped search makes a subset of the unpruned search's decisions.
+        assert got.worst_gap_ratio <= want.worst_gap_ratio
+        assert (got.worst_gap_ratio > FRAGILE_GAP_RATIO) == (want.worst_gap_ratio > FRAGILE_GAP_RATIO)
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 0.0])
     def test_outputs_equal_the_unpruned_search(self, rank_tol, monkeypatch):
         near = [from_array(tm.matrix * (1 + 1e-9)) for tm in SEARCH_CORPUS if tm.dim > 1]
         # At rank_tol 0 no DFT block is deficient, so DFT(d) searches every
-        # level down to 0 with or without the prune (DFT(12) about 15 s each
+        # level down to 0 with or without the cap (DFT(12) about 15 s each
         # way): there the DFTs stop at d = 9.
         dfts = [dft_matrix(d) for d in range(1, 13 if rank_tol else 10)]
-        fired = self.count_prunes(monkeypatch)
+        caps = self.record_caps(monkeypatch)
         for tm in SEARCH_CORPUS + FRAGILE_DFTS + near + dfts:
-            tau = tau_fast(tm, rank_tol=rank_tol)
-            assert tau == self.unpruned(monkeypatch, lambda: tau_fast(tm, rank_tol=rank_tol))
-            if tm.dim <= 9:
-                got = deficiency_profile(tm, rank_tol=rank_tol)
-                want = self.unpruned(
-                    monkeypatch, lambda: deficiency_profile(tm, rank_tol=rank_tol)
-                )
-                assert dataclasses.astuple(got) == dataclasses.astuple(want)
-        assert {d for d, _ in fired} >= {6, 8, 9}
+            self.assert_matches_unpruned(tm, rank_tol, monkeypatch, profile=tm.dim <= 9)
+        below = {d for d, (m, c), cap in caps if cap < min(m, d - c)}
+        assert below >= {6, 8, 9}
+        if rank_tol:
+            # A cap above 0 ends an m early: DFT(8) at t = 0, m = 2.
+            assert (8, (2, 2), 1) in caps
+
+    @pytest.mark.parametrize("rank_tol", [1e-5, 1e-4])
+    def test_outputs_equal_the_unpruned_search_at_coarse_tolerances(self, rank_tol, monkeypatch):
+        # Here CERT_MARGIN times the threshold nears 1: the cap must still
+        # fire, because it is evaluated at the threshold itself.
+        caps = self.record_caps(monkeypatch)
+        for tm in FRAGILE_DFTS + [dft_matrix(d) for d in range(1, 10)]:
+            self.assert_matches_unpruned(tm, rank_tol, monkeypatch)
+        assert {d for d, _, cap in caps if cap == 0} >= {6, 8, 9}
 
     @given(
         st.sampled_from(["haar", "dft", "perturbed"]),
@@ -473,37 +512,60 @@ class TestCoherencePrune:
     )
     @settings(max_examples=40, deadline=None)
     def test_sigma_min_obeys_the_bound(self, family, d, seed, eps):
-        tm = {
-            "haar": lambda: random_unitary(d, seed),
-            "dft": lambda: dft_matrix(d),
-            "perturbed": lambda: _perturbed_dft(d, eps, seed),
-        }[family]()
+        tm = _coherence_family(family, d, seed, eps)
         mu, e = _coherence(tm)
         slack = 32 * d**3 * np.finfo(float).eps
-        a = tm.matrix
-        for t in range(d):
-            for m in range(1, d - t + 1):
-                rows = np.array(list(itertools.combinations(range(d), m)))
-                cols = np.array(list(itertools.combinations(range(d), m + t)))
-                blocks = a[rows[:, None, :, None], cols[None, :, None, :]]
-                s = np.linalg.svd(blocks, compute_uv=False)[..., -1]
-                # sigma_min moves by at most e from the nearest unitary's.
-                assert s.min() ** 2 >= 1 - m * (d - m - t) * (mu + e) ** 2 - 2 * e - slack
+        for t, m, s in _block_singular_values(tm):
+            # The j-th smallest singular value moves by at most e from the
+            # nearest unitary's.
+            for j in range(1, m + 1):
+                bound = 1 - m * (d - m - t) * (mu + e) ** 2 / j - 2 * e - slack
+                assert s[:, m - j].min() ** 2 >= bound
+
+    @given(
+        st.sampled_from(["haar", "dft", "perturbed"]),
+        st.integers(2, 6),
+        st.integers(0, 2**16),
+        st.sampled_from([1e-12, 1e-9, 1e-6]),
+        st.sampled_from([1e-10, 1e-6, 1e-4, 1e-2, 0.1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cap_bounds_every_block_deficiency(self, family, d, seed, eps, rank_tol):
+        tm = _coherence_family(family, d, seed, eps)
+        mu, e = _coherence(tm)
+        for t, m, s in _block_singular_values(tm):
+            threshold = rank_threshold((m, m + t), rank_tol, 1.0)
+            cap = incompat.deficiency._coherence_cap((m, m + t), d, mu, e, threshold)
+            assert 0 <= cap <= m
+            assert (m - (s > threshold).sum(axis=1)).max() <= cap
 
     def test_prune_only_where_the_bound_clears_the_margin(self):
-        # Soundness: never skip an m with m (d - m - t) (mu + e)^2 >=
-        # 1 - (margin + e)^2, margin = CERT_MARGIN * threshold.
+        # Soundness: whenever j (1 - (threshold + e)^2) <= m (d - m - t)
+        # (mu + e)^2, a block could reach deficiency j, so the cap is >= j;
+        # at j = 1, an m is skipped whole (cap 0) only where the bound
+        # clears the threshold.
         rng = np.random.default_rng(0)
-        for _ in range(2000):
+        checked = 0
+        for _ in range(4000):
             d = int(rng.integers(1, 17))
             t = int(rng.integers(0, d))
             m = int(rng.integers(1, d - t + 1))
-            mu = float(rng.uniform(0, 1.2)) / math.sqrt(d)
+            mu = float(rng.uniform(0, 3)) / math.sqrt(d)
             e = float(10.0 ** rng.uniform(-18, -1))
-            threshold = rank_threshold((m, m + t), float(10.0 ** rng.uniform(-16, -3)), 1.0)
-            margin = incompat.deficiency.CERT_MARGIN * threshold
-            if incompat.deficiency._coherence_full_rank((m, m + t), d, mu, e, threshold):
-                assert m * (d - m - t) * (mu + e) ** 2 < 1 - (margin + e) ** 2
+            threshold = rank_threshold((m, m + t), float(10.0 ** rng.uniform(-16, -1)), 1.0)
+            cap = incompat.deficiency._coherence_cap((m, m + t), d, mu, e, threshold)
+            assert 0 <= cap <= m
+            x = m * (d - m - t) * (mu + e) ** 2
+            room = 1 - (threshold + e) ** 2
+            for j in range(1, m + 1):
+                if j * room <= x:
+                    assert cap >= j
+                    checked += 1
+                elif j * (room - 64 * d**3 * np.finfo(float).eps) > x:
+                    # Sharp up to twice the slack: no deficiency the bound
+                    # rules out is let through.
+                    assert cap < j
+        assert checked > 1000
 
     @pytest.mark.parametrize(
         "d,mu,e,threshold",
@@ -512,31 +574,34 @@ class TestCoherencePrune:
             (6, 0.3, 1e300, 0.0),
             (6, 1e200, 0.0, 0.0),
             # Within rounding of the tight DFT(6) bound at rank_tol 0: only
-            # the 32 d^3 eps slack keeps this m from being skipped.
+            # the 32 d^3 eps slack keeps this m's cap from falling to 0.
             (6, (1 - 1e-14) / math.sqrt(6), 0.0, 0.0),
         ],
     )
     def test_no_prune_at_the_edges(self, d, mu, e, threshold):
-        # Huge terms give inf, not OverflowError, and no prune.
-        assert not incompat.deficiency._coherence_full_rank((2, 3), d, mu, e, threshold)
+        # Huge terms give no cap (m = 2), not OverflowError; the tight case
+        # keeps cap 1.
+        cap = incompat.deficiency._coherence_cap((2, 3), d, mu, e, threshold)
+        assert cap == (2 if max(mu, e, threshold) > 1 else 1)
 
     @pytest.mark.parametrize("tm", COMPOSITE_DFTS, ids=lambda tm: f"d{tm.dim}")
     def test_tau_witness_at_a_tight_m_never_pruned(self, tm, monkeypatch):
         # mu^2 = 1 / d: the bound is tight exactly where m (d - m - tau) = d.
         d = tm.dim
-        fired = self.count_prunes(monkeypatch)
+        caps = self.record_caps(monkeypatch)
         tau = tau_fast(tm)
+        zero = {(dim, shape) for dim, shape, cap in caps if cap == 0}
         # Every m above tau, and every m at tau before the witness's, is skipped.
         above = {(d, (k, k + t)) for t in range(tau + 1, d) for k in range(1, d - t)}
-        assert above <= set(fired)
+        assert above <= zero
         value, sel = r_row(tm, tau)
         m = len(sel.rows)
         assert value == 1 and m * (d - m - tau) == d
-        assert {(d, (k, k + tau)) for k in range(1, m)} <= set(fired)
-        assert (d, (m, m + tau)) not in fired
+        assert {(d, (k, k + tau)) for k in range(1, m)} <= zero
+        assert (d, (m, m + tau)) not in zero
         mu, e = _coherence(tm)
         threshold = rank_threshold((m, m + tau), 1e-10, 1.0)
-        assert not incompat.deficiency._coherence_full_rank((m, m + tau), d, mu, e, threshold)
+        assert incompat.deficiency._coherence_cap((m, m + tau), d, mu, e, threshold) == 1
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
     def test_support_witness_obeys_the_product_bound(self, rank_tol):

@@ -43,13 +43,21 @@ def test_make_figure_data_writes_three_csvs(tmp_path):
         assert len(lines) > 1
 
 
-def test_report_digest_repeats():
-    first, second = (run_script("report_digest.py", "--max-dim", "4") for _ in range(2))
+def test_report_digest_repeats(tmp_path):
+    records = tmp_path / "runs.jsonl"
+    first = run_script("report_digest.py", "--max-dim", "4", "--records", str(records))
+    second = run_script("report_digest.py", "--max-dim", "4")
     assert first.returncode == second.returncode == 0, first.stderr + second.stderr
     lines = first.stdout.splitlines()
     assert lines[0].startswith("runs ") and int(lines[0].split()[1]) > 0
     assert len(lines[1].split()[1]) == 64
     assert second.stdout == first.stdout
+    runs = [json.loads(line) for line in records.read_text().splitlines()]
+    assert len(runs) == int(lines[0].split()[1])
+    # DFT(10) and DFT(12) are analyzed whatever --max-dim is.
+    analyzed = {(r["name"], r["rank_tol"]) for r in runs if r["mode"] == "analyze"}
+    assert analyzed == {(f"dft({d})", tol) for d in (10, 12) for tol in ("1e-10", "1e-6")}
+    assert all(r["code"] == 0 for r in runs if r["mode"] == "analyze")
 
 
 def test_readme_holds_the_perf_table():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import incompat.report
+import incompat.support
 from bruteforce import brute_min_support, fft_support_counts
 from incompat import (
     DegenerateWitnessError,
@@ -21,6 +22,7 @@ from incompat import (
     support_at_tau,
     support_counts,
 )
+from incompat.rank import kernel_witness
 from incompat.report import extremal_checks, profile_shape_checks
 from test_rank import FRAGILE_DFTS, SEARCH_CORPUS
 
@@ -183,6 +185,32 @@ class TestSupportAtTau:
         w = support_at_tau(tm, deficiency_profile(tm))
         assert (w.subset_a, w.subset_b) == (subset_a, subset_b)
         assert np.isclose(np.linalg.norm(w.state_in_a), 1.0)
+
+    @pytest.mark.parametrize(
+        "tm,sides",
+        [(identity(6), ["left", "right"]), (dft_matrix(6), ["left", "right"]),
+         (dft_matrix(8), ["left", "right"]), (dft_matrix(5), [])],
+        ids=["identity6", "dft6", "dft8", "dft5"],
+    )
+    def test_analyze_decides_the_tau_kernel_once(self, tm, sides, monkeypatch):
+        # One left kernel of the tau block, shared by the support witness and
+        # the extremal checks, and one right kernel of its complement.
+        profile = deficiency_profile(tm)
+        alone = support_at_tau(tm, profile), extremal_checks(tm, profile)
+        calls = []
+
+        def counted(matrix, side, selector, **kwargs):
+            calls.append(side)
+            return kernel_witness(matrix, side, selector, **kwargs)
+
+        monkeypatch.setattr(incompat.support, "kernel_witness", counted)
+        monkeypatch.setattr(incompat.report, "kernel_witness", counted)
+        report = analyze_transition(tm, {})
+        assert sorted(calls) == sides
+        assert report.checks.items() >= alone[1].items()
+        assert np.array_equal(report.support.state_in_a, alone[0].state_in_a)
+        assert report.support.subset_a == alone[0].subset_a
+        assert report.support.subset_b == alone[0].subset_b
 
 
 class TestCrossCheck:
