@@ -6,8 +6,8 @@ command checks that a change leaves every output as it was. Each input is
 written to a file of a fixed name in a temporary directory (the report embeds
 the input path) and run as `analyze --input <file> --json`, without and with
 --verify (which adds the subset-search check), and through tau_fast, at rank
-tolerances 1e-10 and 1e-6; the exit code, stdout, stderr and tau of every run
-go into the hash. Whatever --max-dim is, DFT(10) and DFT(12) are also run as
+tolerances 1e-10, 1e-6 and 1e-4; the exit code, stdout, stderr and tau of
+every run go into the hash. Whatever --max-dim is, DFT(10) and DFT(12) are also run as
 `analyze --json` without --verify, the inputs where the level search's
 coherence cap cuts the most, and DFT(10), DFT(12) and perturbed DFT(12)
 through tau_fast alone: they reach the levels that the cap skips whole,
@@ -15,10 +15,13 @@ which the analyze corpus does not. The package is imported from the
 checkout's own src/, and the inputs are made by its constructors.
 
 With --records FILE, every run is also written to FILE as one JSON line
-(name, rank_tol, mode, code, stdout, stderr, tau), so two checkouts whose
-digests differ can be compared run by run.
+(name, rank_tol, mode, code, stdout, stderr, tau). --compare OLD NEW reads
+two such files, written by two checkouts, and prints each run that differs
+or is in only one of them, with the JSON field paths that differ (into the
+report for a JSON stdout); it exits 1 on any difference and runs nothing.
 
     python3 scripts/report_digest.py [--max-dim 9] [--records runs.jsonl]
+    python3 scripts/report_digest.py --compare old.jsonl new.jsonl
 """
 
 import argparse
@@ -50,7 +53,7 @@ from incompat import (  # noqa: E402
 from incompat.cli import main  # noqa: E402
 
 INPUT_NAME = "input.json"
-RANK_TOLS = ("1e-10", "1e-6")
+RANK_TOLS = ("1e-10", "1e-6", "1e-4")
 
 
 def perturbed_dft(d: int, eps: float, seed: int):
@@ -142,6 +145,52 @@ def run(max_dim: int, records=None) -> tuple[int, str]:
     return runs, digest.hexdigest()
 
 
+def load_records(path: str) -> dict:
+    """The runs of a --records file, keyed by (name, rank_tol, mode)."""
+    with open(path) as f:
+        runs = [json.loads(line) for line in f]
+    return {(r["name"], r["rank_tol"], r["mode"]): r for r in runs}
+
+
+def differences(old, new, path: str):
+    """Yield the paths below path at which two decoded JSON values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            if key in old and key in new:
+                yield from differences(old[key], new[key], f"{path}.{key}")
+            else:
+                yield f"{path}.{key}"
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from differences(a, b, f"{path}[{i}]")
+    elif json.dumps(old) != json.dumps(new):
+        yield path
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print every run of two --records files that differs; 1 if any does."""
+    old, new = load_records(old_path), load_records(new_path)
+    differing = 0
+    for key in list(old) + [k for k in new if k not in old]:
+        if key not in old or key not in new:
+            paths = [f"only in {old_path if key in old else new_path}"]
+        else:
+            paths = []
+            for field in sorted(old[key].keys() | new[key].keys()):
+                a, b = old[key].get(field), new[key].get(field)
+                if a == b:
+                    continue
+                # A JSON report (stdout) is compared field by field.
+                with contextlib.suppress(TypeError, ValueError):
+                    a, b = json.loads(a), json.loads(b)
+                paths += list(differences(a, b, field)) or [field]
+        if paths:
+            print(f"{' '.join(key)}: {', '.join(paths)}")
+            differing += 1
+    print(f"{differing} of {len(old.keys() | new.keys())} runs differ")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-dim", type=int, default=9,
@@ -149,7 +198,11 @@ if __name__ == "__main__":
                         "the DFT(10), DFT(12) and tau-only inputs are run at every value")
     parser.add_argument("--records", type=argparse.FileType("w"),
                         help="also write every run to this file, one JSON line each")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --records files run by run instead of running")
     args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
     runs, digest = run(args.max_dim, args.records)
     print(f"runs {runs}")
     print(f"sha256 {digest}")

@@ -102,7 +102,10 @@ def run_corpus_checks(
             agreement.record(f"{name} (degenerate support witness)", False)
         else:
             agreement.record(name, n_ab == profile.chi)
-        extremal.record(name, all(extremal_checks(tm, profile, rank_tol=rank_tol).values()))
+        extremal_ok = extremal_checks(
+            tm, profile, rank_tol=rank_tol, zero_threshold=zero_threshold
+        )
+        extremal.record(name, all(extremal_ok.values()))
         if name.startswith("dft("):
             closed_form.record(name, dft_chi(tm.dim) == profile.chi == n_ab)
 

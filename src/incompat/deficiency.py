@@ -184,9 +184,14 @@ def _max_row_deficiency(
       step gives every block at this m rank >= m - cap, and at cap 0 rank m
       and gap 0. For the DFT mu^2 = 1 / d and the cap is m (d - m - t) / d
       rounded down (an exact integer quotient is kept, since s makes the
-      test round up): 0 at every m of the levels above tau, and at tau at
-      every m with m (d - m - tau) < d, which holds for every m before the
-      witness's.
+      test round up): 0 at every m with m (d - m - t) < d. At tau that
+      holds for every m before the witness's. Above tau it holds at every m
+      of most levels, which are then skipped whole, but not of all: for d
+      <= 30, the cap is 1 at some m of t = tau + 1 for d = 14 (m = 3..5),
+      22, 26 and 27, and of t = tau + 2, tau + 3 for d = 22 and 26 and tau
+      + 4 for d = 26, and every block of those m is searched and refuted.
+      For prime d >= 5 (tau = -1) the cap is positive from t = 0 up, but
+      the level-0 step decides those inputs before any level is searched.
 
     An m whose ceiling cannot beat the current maximum is skipped before
     any row set is enumerated, and the search of one m stops once its

@@ -16,10 +16,12 @@ search that decides one row set at a time. In each batch, batch_ranks first
 tries to prove each block full rank from its Gram matrix G: sigma_min^2 =
 lambda_min(G) >= det(G) * ((k - 1) / tr G)^(k - 1) for a k x k Gram matrix
 (AM-GM on the other eigenvalues), evaluated with an explicit allowance for
-rounding. A block is certified only when that bound puts sigma_min above
-CERT_MARGIN times the threshold, where the SVD would keep all k singular
-values too, so the certificate skips SVDs without changing a decision. Every
-other block, every kernel witness and numerical_rank are decided by SVD.
+rounding. A block is certified only when that bound, less the allowance,
+puts sigma_min above the threshold itself. The allowance also puts it above
+the threshold by more than the SVD's own error, so the SVD would keep all k
+singular values too and the certificate skips SVDs without changing a
+decision, at every tolerance. Every other block, every kernel witness and
+numerical_rank are decided by SVD.
 """
 
 from __future__ import annotations
@@ -37,11 +39,9 @@ DEFAULT_RANK_TOL = 1e-10
 # Decisions whose dropped/kept singular value ratio exceeds this are fragile:
 # the caller should not trust the classification without a second look.
 FRAGILE_GAP_RATIO = 1e-3
-# Witness coefficients with modulus above this count as nonzero.
-NONZERO_COEFF_THRESHOLD = 1e-8
-# batch_ranks certifies a block full rank without an SVD only when its
-# smallest singular value provably exceeds the threshold by this factor.
-CERT_MARGIN = 1e4
+# State coordinates and witness coefficients with modulus above this count
+# as nonzero.
+DEFAULT_ZERO_THRESHOLD = 1e-8
 # A batch of batch_ranks holds at most this many block entries (blocks x
 # rows x cols), and its row sets at most this many entries of d x d work,
 # whatever d is, unless one block or one row set alone is larger. A batch's
@@ -76,8 +76,8 @@ def rank_from_singular_values(
     The keep/drop rule is the one batch_ranks applies to whole batches: both
     count singular values above rank_threshold, so every caller decides rank
     identically. Blocks that batch_ranks certifies full rank without an SVD
-    have every singular value above CERT_MARGIN * threshold, so this rule
-    would keep all of them too.
+    have every singular value above the threshold by more than the SVD's
+    own error, so this rule would keep all of them too.
     """
     if scale is None:
         scale = float(s[0]) if s.size else 0.0
@@ -102,12 +102,13 @@ def batch_ranks(
     row set whose column sets alone are over it is a batch of its own,
     decided in slices of its column sets. A block that the Gram determinant
     certificate (_certified_full_rank) proves to have every singular value
-    above CERT_MARGIN * threshold gets rank k = min(rows, cols) and gap 0
-    without an SVD: the SVD would keep all k singular values of such a
-    block, and the gap of a full-rank block is 0. The other blocks of a
-    slice go to one batched SVD, whose singular values above ``threshold``
-    are counted, with the dropped/kept ratio at the rank boundary as the gap
-    (0 for zero- or full-rank blocks); none is called when all are certified.
+    above ``threshold``, by more than the SVD's own error, gets rank k =
+    min(rows, cols) and gap 0 without an SVD: the SVD would keep all k
+    singular values of such a block, and the gap of a full-rank block is 0.
+    The other blocks of a slice go to one batched SVD, whose singular values
+    above ``threshold`` are counted, with the dropped/kept ratio at the rank
+    boundary as the gap (0 for zero- or full-rank blocks); none is called
+    when all are certified.
     """
     it = iter(row_sets)
     first = next(it, None)
@@ -141,7 +142,8 @@ def batch_ranks(
 def _certified_full_rank(
     a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, threshold: float
 ) -> np.ndarray:
-    """Which blocks a[R, K] have sigma_min > CERT_MARGIN * threshold, proven.
+    """Which blocks a[R, K] have sigma_min > threshold, proven with room for
+    the SVD's own error.
 
     Decides a grid like batch_ranks: entry [i, j] is for row set i and
     column set j. With k = min(rows, cols) and G the k x k Gram matrix of a
@@ -154,25 +156,42 @@ def _certified_full_rank(
     (det G itself for k = 1). The bound is evaluated on A = G / tr G + shift
     * I, with shift = 32 (n + k)^2 eps and n = max(rows, cols): det(A) is the
     squared product of the diagonal of A's Cholesky factor, and tr A = 1 + k
-    * shift. Rounding in the trace, the Gram sums, the division, the
-    factorization and the bound itself moves lambda_min(A) by a few tens of
-    (n + k) units of roundoff, well below shift, so lambda_min(G) / tr G >=
-    bound(A) - 2 * shift. A's eigenvalues are then at least about shift, far
-    above the 20 k^1.5 units of roundoff below which the Cholesky
-    factorization can break down, so it cannot fail.
+    * shift, with tr G as computed throughout. Rounding in the trace, the
+    Gram sums, the division, the factorization and the bound itself moves
+    bound(A) from the bound of the exact A by a few tens of (n + k) units of
+    roundoff, well below shift / 2, and lambda_min(A) = lambda_min(G) / tr G
+    + shift, so
 
-    A block is certified when tr G * (bound(A) - 2 * shift) > (CERT_MARGIN *
-    threshold)^2. Since bound(A) - 2 * shift < 1, only blocks with tr G above
-    that square are candidates, and only those with tr G above the smallest
-    normal float, where underflow in the Gram sums costs at most n units of
+        lambda_min(G) / tr G >= bound(A) - shift - shift / 2.
+
+    A's eigenvalues are at least about shift, far above the 20 k^1.5 units
+    of roundoff below which the Cholesky factorization can break down, so it
+    cannot fail.
+
+    A block is certified when tr G (bound(A) - 2 shift) > threshold^2, the
+    rank threshold itself. The test subtracts 2 shift, so a certified block
+    has
+
+        sigma_min^2 >= tr G (bound(A) - 2 shift) + tr G shift / 2
+                     > threshold^2 + shift / 2 * tr G,
+
+    and, since threshold < sigma_min <= sqrt(tr G),
+
+        sigma_min - threshold = (sigma_min^2 - threshold^2) / (sigma_min + threshold)
+                              > shift / 4 * sqrt(tr G)
+                              >= 8 (n + k)^2 eps sigma_max.
+
+    That margin is more than the SVD's own error of a few (n + k) eps
+    sigma_max, so the SVD keeps all k singular values of a certified block:
+    certification cannot change a rank decision, at any threshold.
+
+    Since bound(A) - 2 shift < 1, only blocks with tr G above threshold^2
+    are candidates, and only those with tr G above the smallest normal
+    float, where underflow in the Gram sums costs at most n units of
     roundoff relative to tr G, and no column of squared norm above 1 / (d *
     that float), where nothing overflows. The rest (all-zero blocks, blocks
     of tiny or huge entries) get A = shift * I, whose bound(A) - 2 * shift
-    is negative, so they are left to the SVD. A certified block also has
-    sigma_min^2 > shift / 2 * tr G >= shift / 2 * sigma_max^2, far above the
-    SVD's own roundoff of a few eps * sigma_max, so the SVD would find all k
-    singular values above threshold: certification cannot change a rank
-    decision.
+    is negative, so they are left to the SVD.
 
     Column norms, traces and the overflow guard are per row set, so a bad
     column under one row set leaves the blocks of every other row set as
@@ -195,8 +214,8 @@ def _certified_full_rank(
         col_norms = np.where(bad, np.nan, col_norms)
     trace = col_norms[:, col_sets].sum(axis=2)
     # A product, not ** 2: a huge threshold must give inf, not OverflowError.
-    margin = CERT_MARGIN * threshold
-    candidate = trace > max(tiny, margin * margin)
+    square = threshold * threshold
+    candidate = trace > max(tiny, square)
     inv_trace = np.divide(1.0, trace, out=np.zeros(trace.shape), where=candidate)
     if m <= c:
         # S S^H is the sum of the outer products of the selected columns: one
@@ -216,7 +235,7 @@ def _certified_full_rank(
     g[:, :, :: k + 1] += shift
     diag = np.linalg.cholesky(g.reshape(-1, k, k)).diagonal(axis1=1, axis2=2).real
     bound = diag.prod(axis=1) ** 2 * ((k - 1) / (1 + k * shift)) ** (k - 1)
-    return trace * (bound.reshape(n_rows, n_cols) - 2 * shift) > margin * margin
+    return trace * (bound.reshape(n_rows, n_cols) - 2 * shift) > square
 
 
 def numerical_rank(
@@ -271,7 +290,7 @@ def kernel_witness(
     selector: SubmatrixSelector,
     tol: float = DEFAULT_RANK_TOL,
     scale: float | None = None,
-    nonzero_threshold: float = NONZERO_COEFF_THRESHOLD,
+    nonzero_threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> KernelWitness:
     """Extract a kernel vector of the selected submatrix on the given side.
 

@@ -71,15 +71,17 @@ def extremal_checks(
     profile: DeficiencyProfile,
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
+    zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
     kernel: KernelWitness | None = None,
 ) -> dict:
     """At t = tau both sides reach exactly 1 and their kernels are all nonzero.
 
     The row witness is the profile's and the column witness its complement,
-    so no level is searched again. Vacuously true when tau = -1 (no
-    deficiency anywhere). kernel, when given, is the row witness's left
-    kernel from tau_kernel, shared with support_at_tau; otherwise it is
-    computed here.
+    so no level is searched again. A kernel coefficient counts as nonzero
+    when its modulus is above zero_threshold, the threshold the support
+    witness is counted at. Vacuously true when tau = -1 (no deficiency
+    anywhere). kernel, when given, is the row witness's left kernel from
+    tau_kernel, shared with support_at_tau; otherwise it is computed here.
     """
     if profile.tau < 0:
         return {"extremal_levels_balanced": True, "extremal_witness_nonzero": True}
@@ -90,7 +92,7 @@ def extremal_checks(
         right = kernel_witness(
             tm.matrix, "right", left.selector.complement(tm.dim), tol=rank_tol, scale=1.0
         )
-        nonzero = left.all_nonzero and right.all_nonzero
+        nonzero = all(np.abs(w.coefficients).min() > zero_threshold for w in (left, right))
     except NoKernelError:
         nonzero = False
     return {"extremal_levels_balanced": balanced, "extremal_witness_nonzero": nonzero}
@@ -148,7 +150,11 @@ def analyze_transition(
 
     start = time.perf_counter()
     checks = profile_shape_checks(profile)
-    checks.update(extremal_checks(tm, profile, rank_tol=rank_tol, kernel=kernel))
+    checks.update(
+        extremal_checks(
+            tm, profile, rank_tol=rank_tol, zero_threshold=zero_threshold, kernel=kernel
+        )
+    )
     if oracle_cap is not None:
         checks["support_matches_deficiency"] = oracle_n_ab == profile.chi
     timings["checks"] = time.perf_counter() - start

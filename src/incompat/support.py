@@ -24,9 +24,15 @@ from .deficiency import DeficiencyProfile
 from .errors import DegenerateWitnessError, DimensionCapError, InvalidParameterError
 from .errors import NonFiniteEntryError, ZeroVectorError
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
-from .rank import DEFAULT_RANK_TOL, KernelWitness, batch_ranks, kernel_witness, rank_threshold
+from .rank import (
+    DEFAULT_RANK_TOL,
+    DEFAULT_ZERO_THRESHOLD,
+    KernelWitness,
+    batch_ranks,
+    kernel_witness,
+    rank_threshold,
+)
 
-DEFAULT_ZERO_THRESHOLD = 1e-8
 # 4^d subset pairs; above this the search is refused unless the cap is raised.
 DEFAULT_SUPPORT_CAP = 10
 

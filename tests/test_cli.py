@@ -243,6 +243,19 @@ class TestAnalyze:
         assert "near-degenerate" in doc["support_skipped"]
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_extremal_witness_counted_at_the_zero_threshold(self, capsys):
+        # DFT(4)'s tau kernel has coefficients of modulus 1/sqrt(2): at a zero
+        # threshold of 0.8 the support witness rebuilds with empty supports,
+        # and the extremal check counts the same coefficients as zero.
+        argv = ("analyze", "--family", "dft", "--dim", "4", "--json")
+        code, out, _ = run_cli(capsys, *argv, "--zero-threshold", "0.8")
+        assert code == 4
+        doc = json.loads(out)
+        assert "got A=() B=()" in doc["support_skipped"]
+        assert doc["checks"]["extremal_witness_nonzero"] is False
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["checks"]["extremal_witness_nonzero"] is True
+
 
 class TestProfileCurve:
     def test_identity_six_rows(self, capsys, tmp_path):
@@ -341,6 +354,16 @@ class TestVerifyCorpus:
         assert "deficiency route vs subset-search route" in out
         assert "(degenerate support witness)" in out
         assert "runtime" in out
+
+    def test_extremal_witness_counted_at_the_zero_threshold(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify-corpus", "--max-dim", "4", "--seeds", "0",
+            "--zero-threshold", "0.8",
+        )
+        assert code == 1
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("extremal level"))
+        assert "FAIL" in lines[start] and lines[start + 1].strip() == "failed: dft(d=4)"
 
     def test_vacuous_dimension_one(self, capsys):
         code, out, _ = run_cli(capsys, "verify-corpus", "--max-dim", "1", "--seeds", "2")

@@ -14,6 +14,7 @@ from incompat import (
     SubmatrixSelector,
     bronzan_rotation,
     deficiency_profile,
+    dft_chi,
     dft_matrix,
     from_array,
     identity,
@@ -497,7 +498,7 @@ class TestCoherencePrune:
 
     @pytest.mark.parametrize("rank_tol", [1e-5, 1e-4])
     def test_outputs_equal_the_unpruned_search_at_coarse_tolerances(self, rank_tol, monkeypatch):
-        # Here CERT_MARGIN times the threshold nears 1: the cap must still
+        # Here the threshold is within a few orders of 1: the cap must still
         # fire, because it is evaluated at the threshold itself.
         caps = self.record_caps(monkeypatch)
         for tm in FRAGILE_DFTS + [dft_matrix(d) for d in range(1, 10)]:
@@ -602,6 +603,36 @@ class TestCoherencePrune:
         mu, e = _coherence(tm)
         threshold = rank_threshold((m, m + tau), 1e-10, 1.0)
         assert incompat.deficiency._coherence_cap((m, m + tau), d, mu, e, threshold) == 1
+
+    def test_dft_levels_above_tau_with_a_positive_cap(self):
+        # For the DFT the cap is m (d - m - t) / d rounded down, so a level
+        # above tau is skipped whole only where every m with a positive
+        # interlacing ceiling has m (d - m - t) < d. No level is searched:
+        # the caps are computed as the search computes them.
+        positive, closed_form = set(), set()
+        for d in range(1, 31):
+            tm = dft_matrix(d)
+            mu, e = _coherence(tm)
+            tau = d - dft_chi(d)
+            for t in range(tau + 1, d):
+                for m in range(1, d - t):
+                    threshold = rank_threshold((m, m + t), 1e-10, 1.0)
+                    if incompat.deficiency._coherence_cap((m, m + t), d, mu, e, threshold):
+                        positive.add((d, t))
+                    if m * (d - m - t) >= d:
+                        closed_form.add((d, t))
+        assert positive == closed_form
+        # Composite d: the cap is 1 on these levels, which are searched and
+        # refuted (dft(14) at t = 6 = tau + 1, m = 3, 4, 5).
+        assert {(d, t) for d, t in positive if dft_chi(d) <= d} == {
+            (14, 6), (22, 10), (22, 11), (22, 12), (26, 12), (26, 13), (26, 14), (26, 15),
+            (27, 16),
+        }
+        # Prime d (tau = -1): positive from t = 0 up, but the level-0 step
+        # decides these inputs before any level is searched.
+        primes = {d for d, t in positive if dft_chi(d) == d + 1}
+        assert primes == {5, 7, 11, 13, 17, 19, 23, 29}
+        assert {(d, 0) for d in primes} <= positive
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
     def test_support_witness_obeys_the_product_bound(self, rank_tol):

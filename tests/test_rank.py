@@ -30,7 +30,6 @@ from incompat import (
     tau_fast,
 )
 from incompat.rank import (
-    CERT_MARGIN,
     FRAGILE_GAP_RATIO,
     _certified_full_rank,
     batch_ranks,
@@ -227,7 +226,7 @@ class TestCertifiedBatchRanks:
             k = min(rows, cols)
             threshold = rank_threshold((rows, cols), rank_tol, 1.0)
             blocks, smallest = [], []
-            for factor in (0.5, 2, 1e3, 1e4, 1e5, 1e6):
+            for factor in (0.5, 1 + 1e-6, 1.01, 1.5, 2, 1e3, 1e4, 1e5, 1e6):
                 low = factor * threshold
                 for top in (1.0, 1e3):
                     high = max(top, low)
@@ -240,8 +239,8 @@ class TestCertifiedBatchRanks:
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             cert = _certified_full_rank(a, sel, col_sets, threshold)[0]
-            # Sound: never certified unless sigma_min is beyond the margin.
-            assert not cert[np.array(smallest) <= CERT_MARGIN * threshold].any()
+            # Sound: never certified at or below the threshold.
+            assert not cert[np.array(smallest) <= threshold].any()
             certified += int(cert.sum())
             uncertified += int((~cert).sum())
         assert certified > 0 and uncertified > 0
@@ -307,7 +306,8 @@ SEARCH_CORPUS = (
 
 
 class TestCertifiedSearches:
-    def test_every_batch_matches_svd(self, monkeypatch):
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4])
+    def test_every_batch_matches_svd(self, rank_tol, monkeypatch):
         batches = []
 
         def checked(a, row_sets, col_sets, threshold):
@@ -323,13 +323,29 @@ class TestCertifiedSearches:
         # that inputs with no singular square block stop after level 0 and
         # the coherence prune skips the DFTs' levels above tau.
         for tm in SEARCH_CORPUS + [dft_matrix(8), dft_matrix(9)]:
-            deficiency_profile(tm)
-            tau_fast(tm)
+            deficiency_profile(tm, rank_tol=rank_tol)
+            tau_fast(tm, rank_tol=rank_tol)
             with contextlib.suppress(DegenerateWitnessError):
-                min_support_uncertainty(tm)
+                min_support_uncertainty(tm, rank_tol=rank_tol)
         # One call per row-set chunk, so count blocks, not calls: at least
         # the 73,037 that one call per row set compared on this corpus.
         assert sum(batches) >= 73_037
+
+    def test_svd_work_does_not_grow_at_coarse_tolerances(self, monkeypatch):
+        # The certificate decides at the threshold itself, so a coarser
+        # tolerance sends no more blocks of the DFT(12) profile to the SVD.
+        svd = np.linalg.svd
+        blocks = []
+
+        def counted(x, *args, **kwargs):
+            blocks[-1] += x.shape[0] if x.ndim == 3 else 1
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for rank_tol in (1e-10, 1e-5):
+            blocks.append(0)
+            deficiency_profile(dft_matrix(12), rank_tol=rank_tol)
+        assert blocks[1] <= blocks[0]
 
 
 # Borderline inputs: DFT(d) exp(i eps H) keeps the DFT's deficient blocks

@@ -56,8 +56,33 @@ def test_report_digest_repeats(tmp_path):
     assert len(runs) == int(lines[0].split()[1])
     # DFT(10) and DFT(12) are analyzed whatever --max-dim is.
     analyzed = {(r["name"], r["rank_tol"]) for r in runs if r["mode"] == "analyze"}
-    assert analyzed == {(f"dft({d})", tol) for d in (10, 12) for tol in ("1e-10", "1e-6")}
+    tols = ("1e-10", "1e-6", "1e-4")
+    assert analyzed == {(f"dft({d})", tol) for d in (10, 12) for tol in tols}
     assert all(r["code"] == 0 for r in runs if r["mode"] == "analyze")
+    same = run_script("report_digest.py", "--compare", str(records), str(records))
+    assert same.returncode == 0, same.stderr
+    assert same.stdout == f"0 of {len(runs)} runs differ\n"
+
+
+def test_report_digest_compare_names_the_differing_field(tmp_path):
+    report = {"deficiency": {"tau": 1, "worst_gap_ratio": 0.0}, "checks": {"ok": True}}
+    runs = [
+        {"name": "dft(4)", "rank_tol": "1e-10", "mode": "()", "code": 0,
+         "stdout": json.dumps(report), "stderr": "", "tau": 1},
+        {"name": "dft(4)", "rank_tol": "1e-10", "mode": "tau", "code": None,
+         "stdout": None, "stderr": None, "tau": 1},
+    ]
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text("".join(json.dumps(r) + "\n" for r in runs))
+    report["deficiency"]["worst_gap_ratio"] = 1e-12
+    runs[0]["stdout"] = json.dumps(report)
+    new.write_text("".join(json.dumps(r) + "\n" for r in runs))
+    out = run_script("report_digest.py", "--compare", str(old), str(new))
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.splitlines() == [
+        "dft(4) 1e-10 (): stdout.deficiency.worst_gap_ratio",
+        "1 of 2 runs differ",
+    ]
 
 
 def test_readme_holds_the_perf_table():
