@@ -185,13 +185,14 @@ def _certified_full_rank(
     sigma_max, so the SVD keeps all k singular values of a certified block:
     certification cannot change a rank decision, at any threshold.
 
-    Since bound(A) - 2 shift < 1, only blocks with tr G above threshold^2
-    are candidates, and only those with tr G above the smallest normal
-    float, where underflow in the Gram sums costs at most n units of
-    roundoff relative to tr G, and no column of squared norm above 1 / (d *
-    that float), where nothing overflows. The rest (all-zero blocks, blocks
-    of tiny or huge entries) get A = shift * I, whose bound(A) - 2 * shift
-    is negative, so they are left to the SVD.
+    The candidates are the blocks with tr G above the smallest normal float,
+    where underflow in the Gram sums costs at most n units of roundoff
+    relative to tr G, and no column of squared norm above 1 / (d * that
+    float), where nothing overflows. The rest (all-zero blocks, blocks of
+    tiny or huge entries) get A = shift * I, whose bound(A) - 2 * shift is
+    negative, so they are left to the SVD. No threshold enters the
+    candidate rule: bound(A) - 2 shift < 1, so a block with tr G at or
+    below threshold^2 fails the final test anyway.
 
     Column norms, traces and the overflow guard are per row set, so a bad
     column under one row set leaves the blocks of every other row set as
@@ -213,9 +214,7 @@ def _certified_full_rank(
         blocks = np.where(bad[:, None, :], 0, blocks)
         col_norms = np.where(bad, np.nan, col_norms)
     trace = col_norms[:, col_sets].sum(axis=2)
-    # A product, not ** 2: a huge threshold must give inf, not OverflowError.
-    square = threshold * threshold
-    candidate = trace > max(tiny, square)
+    candidate = trace > tiny
     inv_trace = np.divide(1.0, trace, out=np.zeros(trace.shape), where=candidate)
     if m <= c:
         # S S^H is the sum of the outer products of the selected columns: one
@@ -235,7 +234,8 @@ def _certified_full_rank(
     g[:, :, :: k + 1] += shift
     diag = np.linalg.cholesky(g.reshape(-1, k, k)).diagonal(axis1=1, axis2=2).real
     bound = diag.prod(axis=1) ** 2 * ((k - 1) / (1 + k * shift)) ** (k - 1)
-    return trace * (bound.reshape(n_rows, n_cols) - 2 * shift) > square
+    # A product, not ** 2: a huge threshold must give inf, not OverflowError.
+    return trace * (bound.reshape(n_rows, n_cols) - 2 * shift) > threshold * threshold
 
 
 def numerical_rank(
@@ -280,7 +280,6 @@ class KernelWitness:
     side: str
     coefficients: np.ndarray
     selector: SubmatrixSelector
-    all_nonzero: bool
     residual: float
 
 
@@ -290,7 +289,6 @@ def kernel_witness(
     selector: SubmatrixSelector,
     tol: float = DEFAULT_RANK_TOL,
     scale: float | None = None,
-    nonzero_threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> KernelWitness:
     """Extract a kernel vector of the selected submatrix on the given side.
 
@@ -321,7 +319,6 @@ def kernel_witness(
         side=side,
         coefficients=z,
         selector=selector,
-        all_nonzero=bool(np.abs(z).min() > nonzero_threshold),
         residual=residual,
     )
 

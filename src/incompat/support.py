@@ -10,7 +10,11 @@ by an exhaustive subset search: spans of a row subset and a column subset
 intersect nontrivially exactly when the submatrix on the complementary rows
 and the chosen columns is column rank deficient. Those rank decisions come
 from rank.batch_ranks, the rank step the level search uses too, fed the
-complementary row sets directly.
+complementary row sets directly. The search decides its square level (total
+size d: every n x n block, n = 1..d - 1) before any other, at the largest
+threshold of any smaller size; when every square block is full rank there,
+no smaller size can hit, and the search returns its first pair of size d +
+1 after deciding C(2d, d) - 2 blocks instead of about 4^d.
 """
 
 from __future__ import annotations
@@ -132,6 +136,12 @@ def min_support_uncertainty(
     works. rank.batch_ranks decides the complements of the A subsets a batch
     at a time; the hit returned is the batch's first in the order above, the
     one a search deciding one A subset at a time would stop at.
+
+    The s = d level is decided first, by _square_level_clear (which holds
+    the proof): when it finds every square block full rank at tol * (d - 1)
+    plus a rounding allowance, no s <= d can hit and the search starts at s
+    = d + 1, whose first pair is the hit; otherwise it starts at s = 2.
+    Either way the hit is the one the search from s = 2 returns.
     """
     check_tolerance("zero_threshold", zero_threshold)
     check_tolerance("rank_tol", rank_tol)
@@ -143,7 +153,8 @@ def min_support_uncertainty(
             f"subset search over dimension {d} exceeds the cap {max_dim}"
         )
     a = tm.matrix
-    for s in range(2, d + 2):
+    first = d + 1 if _square_level_clear(tm, rank_tol) else 2
+    for s in range(first, d + 2):
         for nb in range(1, s):
             na = s - nb
             if na == d:
@@ -170,6 +181,49 @@ def min_support_uncertainty(
                 ).coefficients
                 return _build_witness(tm, subset_a, subset_b, y, zero_threshold)
     raise AssertionError("unreachable: the search terminates by s = d + 1")
+
+
+def _square_level_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
+    """Whether no pair with s <= d can hit, decided on the s = d level alone.
+
+    The s = d level is every n_b x n_b block, n_b = 1..d - 1. It is decided
+    at T + delta, where T = tol * (d - 1) is the largest threshold of any
+    pair with s <= d (its block is (d - n_a) x n_b with n_a >= 1), and delta
+    = 32 d^2 eps (1 + d * residual) is the rounding allowance. Stops at the
+    first batch with a block under that threshold. The step only
+    certifies: False says nothing about any pair, and the search then runs
+    from s = 2 as if this step were not there.
+
+    Suppose every square block is full rank at T + delta. The SVD of an n
+    x k block moves each singular value by at most a few (n + k) eps
+    sigma_max <= 8 d eps ||U||_2, and ||U||_2^2 = ||U^dag U||_2 <= 1 + d *
+    residual, so 16 d eps ||U||_2 <= delta / 2 for every d >= 1, with room
+    to spare for the rounding of the computed residual. A square block S has
+    sigma_min(S) > T + delta - 8 d eps ||U||_2: the Gram certificate of
+    batch_ranks proves sigma_min(S) > T + delta outright, and the SVD puts
+    the exact value within its error of the computed one. Now let B =
+    U[R, K] be the block of a pair with s <= d: |R| = d - n_a >= n_b =
+    |K|. Any n_b of its rows R' give a square block S = U[R', K] of the s
+    = d level, and B^dag B = S^dag S + (the other rows' Gram matrix) >=
+    S^dag S, so sigma_min(B) >= sigma_min(S). B is decided at a threshold
+    th <= T. Certified, it has rank n_b; by SVD, its computed sigma_min is
+    at least sigma_min(B) - 8 d eps ||U||_2 > T + delta - 16 d eps ||U||_2
+    > T >= th, so it has rank n_b too. No pair with s <= d hits, and the
+    first hit of the search is its first pair at s = d + 1. The proof uses
+    no identity of unitaries, only the norm bound from the residual; the
+    level search's level-0 step rests on the complement identity instead,
+    and this step does not share it, so the two routes stay independent.
+    """
+    a, d = tm.matrix, tm.dim
+    allowance = 32 * d * d * np.finfo(float).eps * (1 + d * tm.residual)
+    threshold = rank_threshold((d - 1, 1), rank_tol, 1.0) + allowance
+    for nb in range(1, d):
+        col_sets = np.array(list(itertools.combinations(range(d), nb)))
+        row_sets = itertools.combinations(range(d), nb)
+        for _, ranks, _ in batch_ranks(a, row_sets, col_sets, threshold):
+            if ranks.min() < nb:
+                return False
+    return True
 
 
 def _build_witness(

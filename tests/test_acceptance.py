@@ -31,7 +31,7 @@ from incompat import (
     zeta,
 )
 from incompat.deficiency import deficiency_profile
-from incompat.rank import FRAGILE_GAP_RATIO
+from incompat.rank import DEFAULT_ZERO_THRESHOLD, FRAGILE_GAP_RATIO
 
 QUBIT_PHASES = ((0.0, 0.0), (0.3, 1.1), (2.0, 0.5))
 
@@ -229,10 +229,9 @@ def test_criterion_07_extremal_level_witnesses(corpus):
             continue
         left = kernel_witness(entry.tm.matrix, "left", row_sel, scale=1.0)
         right = kernel_witness(entry.tm.matrix, "right", col_sel, scale=1.0)
-        if not (left.all_nonzero and right.all_nonzero):
+        coefficients = np.concatenate([left.coefficients, right.coefficients])
+        if np.abs(coefficients).min() <= DEFAULT_ZERO_THRESHOLD:
             failures.append((entry.name, "witness"))
-        if min(np.abs(left.coefficients).min(), np.abs(right.coefficients).min()) <= 1e-8:
-            failures.append((entry.name, "threshold"))
         if max(left.residual, right.residual) > 1e-9:
             failures.append((entry.name, "residual"))
     verdict(7, not failures, f"both sides reach 1 with all-nonzero kernels on "

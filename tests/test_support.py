@@ -22,7 +22,7 @@ from incompat import (
     support_at_tau,
     support_counts,
 )
-from incompat.rank import kernel_witness
+from incompat.rank import batch_ranks, kernel_witness
 from incompat.report import extremal_checks, profile_shape_checks
 from test_rank import FRAGILE_DFTS, SEARCH_CORPUS
 
@@ -138,6 +138,61 @@ class TestMinSupportUncertainty:
     def test_d1(self):
         w = min_support_uncertainty(identity(1))
         assert w.n_ab == 2 and w.n_a == w.n_b == 1
+
+
+def _oracle_result(tm, rank_tol):
+    """Everything the oracle returns, or its error text."""
+    try:
+        w = min_support_uncertainty(tm, rank_tol=rank_tol)
+    except DegenerateWitnessError as exc:
+        return str(exc)
+    return w.n_ab, w.subset_a, w.subset_b, w.state_in_a.tobytes()
+
+
+def _counted_blocks(monkeypatch):
+    """Wrap the oracle's rank step; return the list of its batch sizes."""
+    batches = []
+
+    def counted(a, row_sets, col_sets, threshold):
+        for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold):
+            batches.append(ranks.size)
+            yield rows, ranks, gaps
+
+    monkeypatch.setattr(incompat.support, "batch_ranks", counted)
+    return batches
+
+
+class TestSquareLevelFirst:
+    """The s = d level, decided first at the largest threshold of any s <= d,
+    certifies that no smaller s can hit."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4])
+    def test_certificate_changes_no_result(self, rank_tol, monkeypatch):
+        haar = [random_unitary(d, seed) for d in range(2, 9) for seed in (0, 1)]
+        corpus = SEARCH_CORPUS + FRAGILE_DFTS + haar
+        want = [_oracle_result(tm, rank_tol) for tm in corpus]
+        cleared = sum(incompat.support._square_level_clear(tm, rank_tol) for tm in corpus)
+        monkeypatch.setattr(incompat.support, "_square_level_clear", lambda *args: False)
+        assert [_oracle_result(tm, rank_tol) for tm in corpus] == want
+        assert cleared >= 30
+
+    def test_declines_on_generic_input_at_a_coarse_tolerance(self):
+        # Some square block is under tol * (d - 1), yet no pair with s <= d
+        # hits, so the search from s = 2 still ends at d + 1.
+        tm = random_unitary(6, 8)
+        assert not incompat.support._square_level_clear(tm, 1e-3)
+        assert min_support_uncertainty(tm, rank_tol=1e-3).n_ab == 7
+
+    def test_generic_input_decides_only_the_square_level(self, monkeypatch):
+        batches = _counted_blocks(monkeypatch)
+        assert min_support_uncertainty(random_unitary(8, 0), rank_tol=1e-10).n_ab == 9
+        assert sum(batches) == math.comb(16, 8) - 2
+
+    def test_refused_cap_decides_no_block(self, monkeypatch):
+        batches = _counted_blocks(monkeypatch)
+        with pytest.raises(DimensionCapError):
+            min_support_uncertainty(random_unitary(5, 0), max_dim=4)
+        assert batches == []
 
 
 def _oracle_or_degenerate(tm, rank_tol):
