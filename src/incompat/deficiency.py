@@ -44,6 +44,7 @@ from .rank import (
     extract_submatrix,
     numerical_rank,
     rank_threshold,
+    squares_full_rank,
 )
 
 
@@ -94,33 +95,29 @@ def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
     unitary, so only the m x m blocks for m = 1..d//2 are decided, each at
     its complement's threshold, the larger of the two (shape (m, d - m)),
     raised by 2 d * residual; at m = d/2 only the row sets that hold row 0,
-    the first C(d - 1, m - 1) in lexicographic order, because the other
-    blocks are their complements. Stops at the first batch with a block
-    under its threshold. The step only certifies: False says nothing about
-    any level, which the level search then decides.
+    because the other blocks are their complements. rank.squares_full_rank
+    decides them: each block's minor comes from its row-prefix minors by
+    Laplace expansion and certifies the block from |det| and a bound on
+    ||U||_2 from the residual, the rest go to batch_ranks, and the verdict
+    is batch_ranks's over every block; it stops at the first deficient
+    block. The step only certifies: False says nothing about any level,
+    which the level search then decides.
 
     Let V be the unitary nearest U, e = ||U - V||_2 <= ||U^dag U - I||_2 <=
     d * residual. Blocks of U and V differ in each singular value by at most
     e, and in V a block and its complement share their singular values below
-    1 (CS decomposition). So True gives every n x n block X of V smallest singular value above
-    tol * max(n, d - n) + e. Every decision of the level search is then
-    full rank: a square block at tol * n directly, and an m x (m + t)
-    block S at tol * (m + t) because its m-th singular value in V is at
-    least that of any (d - m - t)-square block inside its complement,
-    whose threshold tol * max(d - m - t, m + t) is no smaller.
+    1 (CS decomposition). So True gives every n x n block X of V smallest
+    singular value above tol * max(n, d - n) + e. Every decision of the
+    level search is then full rank: a square block at tol * n directly, and
+    an m x (m + t) block S at tol * (m + t) because its m-th singular value
+    in V is at least that of any (d - m - t)-square block inside its
+    complement, whose threshold tol * max(d - m - t, m + t) is no smaller.
     """
-    a = tm.matrix
     d = tm.dim
-    for m in range(1, d // 2 + 1):
-        col_sets = np.array(list(itertools.combinations(range(d), m)))
-        row_sets = itertools.combinations(range(d), m)
-        if 2 * m == d:
-            row_sets = itertools.islice(row_sets, math.comb(d - 1, m - 1))
-        threshold = rank_threshold((m, d - m), rank_tol, 1.0) + 2 * d * tm.residual
-        for _, ranks, _ in batch_ranks(a, row_sets, col_sets, threshold):
-            if ranks.min() < m:
-                return False
-    return True
+    thresholds = [
+        rank_threshold((m, d - m), rank_tol, 1.0) + 2 * d * tm.residual for m in range(1, d // 2 + 1)
+    ]
+    return squares_full_rank(tm.matrix, thresholds, tm.residual, row_0_at_top=d % 2 == 0)
 
 
 def _coherence_cap(

@@ -22,11 +22,23 @@ the threshold by more than the SVD's own error, so the SVD would keep all k
 singular values too and the certificate skips SVDs without changing a
 decision, at every tolerance. Every other block, every kernel witness and
 numerical_rank are decided by SVD.
+
+The two square steps, the level search's level 0 and the subset search's
+square level, ask one question: is every m x m block full rank, for m up to
+some size, each size at its own threshold? squares_full_rank answers it. It
+walks the prefix tree of row sets depth first and gets each block's minor
+from the minors of its row prefix by Laplace expansion, m terms per block
+against O(m^3) for a Gram matrix or an SVD. Since every singular value of a
+block is at most ||a||_2, sigma_min >= |det| / ||a||_2^(m-1), so a block
+whose minor clears the threshold by a proven rounding bound is certified
+from the minor alone; every other block goes to batch_ranks, so the answer
+is batch_ranks's over every block.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -137,6 +149,185 @@ def batch_ranks(
                 ri = r[inner]
                 gaps[todo_r[inner], j + todo_c[inner]] = s[inner, ri] / s[inner, ri - 1]
         yield rows, ranks, gaps
+
+
+def squares_full_rank(
+    a: np.ndarray, thresholds: list[float], residual: float, *, row_0_at_top: bool = False
+) -> bool:
+    """Whether batch_ranks finds every m x m block of the d x d matrix a full
+    rank at thresholds[m - 1], for m = 1..top = len(thresholds); with
+    row_0_at_top, only the row sets that hold row 0 at m = top. residual is
+    ||a^H a - I||_max as computed (TransitionMatrix.residual).
+
+    The minors come from _square_minors, an expansion of m terms per block
+    in the minors of its row prefix, and a block is certified full rank from
+    its minor alone. Every block that is not certified goes to batch_ranks
+    at its size's threshold, in two grids per chunk of row sets: the first
+    row set with an uncertified block times the column sets of its
+    uncertified blocks, then the chunk's other such row sets times the
+    column sets of any of theirs. The walk stops at the first grid with a
+    deficient block. So the result is exactly that of batch_ranks over
+    every block.
+
+    Certificate. First, N = (1 + d residual)(1 + 4 d^2 eps) bounds ||a||_2.
+    Each entry of a^H a is a dot product of d terms, between columns of
+    squared norm at most 1 + r, r the exact ||a^H a - I||_max, so the
+    computed residual is within 2 d eps (1 + r) of r, and ||a||_2^2 <= 1 +
+    ||a^H a - I||_2 <= 1 + d r gives ||a||_2 <= 1 + d r / 2 <= N. Every
+    singular value of a block S is at most N, so for S m x m
+
+        sigma_min(S) >= |det S| / N^(m-1).
+
+    Second, E_m bounds the error of the computed minors of size m (E_0 = 0:
+    the root's minor is 1). A minor of size m is a complex dot product of m
+    terms x_k y_k: x is a row of a over m columns, so sum |x_k| <= sqrt(m)
+    N, and y_k is a computed minor of size m - 1 times +-1, so |y_k| <=
+    N^(m-1) + E_(m-1). Their errors add at most sqrt(m) N E_(m-1). The dot
+    product itself, in any order and with or without fused multiply-adds,
+    is within (m + 2) eps / sqrt(2) < 4 m eps of sum |x_k| |y_k| of exact,
+    plus 2 m eta from underflow, eta the smallest subnormal; the d - m
+    exact zero terms of the matrix product that computes it change neither
+    its value nor its rounding. So
+
+        E_m = sqrt(m) N ((1 + 4 m eps) E_(m-1) + 4 m eps N^(m-1)) + 4 m eta.
+
+    A block is certified when its computed |det| exceeds
+
+        need_m = (1 + 8 m eps) (E_m + (th + 32 m^2 eps N) N^(m-1)),
+
+    th = thresholds[m - 1]. The factor 1 + 8 m eps covers the rounding of
+    |det| and of need_m itself, about 2 m + 4 operations. A certified block
+    has |det S| > need_m / (1 + 8 m eps) - E_m, so
+
+        sigma_min(S) > th + 32 m^2 eps N >= th + 8 (m + m)^2 eps sigma_max,
+
+    the margin _certified_full_rank keeps. That is more than the SVD's own
+    error of a few (m + m) eps sigma_max, so batch_ranks gives a certified
+    block rank m too, whether its Gram certificate or its SVD decides it.
+
+    The computed minors of size m are at most about E_m / (2 m eps) in
+    modulus, so while need_m / eps is finite none overflows. A size whose
+    need_m / eps is not finite certifies nothing: its minors, overflowed or
+    NaN among them, all go to batch_ranks, which guards its own arithmetic.
+    """
+    need = [bound for _, bound in _minor_bounds(a.shape[0], residual, thresholds)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, cols, minors in _square_minors(a, len(thresholds), row_0_at_top):
+            m = cols.shape[1]
+            weak = ~(np.abs(minors) > need[m - 1])
+            if not weak.any():
+                continue
+            # The first row set with an uncertified block alone, then the rest:
+            # a deficient block is often on the first, and its grid is small.
+            weak_rows = np.flatnonzero(weak.any(axis=1))
+            for group in (weak_rows[:1], weak_rows[1:]):
+                col_sets = cols[weak[group].any(axis=0)]
+                for _, ranks, _ in batch_ranks(a, rows[group], col_sets, thresholds[m - 1]):
+                    if ranks.min() < m:
+                        return False
+    return True
+
+
+def _minor_bounds(
+    d: int, residual: float, thresholds: list[float]
+) -> list[tuple[float, float]]:
+    """(E_m, need_m) for m = 1..len(thresholds), as in squares_full_rank:
+    the error bound of the computed m x m minors of a d x d matrix with this
+    residual, and the modulus above which such a minor certifies its block
+    at thresholds[m - 1]. Products only, no ** or pow: a huge residual must
+    give inf, not OverflowError, and Python floats, which do not warn."""
+    eps, eta = float(np.finfo(float).eps), float(np.finfo(float).smallest_subnormal)
+    norm = (1 + d * residual) * (1 + 4 * d * d * eps)
+    bounds = []
+    err, power = 0.0, 1.0  # E_(m-1) and N^(m-1)
+    for m, th in enumerate(map(float, thresholds), 1):
+        err = math.sqrt(m) * norm * ((1 + 4 * m * eps) * err + 4 * m * eps * power) + 4 * m * eta
+        need = (1 + 8 * m * eps) * (err + (th + 32 * m * m * eps * norm) * power)
+        bounds.append((err, need if need / eps < math.inf else math.inf))
+        power *= norm
+    return bounds
+
+
+def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
+    """Every m x m minor of the d x d matrix a, m = 1..top (with
+    row_0_at_top, at m = top only those on row sets that hold row 0).
+
+    The row sets form a prefix tree: R = (r_1 < ... < r_m) is the child of
+    R' = R - r_m, and expanding along the last row,
+
+        det a[R, C] = sum_k (-1)^(m-1+k) a[r_m, c_k] det a[R', C - c_k],
+
+    m terms per block. The column sets of each size are in colex
+    order, where C - c_k has rank sum_{i<k} comb(c_i, i + 1) + sum_{i>k}
+    comb(c_i, i). The walk is depth first over chunks of sibling row sets,
+    each with its minors over all column sets. A chunk's children are
+    computed together and yielded as (rows, cols, minors): rows the array of
+    the children's row sets, cols the column sets of their size, and
+    minors[i, j] = det a[rows[i], cols[j]]. For each chunk and slice of
+    column sets the parents' minors, with their signs, are scattered into a
+    d x |slice| matrix per parent, zero off each column set's m columns,
+    and one matrix product with the rows of a gives the children's minors:
+    the m terms of each expansion, and exact zeros. Each scatter and product
+    holds at most BATCH_ENTRIES entries, unless one parent's d x 1 alone is
+    larger, so the live memory is about one chunk's children per depth,
+    whatever the number of row sets. The index tables are built when the
+    walk first reaches a depth, and only for that call.
+    """
+    d = a.shape[0]
+    pascal = np.array([[math.comb(n, k) for k in range(top + 1)] for n in range(d)])
+    tables = [None]
+
+    def table(m):
+        if len(tables) == m:
+            # The m-sets in colex order are the lexicographic ones reversed
+            # (flat, so each set's entries too) and mirrored by c -> d - 1 - c.
+            combos = itertools.chain.from_iterable(itertools.combinations(range(d), m))
+            cols = d - 1 - np.fromiter(combos, dtype=np.intp)[::-1].reshape(-1, m)
+            keep = pascal[cols, np.arange(1, m + 1)]
+            down = pascal[cols, np.arange(m)]
+            drop = np.cumsum(keep, axis=1) - keep
+            drop += np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down
+            sign = np.where((m - 1 + np.arange(m)) % 2, -1.0, 1.0)
+            # Where each parent minor goes in a d x step matrix per slice.
+            step = min(len(cols), max(1, BATCH_ENTRIES // d))
+            spot = cols * step + (np.arange(len(cols)) % step)[:, None]
+            tables.append((cols, drop, sign, step, spot))
+        return tables[m]
+
+    stack = [(np.zeros((1, 0), dtype=np.intp), np.ones((1, 1), dtype=complex))][:top]
+    while stack:
+        rows, minors = stack.pop()
+        m = rows.shape[1] + 1
+        kids = np.arange(d) > (rows[:, -1:] if m > 1 else np.full((1, 1), -1))
+        if m == top and row_0_at_top:
+            kids &= (np.arange(d) == 0) if m == 1 else (rows[:, :1] == 0)
+        parent, new = np.nonzero(kids)
+        if not parent.size:
+            continue
+        cols, drop, sign, step, spot = table(m)
+        n_rows, n_cols = len(rows), len(cols)
+        first = int(new.min())
+        x = a[first : int(new.max()) + 1]
+        offset = (np.arange(n_rows) * (d * step))[:, None, None]
+        child = np.empty((len(parent), n_cols), dtype=complex)
+        for j in range(0, n_cols, step):
+            part = slice(j, j + step)
+            y = np.zeros((n_rows, d, step), dtype=complex)
+            terms = minors[:, drop[part]]
+            terms *= sign
+            y.reshape(-1)[spot[part] + offset] = terms
+            product = x @ y[:, :, : len(cols[part])]
+            child[:, part] = product[0] if n_rows == 1 else product[parent, new - first]
+        kid_rows = np.column_stack([rows[parent], new])
+        yield kid_rows, cols, child
+        if m < top:
+            # Row sets ending in row d - 1 have no children; one parent's
+            # is its last child, so a view drops it.
+            more = slice(-1) if n_rows == 1 else new < d - 1
+            kid_rows, child = kid_rows[more], child[more]
+            size = max(1, BATCH_ENTRIES // (d * max(n_cols, math.comb(d, m + 1))))
+            for i in reversed(range(0, len(kid_rows), size)):
+                stack.append((kid_rows[i : i + size], child[i : i + size]))
 
 
 def _certified_full_rank(

@@ -11,10 +11,11 @@ intersect nontrivially exactly when the submatrix on the complementary rows
 and the chosen columns is column rank deficient. Those rank decisions come
 from rank.batch_ranks, the rank step the level search uses too, fed the
 complementary row sets directly. The search decides its square level (total
-size d: every n x n block, n = 1..d - 1) before any other, at the largest
-threshold of any smaller size; when every square block is full rank there,
-no smaller size can hit, and the search returns its first pair of size d +
-1 after deciding C(2d, d) - 2 blocks instead of about 4^d.
+size d: every n x n block, n = 1..d - 1) before any other, each square at
+the threshold of the pairs' blocks inside it; when every square block is
+full rank there, no smaller size can hit, and the search returns its first
+pair of size d + 1 after computing C(2d, d) - 2 minors instead of deciding
+about 4^d blocks.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .rank import (
     batch_ranks,
     kernel_witness,
     rank_threshold,
+    squares_full_rank,
 )
 
 # 4^d subset pairs; above this the search is refused unless the cap is raised.
@@ -138,9 +140,9 @@ def min_support_uncertainty(
     one a search deciding one A subset at a time would stop at.
 
     The s = d level is decided first, by _square_level_clear (which holds
-    the proof): when it finds every square block full rank at tol * (d - 1)
-    plus a rounding allowance, no s <= d can hit and the search starts at s
-    = d + 1, whose first pair is the hit; otherwise it starts at s = 2.
+    the proof): when it finds every n x n block full rank at tol * n plus a
+    rounding allowance, no s <= d can hit and the search starts at s = d +
+    1, whose first pair is the hit; otherwise it starts at s = 2.
     Either way the hit is the one the search from s = 2 returns.
     """
     check_tolerance("zero_threshold", zero_threshold)
@@ -186,44 +188,41 @@ def min_support_uncertainty(
 def _square_level_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
     """Whether no pair with s <= d can hit, decided on the s = d level alone.
 
-    The s = d level is every n_b x n_b block, n_b = 1..d - 1. It is decided
-    at T + delta, where T = tol * (d - 1) is the largest threshold of any
-    pair with s <= d (its block is (d - n_a) x n_b with n_a >= 1), and delta
-    = 32 d^2 eps (1 + d * residual) is the rounding allowance. Stops at the
-    first batch with a block under that threshold. The step only
-    certifies: False says nothing about any pair, and the search then runs
-    from s = 2 as if this step were not there.
+    The s = d level is every n x n block, n = 1..d - 1, and each is decided
+    at its own threshold T_n + delta, T_n = tol * n, where delta = 32 d^2
+    eps (1 + d * residual) is the rounding allowance. rank.squares_full_rank
+    decides them: each block's minor comes from its row-prefix minors by
+    Laplace expansion and certifies the block from |det| and a bound on
+    ||U||_2 from the residual, the rest go to batch_ranks, and the verdict
+    is batch_ranks's over every block; it stops at the first deficient
+    block. The step only certifies: False says nothing about any pair, and
+    the search then runs from s = 2 as if this step were not there.
 
-    Suppose every square block is full rank at T + delta. The SVD of an n
-    x k block moves each singular value by at most a few (n + k) eps
+    Suppose every square block is full rank at its T_n + delta. The SVD of
+    an n x k block moves each singular value by at most a few (n + k) eps
     sigma_max <= 8 d eps ||U||_2, and ||U||_2^2 = ||U^dag U||_2 <= 1 + d *
     residual, so 16 d eps ||U||_2 <= delta / 2 for every d >= 1, with room
-    to spare for the rounding of the computed residual. A square block S has
-    sigma_min(S) > T + delta - 8 d eps ||U||_2: the Gram certificate of
-    batch_ranks proves sigma_min(S) > T + delta outright, and the SVD puts
-    the exact value within its error of the computed one. Now let B =
-    U[R, K] be the block of a pair with s <= d: |R| = d - n_a >= n_b =
-    |K|. Any n_b of its rows R' give a square block S = U[R', K] of the s
-    = d level, and B^dag B = S^dag S + (the other rows' Gram matrix) >=
-    S^dag S, so sigma_min(B) >= sigma_min(S). B is decided at a threshold
-    th <= T. Certified, it has rank n_b; by SVD, its computed sigma_min is
-    at least sigma_min(B) - 8 d eps ||U||_2 > T + delta - 16 d eps ||U||_2
-    > T >= th, so it has rank n_b too. No pair with s <= d hits, and the
-    first hit of the search is its first pair at s = d + 1. The proof uses
-    no identity of unitaries, only the norm bound from the residual; the
-    level search's level-0 step rests on the complement identity instead,
-    and this step does not share it, so the two routes stay independent.
+    to spare for the rounding of the computed residual. A square block S of
+    size n has sigma_min(S) > T_n + delta - 8 d eps ||U||_2: the minor and
+    Gram certificates prove sigma_min(S) > T_n + delta outright, and the
+    SVD puts the exact value within its error of the computed one. Now let
+    B = U[R, K] be the block of a pair with s <= d: r = |R| = d - n_a >=
+    n_b = |K|, and r <= d - 1. Any r - n_b more columns K' give a square
+    block S = U[R, K + K'] of the s = d level whose columns include B's,
+    so sigma_min(B) = min ||B v|| over unit v >= sigma_min(S). B is
+    decided at its shape threshold tol * max(r, n_b) = T_r, the threshold of
+    S. Certified, B has rank n_b; by SVD, its computed sigma_min is at
+    least sigma_min(B) - 8 d eps ||U||_2 > T_r + delta - 16 d eps ||U||_2
+    > T_r, so it has rank n_b too. No pair with s <= d hits, and the first
+    hit of the search is its first pair at s = d + 1. The proof uses no
+    identity of unitaries, only the norm bound from the residual; the level
+    search's level-0 step rests on the complement identity instead, and
+    this step does not share it, so the two routes stay independent.
     """
-    a, d = tm.matrix, tm.dim
+    d = tm.dim
     allowance = 32 * d * d * np.finfo(float).eps * (1 + d * tm.residual)
-    threshold = rank_threshold((d - 1, 1), rank_tol, 1.0) + allowance
-    for nb in range(1, d):
-        col_sets = np.array(list(itertools.combinations(range(d), nb)))
-        row_sets = itertools.combinations(range(d), nb)
-        for _, ranks, _ in batch_ranks(a, row_sets, col_sets, threshold):
-            if ranks.min() < nb:
-                return False
-    return True
+    thresholds = [rank_threshold((n, n), rank_tol, 1.0) + allowance for n in range(1, d)]
+    return squares_full_rank(tm.matrix, thresholds, tm.residual)
 
 
 def _build_witness(

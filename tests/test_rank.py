@@ -1,6 +1,8 @@
 import contextlib
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from incompat.rank import (
     DEFAULT_ZERO_THRESHOLD,
     FRAGILE_GAP_RATIO,
     _certified_full_rank,
+    _minor_bounds,
+    _square_minors,
     batch_ranks,
     rank_threshold,
 )
@@ -320,10 +324,13 @@ class TestCertifiedSearches:
 
         monkeypatch.setattr(incompat.deficiency, "batch_ranks", checked)
         monkeypatch.setattr(incompat.support, "batch_ranks", checked)
-        # dft(8) and dft(9) keep the corpus's block count above the floor now
-        # that inputs with no singular square block stop after level 0 and
-        # the coherence prune skips the DFTs' levels above tau.
-        for tm in SEARCH_CORPUS + [dft_matrix(8), dft_matrix(9)]:
+        monkeypatch.setattr(incompat.rank, "batch_ranks", checked)
+        # dft(8), dft(9) and the borderline DFTs keep the corpus's block count
+        # above the floor now that inputs with no singular square block stop
+        # after level 0, the coherence prune skips the DFTs' levels above tau,
+        # and the square steps send only the blocks their minors do not
+        # certify to batch_ranks.
+        for tm in SEARCH_CORPUS + FRAGILE_DFTS + [dft_matrix(8), dft_matrix(9)]:
             deficiency_profile(tm, rank_tol=rank_tol)
             tau_fast(tm, rank_tol=rank_tol)
             with contextlib.suppress(DegenerateWitnessError):
@@ -445,3 +452,172 @@ class TestBatchBudget:
             assert [tuple(r) for r in rows.tolist()] == pulled[seen:]
             seen, items = len(pulled), items + 1
         assert seen == math.comb(d, m) and items > 1
+
+
+def _squares_by_batch_ranks(a, thresholds, residual, *, row_0_at_top=False):
+    """squares_full_rank's reference: batch_ranks over every block, size by size.
+
+    Under errstate, as squares_full_rank runs it: the Gram certificate
+    squares a threshold of 1e289 (the subset search's allowance at a
+    residual of 1e300) in float64, which warns but decides the same."""
+    d, top = a.shape[0], len(thresholds)
+    with np.errstate(over="ignore"):
+        for m, threshold in enumerate(thresholds, 1):
+            col_sets = np.array(list(itertools.combinations(range(d), m)))
+            row_sets = [
+                r for r in itertools.combinations(range(d), m)
+                if not (row_0_at_top and m == top and r[0] > 0)
+            ]
+            for _, ranks, _ in batch_ranks(a, row_sets, col_sets, threshold):
+                if ranks.min() < m:
+                    return False
+    return True
+
+
+def _exact_det(block):
+    """(re, im) of det(block) in exact rational arithmetic, by Leibniz's formula."""
+    m = len(block)
+    entries = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in block]
+    re = im = Fraction(0)
+    for perm in itertools.permutations(range(m)):
+        pr, pi = Fraction(1), Fraction(0)
+        for i, j in enumerate(perm):
+            er, ei = entries[i][j]
+            pr, pi = pr * er - pi * ei, pr * ei + pi * er
+        odd = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m)) % 2
+        re, im = (re - pr, im - pi) if odd else (re + pr, im + pi)
+    return re, im
+
+
+def _scaled(tm, scale):
+    """scale * U, loaded with room for its residual |scale^2 - 1|: ||a||_2 = scale."""
+    return from_array(scale * tm.matrix, unitarity_tolerance=2 * max(scale * scale, 1.0))
+
+
+def _tilt(c):
+    """A real 3 x 3 rotation whose block on rows and columns (0, 1) is diag(1, c)."""
+    s = math.sqrt(1 - c * c)
+    return from_array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+# Loaded inputs with ||a||_2 = 2 or 1/2, where the norm bound N^(m - 1) of the
+# minor certificate is far from 1. _tilt(7e-4) scaled by 2 has a 2 x 2 block
+# with singular values 2 and 1.4e-3 and |det| 2.8e-3, on either side of the
+# threshold 2e-3 at rank_tol 1e-3.
+SCALED = [_scaled(_tilt(7e-4), 2.0)] + [
+    _scaled(tm, scale) for tm in (dft_matrix(5), random_unitary(5, 0)) for scale in (2.0, 0.5)
+]
+
+
+class TestSquareMinors:
+    """The minor certificate of squares_full_rank and the walk behind it."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4, 1e-3])
+    def test_certified_blocks_clear_the_svd(self, rank_tol):
+        # Every block the minor bound certifies has its SVD sigma_min above the
+        # threshold plus the SVD's own error, on every block of the corpus.
+        eps = np.finfo(float).eps
+        haar = [random_unitary(d, seed) for d in range(2, 10) for seed in (0, 1)]
+        certified = 0
+        for tm in SEARCH_CORPUS + FRAGILE_DFTS + haar + SCALED:
+            d = tm.dim
+            thresholds = [rank_threshold((m, m), rank_tol, 1.0) for m in range(1, d + 1)]
+            need = [bound for _, bound in _minor_bounds(d, tm.residual, thresholds)]
+            for rows, cols, minors in _square_minors(tm.matrix, d):
+                m = cols.shape[1]
+                i, j = np.nonzero(np.abs(minors) > need[m - 1])
+                if not i.size:
+                    continue
+                s = np.linalg.svd(
+                    tm.matrix[rows[i][:, :, None], cols[j][:, None, :]], compute_uv=False
+                )
+                assert (s[:, -1] > thresholds[m - 1] + 16 * m * eps * s[:, 0]).all()
+                certified += i.size
+        assert certified > 0
+
+    def test_rounding_bound_holds_in_exact_arithmetic(self):
+        # Every computed minor is within E_m of the exact one, underflow
+        # included (qubit_rotation(1e-300) squares entries of 1e-300).
+        checked = 0
+        for tm in [tm for tm in SEARCH_CORPUS + FRAGILE_DFTS + SCALED if tm.dim <= 5]:
+            errs = [err for err, _ in _minor_bounds(tm.dim, tm.residual, [0.0] * tm.dim)]
+            for rows, cols, minors in _square_minors(tm.matrix, tm.dim):
+                err = Fraction(errs[cols.shape[1] - 1])
+                for i, j in itertools.product(range(len(rows)), range(len(cols))):
+                    re, im = _exact_det(tm.matrix[np.ix_(rows[i], cols[j])])
+                    z = minors[i, j]
+                    assert (Fraction(z.real) - re) ** 2 + (Fraction(z.imag) - im) ** 2 <= err**2
+                    checked += 1
+        assert checked > 1000
+
+    def test_minor_within_its_rounding_bound_of_the_margin_is_not_certified(self):
+        # A certified block must have |det| - E_m above (th + 32 m^2 eps N)
+        # N^(m - 1), the margin that keeps the SVD's decision. This 2 x 2
+        # block's computed minor is c exactly, half of E_2 above that margin
+        # at rank_tol 0.
+        eps = np.finfo(float).eps
+        probe = _tilt(1e-13)
+        norm = (1 + 3 * probe.residual) * (1 + 36 * eps)
+        err = _minor_bounds(3, probe.residual, [0.0] * 3)[1][0]
+        tm = _tilt(128 * eps * norm * norm + err / 2)
+        assert tm.residual == probe.residual
+        need = _minor_bounds(3, tm.residual, [0.0] * 3)[1][1]
+        rows, cols, minors = next(
+            (rows, cols, minors) for rows, cols, minors in _square_minors(tm.matrix, 2)
+            if cols.shape[1] == 2 and rows[0].tolist() == [0, 1]
+        )
+        assert cols[0].tolist() == [0, 1] and minors[0, 0] == tm.matrix[1, 1]
+        assert not abs(minors[0, 0]) > need
+
+    @pytest.mark.parametrize("budget", [1, 7, 40, 2**12])
+    @pytest.mark.parametrize("row_0_at_top", [False, True])
+    def test_walk_yields_every_minor_once(self, monkeypatch, budget, row_0_at_top):
+        monkeypatch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
+        rng = np.random.default_rng(budget)
+        d, top = 6, 4
+        a = _random_complex(rng, d, d)
+        seen = {}
+        for rows, cols, minors in _square_minors(a, top, row_0_at_top):
+            for i, j in itertools.product(range(len(rows)), range(len(cols))):
+                key = (tuple(rows[i].tolist()), tuple(cols[j].tolist()))
+                assert key not in seen
+                seen[key] = minors[i, j]
+        want = {
+            (r, c)
+            for m in range(1, top + 1)
+            for r in itertools.combinations(range(d), m)
+            for c in itertools.combinations(range(d), m)
+            if not (row_0_at_top and m == top and r[0] > 0)
+        }
+        assert set(seen) == want
+        for (r, c), minor in seen.items():
+            assert abs(minor - np.linalg.det(a[np.ix_(r, c)])) <= 1e-12 * 2 ** len(r)
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4, 1e-3])
+    def test_square_steps_match_batch_ranks_over_every_block(self, rank_tol, monkeypatch):
+        # Entries of 1e150 overflow the minors of size 3 and entries of
+        # 1e-150 underflow them; neither may certify a block or warn.
+        haar = [random_unitary(d, seed) for d in range(2, 10) for seed in (0, 1)]
+        extreme = [_scaled(random_unitary(6, 0), scale) for scale in (1e150, 1e-150)]
+        corpus = SEARCH_CORPUS + FRAGILE_DFTS + haar + SCALED + extreme
+        steps = (
+            (incompat.deficiency, incompat.deficiency._square_blocks_clear),
+            (incompat.support, incompat.support._square_level_clear),
+        )
+        got = [[step(tm, rank_tol) for tm in corpus] for _, step in steps]
+        for module, _ in steps:
+            monkeypatch.setattr(module, "squares_full_rank", _squares_by_batch_ranks)
+        want = [[step(tm, rank_tol) for tm in corpus] for _, step in steps]
+        assert got == want
+        assert all(True in g and False in g for g in got)
+
+    @pytest.mark.parametrize("d", [11, 12, 13])
+    def test_memory_does_not_grow_with_the_row_sets(self, d):
+        tm = random_unitary(d, 0)
+        tracemalloc.start()
+        try:
+            assert tau_fast(tm) == -1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

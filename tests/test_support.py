@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import incompat.rank
 import incompat.report
 import incompat.support
 from bruteforce import brute_min_support, fft_support_counts
@@ -22,6 +23,7 @@ from incompat import (
     support_at_tau,
     support_counts,
 )
+from incompat.rank import _square_minors as square_minors
 from incompat.rank import batch_ranks, kernel_witness
 from incompat.report import extremal_checks, profile_shape_checks
 from test_rank import FRAGILE_DFTS, SEARCH_CORPUS
@@ -163,8 +165,8 @@ def _counted_blocks(monkeypatch):
 
 
 class TestSquareLevelFirst:
-    """The s = d level, decided first at the largest threshold of any s <= d,
-    certifies that no smaller s can hit."""
+    """The s = d level, decided first with each square at the threshold of
+    the pairs' blocks inside it, certifies that no smaller s can hit."""
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4])
     def test_certificate_changes_no_result(self, rank_tol, monkeypatch):
@@ -176,17 +178,34 @@ class TestSquareLevelFirst:
         assert [_oracle_result(tm, rank_tol) for tm in corpus] == want
         assert cleared >= 30
 
-    def test_declines_on_generic_input_at_a_coarse_tolerance(self):
-        # Some square block is under tol * (d - 1), yet no pair with s <= d
-        # hits, so the search from s = 2 still ends at d + 1.
+    def test_clears_generic_input_at_a_coarse_tolerance(self):
+        # Each n x n square is decided at tol * n, the threshold of every
+        # pair's block inside it: at tol * (d - 1) for every n this input was
+        # declined, though no pair with s <= d hits.
         tm = random_unitary(6, 8)
-        assert not incompat.support._square_level_clear(tm, 1e-3)
+        assert incompat.support._square_level_clear(tm, 1e-3)
         assert min_support_uncertainty(tm, rank_tol=1e-3).n_ab == 7
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_declined_input_hits_at_the_square_level_or_below(self, d):
+        tm = dft_matrix(d)
+        assert not incompat.support._square_level_clear(tm, 1e-10)
+        assert min_support_uncertainty(tm).n_ab <= d
 
     def test_generic_input_decides_only_the_square_level(self, monkeypatch):
         batches = _counted_blocks(monkeypatch)
+        monkeypatch.setattr(incompat.rank, "batch_ranks", incompat.support.batch_ranks)
+        minors = []
+
+        def counted(*args):
+            for rows, cols, values in square_minors(*args):
+                minors.append(values.size)
+                yield rows, cols, values
+
+        monkeypatch.setattr(incompat.rank, "_square_minors", counted)
         assert min_support_uncertainty(random_unitary(8, 0), rank_tol=1e-10).n_ab == 9
-        assert sum(batches) == math.comb(16, 8) - 2
+        assert sum(minors) == math.comb(16, 8) - 2
+        assert batches == []
 
     def test_refused_cap_decides_no_block(self, monkeypatch):
         batches = _counted_blocks(monkeypatch)
