@@ -11,6 +11,7 @@ rebuilt; analyze still emits the report without the support result).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -56,7 +57,10 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args makes a
+    fresh namespace on every call, so no option carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="incompat",
         description="Classify the incompatibility of two orthonormal bases "

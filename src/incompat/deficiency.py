@@ -25,7 +25,10 @@ min(m, d - m - t), capped by the coherence bound sigma_{m-j+1}^2 >= 1 -
 mu^2 m (d - m - t) / j on the j-th smallest singular value. The search
 skips an m whose ceiling cannot beat the best found and leaves an m once
 its ceiling is reached; the proof and its allowance for near-unitary input
-are in _max_row_deficiency's docstring.
+are in _max_row_deficiency's docstring. The matrix's affine symmetries
+are verified once per descent (symmetry.verify), and the search of a large
+grid decides one row set per orbit of them and one column set per column
+translation class, with the same values and witnesses.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import symmetry
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance, unitarity_residual
 from .rank import (
     DEFAULT_RANK_TOL,
@@ -67,7 +71,10 @@ class DeficiencyProfile:
     every unitary unless a rank decision is borderline. worst_gap_ratio is
     the largest dropped/kept singular-value ratio seen across every rank
     decision of the level search, so borderline classifications can be
-    flagged instead of silently trusted.
+    flagged instead of silently trusted. row_group_order and
+    column_translations describe the symmetry the level search reduces by
+    (symmetry.verify): the order of its row group, 1 when no map holds or
+    every grid fits one batch, and whether the column translations hold.
     """
 
     dim: int
@@ -78,6 +85,8 @@ class DeficiencyProfile:
     chi: int
     witnesses: tuple[Optional[DeficiencyWitness], ...]
     worst_gap_ratio: float
+    row_group_order: int = 1
+    column_translations: bool = False
 
 
 def _check_level(dim: int, t: int, rank_tol: float) -> None:
@@ -143,6 +152,7 @@ def _max_row_deficiency(
     *,
     stop_at: int | None = None,
     rank_tol: float = DEFAULT_RANK_TOL,
+    sym: symmetry.Symmetry | None = None,
 ):
     """Maximum of m - rank over all m x (m+t) submatrices of the unitary a.
 
@@ -201,6 +211,29 @@ def _max_row_deficiency(
     only lower it, by ending an m's search early or skipping an m; a cap of
     0 never changes it, as every block it skips has gap 0.
 
+    With sym (the symmetry that _descent verified on a; None reduces
+    nothing), an m whose grid does not fit one batch (symmetry.one_batch)
+    decides only the row sets least in their orbit under sym's row group,
+    taken lazily from the same ordered iterator, and, for each, only the
+    column sets least under its column translations. Let f(R) = max_C (m -
+    rank a[R, C]) over the level's column sets. A verified map (pi, sigma)
+    sends a[R, C] to a[pi(R), sigma(C)] with the same singular values, and
+    sigma permutes the column sets, so f(pi(R)) = f(R). The search raises its
+    best at the first row set R with f(R) > best; every row set before R
+    has f <= best, and R's least orbit member R' <= R has f(R') = f(R), so
+    R' = R. Every raise, and every exit at the ceiling or stop_at (each is a
+    raise), is at a representative, and the reduced search raises and exits
+    at the same row sets. With pi = id, m - rank a[R, .] is constant on
+    column translation orbits, so the first column set reaching a row set's
+    maximum is least in its orbit: values, witnesses and exits are those of
+    the unreduced search. Its decisions are a subset of the unreduced
+    search's, each made the same way (batch_ranks decides a block the same
+    in any batch), so the worst gap ratio can only fall. On a matrix whose
+    maps hold only to within rounding, blocks of one orbit have singular
+    values within the bound of symmetry.verify's docstring, so the two
+    searches can differ only where a decision is that close to its
+    threshold.
+
     rank.batch_ranks decides the row sets a batch at a time, and each
     batch's rows are then replayed in order as if decided one by one: the
     witness is the first to achieve the maximum, an exit happens at the
@@ -224,6 +257,8 @@ def _max_row_deficiency(
         limit = ceiling if stop_at is None else min(ceiling, stop_at)
         col_sets = np.array(list(itertools.combinations(range(d), c)))
         row_sets = itertools.combinations(range(d), m)
+        if sym is not None and not symmetry.one_batch(math.comb(d, m), len(col_sets), m, c, d):
+            row_sets, col_sets = sym.least_rows(row_sets, m), sym.least_cols(col_sets)
         for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold):
             # Replay the batch in order: the sequential search stops at the
             # first row set that reaches the limit, its best is the first
@@ -257,24 +292,30 @@ def _complement_deficiency(
     return len(comp.cols) - decided.rank
 
 
-def _descent(tm: TransitionMatrix, rank_tol: float):
+def _descent(tm: TransitionMatrix, rank_tol: float, sym: symmetry.Symmetry | None = None):
     """The row search of every level that needs one, yielded as
     (t, value, witness, worst gap ratio) for t descending from d - 1.
 
     Nothing is yielded when _square_blocks_clear certifies that every level
-    is 0. Otherwise each level is searched with stop_at one above the value
-    at t + 1, the unit-step bound on consecutive levels, so a search ends the
-    moment it reaches that bound. Level d - 1 has no candidate (its
-    interlacing ceiling is 0), so the first bounded search is at t = d - 2
-    with stop_at 1: up to the first deficient level every search asks only
-    whether a deficient block exists, the question tau_fast asks.
+    is 0. Otherwise the searches reduce by sym, verified here
+    (symmetry.verify) when not given, and each level is searched with
+    stop_at one above the value at t + 1, the unit-step bound on
+    consecutive levels, so a search ends the moment it reaches that bound.
+    Level d - 1 has no candidate (its interlacing ceiling is 0), so the
+    first bounded search is at t = d - 2 with stop_at 1: up to the first
+    deficient level every search asks only whether a deficient block
+    exists, the question tau_fast asks.
     """
     if _square_blocks_clear(tm, rank_tol):
         return
+    if sym is None:
+        sym = symmetry.verify(tm.matrix, tm.residual)
     value = None
     for t in range(tm.dim - 1, -1, -1):
         stop_at = None if value is None else value + 1
-        value, sel, gap = _max_row_deficiency(tm.matrix, t, stop_at=stop_at, rank_tol=rank_tol)
+        value, sel, gap = _max_row_deficiency(
+            tm.matrix, t, stop_at=stop_at, rank_tol=rank_tol, sym=sym
+        )
         yield t, value, sel, gap
 
 
@@ -309,14 +350,16 @@ def deficiency_profile(
 ) -> DeficiencyProfile:
     """Compute every level, tau, chi, and per-level witnesses from _descent;
     a level it does not search is 0, and the witnesses and worst_gap_ratio
-    are those of its searches."""
+    are those of its searches. The symmetry is verified up front, so the
+    profile reports it whether or not the level-0 step decides the input."""
     check_tolerance("rank_tol", rank_tol)
     d = tm.dim
     row_vals = [0] * d
     col_vals = [0] * d
     witnesses: list[Optional[DeficiencyWitness]] = [None] * d
     worst = 0.0
-    for t, value, sel, gap in _descent(tm, rank_tol):
+    sym = symmetry.verify(tm.matrix, tm.residual)
+    for t, value, sel, gap in _descent(tm, rank_tol, sym):
         col = _complement_deficiency(tm.matrix, sel, rank_tol)
         row_vals[t], col_vals[t] = value, col
         worst = max(worst, gap)
@@ -337,6 +380,8 @@ def deficiency_profile(
         chi=d - tau,
         witnesses=tuple(witnesses),
         worst_gap_ratio=worst,
+        row_group_order=sym.row_order,
+        column_translations=sym.column_translations,
     )
 
 

@@ -206,6 +206,10 @@ def report_json_dict(report: AnalysisReport) -> dict:
             "witnesses": witnesses,
             "worst_gap_ratio": profile.worst_gap_ratio,
         },
+        "symmetry": {
+            "row_group_order": profile.row_group_order,
+            "column_translations": profile.column_translations,
+        },
         "fragile": report.fragile,
         "checks": report.checks,
     }
@@ -251,6 +255,10 @@ def render_text(report: AnalysisReport) -> str:
         )
     else:
         lines.append(f"minimal support uncertainty: skipped ({report.support_skipped})")
+    lines.append(
+        f"search symmetry: row group of order {profile.row_group_order}, column translations "
+        + ("used" if profile.column_translations else "unused")
+    )
     lines.append(f"worst rank gap ratio: {profile.worst_gap_ratio:.3e}"
                  + ("  [FRAGILE]" if report.fragile else ""))
     lines.append("checks:")

@@ -1,0 +1,186 @@
+"""Verified monomial symmetries of a transition matrix, for the level search.
+
+A pair of permutations (pi, sigma) of range(d) is a monomial symmetry of U
+when U[pi(j), sigma(k)] = alpha_j beta_k U[j, k] with |alpha_j| = |beta_k| =
+1. It sends the block U[R, C] to U[pi(R), sigma(C)], which is diag(alpha_R)
+U[R, C] diag(beta_C) with its rows and columns reordered, so the two blocks
+have the same singular values and the same rank decisions. The DFT, and any
+diag(a) F diag(b) with unit-modulus a and b, has three kinds:
+
+- the column translation k -> k + 1 (pi = id, alpha_j = w^j);
+- the row translation j -> j + 1 (sigma = id, beta_k = w^k);
+- for each unit u of Z_d, j -> u j with k -> u^-1 k (alpha = beta = 1).
+
+verify proposes them, for a set of units that generates the units mod d,
+and keeps only those that hold on the matrix itself, so a loaded DFT file
+is reduced too and a perturbed one is not. The verified maps generate the
+row group, the affine maps j -> u j + a their pi generate, and the column
+group, the translations when the column translation (the one map with pi =
+id) holds. The level search then decides only the row sets that are lexicographically least in their
+orbit under the row group and, for each, only the column sets least under
+the column group; deficiency._max_row_deficiency has the proof that this
+keeps its values and witnesses.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections.abc import Iterator
+from dataclasses import dataclass
+
+import numpy as np
+
+from .rank import BATCH_ENTRIES
+
+
+@dataclass(frozen=True, eq=False)
+class Symmetry:
+    """The row group and the column translations' group the level search
+    may use, each as an array of permutations of range(d), one per row."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def row_order(self) -> int:
+        return len(self.rows)
+
+    @property
+    def column_translations(self) -> bool:
+        return len(self.cols) > 1
+
+    def least_rows(self, row_sets: Iterator, m: int) -> Iterator:
+        """The row sets of the ordered iterable (each of size m) that are
+        least in their orbit, taken lazily a chunk at a time, in order."""
+        if self.row_order == 1:
+            yield from row_sets
+            return
+        it = iter(row_sets)
+        step = max(1, BATCH_ENTRIES // (self.row_order * m))
+        while chunk := list(itertools.islice(it, step)):
+            sets = np.array(chunk)
+            yield from sets[orbit_least(sets, self.rows)]
+
+    def least_cols(self, col_sets: np.ndarray) -> np.ndarray:
+        """The column sets least in their orbit under the column group."""
+        return col_sets if len(self.cols) == 1 else col_sets[orbit_least(col_sets, self.cols)]
+
+
+def trivial(d: int) -> Symmetry:
+    """The symmetry that reduces nothing."""
+    ident = np.arange(d)[None]
+    return Symmetry(ident, ident)
+
+
+def orbit_least(sets: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Mask of the rows of sets (increasing index tuples of one size) that
+    are lexicographically least in their orbit under the permutation group.
+
+    Among sets of one size, R precedes R' lexicographically exactly when the
+    least element of their symmetric difference is in R, that is, when R's
+    bitmask code sum_j 2^(d - 1 - j) is larger. A set is least in its orbit
+    when no image has a larger code. Images are coded a chunk of at most
+    BATCH_ENTRIES indices at a time."""
+    d = group.shape[1]
+    weight = np.left_shift(1, np.arange(d - 1, -1, -1), dtype=np.int64)
+    step = max(1, BATCH_ENTRIES // (len(group) * sets.shape[1]))
+    top = [
+        weight[group[:, sets[i : i + step]]].sum(axis=2).max(axis=0)
+        for i in range(0, len(sets), step)
+    ]
+    return weight[sets].sum(axis=1) == np.concatenate(top)
+
+
+def one_batch(n_rows: int, n_cols: int, m: int, c: int, d: int) -> bool:
+    """Whether rank.batch_ranks decides this grid of m x c blocks of a d x d
+    matrix in a single batch, where no reduction can save a call."""
+    return n_rows * max(n_cols * m * c, d * d) <= BATCH_ENTRIES
+
+
+def verify(a: np.ndarray, residual: float) -> Symmetry:
+    """The symmetries proposed in the module docstring that hold on a.
+
+    All proposals are gathered as one stack V[g, j, k] = a[pi_g(j),
+    sigma_g(k)]. Where a map holds, V conj(a) = alpha_j beta_k |a_jk|^2, so
+    beta is the phase of that ratio along the row j0 whose smallest entry is
+    largest (alpha_j0 = 1), and alpha the phase of its sum along each row
+    against conj(beta); a zero ratio gives phase 1. A map is kept when
+
+        max_jk |V_jk - alpha_j beta_k a_jk| <= delta = 32 d eps (1 + d r),
+
+    r the residual; the DFT's own construction error is under 2 d eps.
+
+    How far a verified map moves a singular value. The computed phases are
+    within 2 eps of unit modulus, so with exact unit phases each kept map
+    holds within delta + 4 eps. Composing two maps adds their entry errors,
+    an inverse has its map's, and every element j -> u j + b of the row
+    group is a word of fewer than d kept maps and their inverses: at most
+    d / 2 translations, and each unit generator to a power at most half its
+    index over the subgroup of the ones before it, phi(d) / 2 in all. So
+    every element has U[pi(R), sigma(C)] = P (D_alpha U[R, C] D_beta + E) Q,
+    with permutations P, Q, unit phases and |E_jk| < d (delta + 4 eps),
+    about 32 d^2 eps (1 + d r), the rounding allowance of
+    support._square_level_clear. Then ||E||_2 <= ||E||_F <= sqrt(m c) max
+    |E_jk|: each singular value of an m x c block moves by less than d^2
+    (delta + 4 eps), about 32 d^3 eps (1 + d r), the coherence cap's
+    rounding slack. The blocks of one orbit can therefore be decided
+    differently only where a singular value lies that close to the
+    threshold, where the unreduced search's own decision is set by rounding.
+
+    Codes are int64 bitmasks, so for d > 62, and where every grid of the
+    level search fits in one batch (one_batch; d <= 6), nothing is proposed.
+    """
+    d = a.shape[0]
+    if d > 62 or all(
+        one_batch(math.comb(d, m), math.comb(d, c), m, c, d)
+        for m in range(1, d)
+        for c in range(m, d)
+    ):
+        return trivial(d)
+    ident = np.arange(d)
+    shift = (ident + 1) % d
+    units = _unit_generators(d)
+    maps = [(ident, shift), (shift, ident)] + [
+        (u * ident % d, pow(u, -1, d) * ident % d) for u in units
+    ]
+    pi = np.array([p for p, _ in maps])
+    sigma = np.array([s for _, s in maps])
+    v = a[pi[:, :, None], sigma[:, None, :]]
+    ratio = v * a.conj()
+    beta = _phase(ratio[:, int(np.abs(a).min(axis=1).argmax()), :])
+    alpha = _phase((ratio * beta[:, None, :].conj()).sum(axis=2))
+    err = np.abs(v - alpha[:, :, None] * beta[:, None, :] * a).max(axis=(1, 2))
+    col_shift, row_shift, *unit_ok = err <= 32 * d * np.finfo(float).eps * (1 + d * residual)
+    # The maps j -> u j + a, u in the verified units' subgroup, a in Z_d
+    # when the row translation holds and a = 0 otherwise.
+    dilations = np.array(_subgroup([u for u, ok in zip(units, unit_ok) if ok], d))
+    offsets = ident if row_shift else ident[:1]
+    rows = (np.outer(dilations, ident)[:, None, :] + offsets[None, :, None]) % d
+    cols = (ident[:, None] + ident) % d if col_shift else ident[None]
+    return Symmetry(rows.reshape(-1, d), cols)
+
+
+def _phase(z: np.ndarray) -> np.ndarray:
+    size = np.abs(z)
+    return np.divide(z, size, out=np.ones_like(z), where=size > 0)
+
+
+def _subgroup(gens: list[int], d: int) -> list[int]:
+    """The units mod d that the units gens generate, in increasing order."""
+    group = {1}
+    for u in gens:
+        group = {h * pow(u, k, d) % d for h in group for k in range(d)}
+    return sorted(group)
+
+
+def _unit_generators(d: int) -> list[int]:
+    """Units 1 < u < d that generate the units mod d, each outside the
+    subgroup the ones before it generate."""
+    gens: list[int] = []
+    reached = {1}
+    for u in range(2, d):
+        if math.gcd(u, d) == 1 and u not in reached:
+            gens.append(u)
+            reached = set(_subgroup(gens, d))
+    return gens

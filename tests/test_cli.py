@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import incompat.cli
 import incompat.report
 from incompat import dft_matrix, min_support_uncertainty, save_matrix
-from incompat.cli import main
+from incompat.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +56,24 @@ class TestAnalyze:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv,order,translations",
+        [
+            (("--family", "dft", "--dim", "12"), 48, True),
+            (("--family", "dft", "--dim", "6"), 1, False),
+            (("--family", "random", "--dim", "9", "--seed", "1"), 1, False),
+        ],
+    )
+    def test_report_names_the_search_symmetry(self, capsys, argv, order, translations):
+        code, out, _ = run_cli(capsys, "analyze", *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["symmetry"] == {
+            "row_group_order": order, "column_translations": translations,
+        }
+        code, out, _ = run_cli(capsys, "analyze", *argv)
+        used = "used" if translations else "unused"
+        assert f"search symmetry: row group of order {order}, column translations {used}" in out
 
     def test_json_report_omits_timings(self, capsys):
         _, out, _ = run_cli(capsys, "analyze", "--family", "identity", "--dim", "3", "--json")
@@ -394,3 +413,39 @@ class TestDeterministicOutputs:
                     "--seed", "5", "--output", str(p))
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_parser_built_once_leaks_no_option(self, capsys, monkeypatch, tmp_path):
+        # One parser serves every call of main in a process; each call must
+        # read exactly what a fresh parser reads, whatever ran before it.
+        assert build_parser() is build_parser()
+        calls = [
+            ("analyze", "--family", "dft", "--dim", "6", "--json", "--verify"),
+            ("analyze", "--family", "dft", "--dim", "6", "--json"),
+            ("analyze", "--family", "random", "--dim", "4", "--seed", "3", "--json",
+             "--rank-tol", "1e-6", "--verify", "--support-cap", "5"),
+            ("profile-curve", "--family", "identity", "--dim", "4", "--output", "-"),
+            ("analyze", "--family", "random", "--dim", "4", "--json"),
+            ("analyze", "--family", "identity", "--dim", "4"),
+        ]
+
+        def results():
+            out = []
+            for argv in calls:
+                assert vars(build_parser().parse_args(argv)) == vars(
+                    build_parser.__wrapped__().parse_args(argv)
+                )
+                code, text, err = run_cli(capsys, *argv)
+                out.append((code, [l for l in text.splitlines() if not l.startswith("timings:")],
+                            err))
+            return out
+
+        cached = results()
+        with monkeypatch.context() as patch:
+            patch.setattr(incompat.cli, "build_parser", build_parser.__wrapped__)
+            fresh = results()
+        assert cached == fresh
+        docs = [json.loads("\n".join(text)) for _, text, _ in cached[:3]]
+        assert "support_matches_deficiency" in docs[0]["checks"]
+        assert "support_matches_deficiency" not in docs[1]["checks"]
+        assert docs[2]["tolerances"]["rank_tol"] == 1e-6
+        assert json.loads("\n".join(cached[4][1]))["tolerances"]["rank_tol"] == 1e-10

@@ -1,0 +1,191 @@
+"""The symmetry-reduced level search against the unreduced one.
+
+The unreduced search is the same code with symmetry.verify replaced by one
+that verifies nothing, so every row set and column set is decided.
+"""
+
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import incompat.deficiency
+import incompat.symmetry
+from incompat import deficiency_profile, dft_matrix, from_array, identity, random_unitary, tau_fast
+from incompat.rank import batch_ranks
+from incompat.symmetry import orbit_least, trivial, verify
+from test_rank import _perturbed_dft
+
+REDUCED_FIELDS = ("row_group_order", "column_translations", "worst_gap_ratio")
+
+
+def unreduced(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(incompat.symmetry, "verify", lambda a, residual: trivial(a.shape[0]))
+        return run()
+
+
+def outputs(profile):
+    """Every profile field the reduction must leave as it is."""
+    return [
+        getattr(profile, f.name)
+        for f in dataclasses.fields(profile)
+        if f.name not in REDUCED_FIELDS
+    ]
+
+
+def affine_order(d):
+    return d * sum(math.gcd(u, d) == 1 for u in range(d))
+
+
+def random_phases(rng, d):
+    return np.exp(2j * np.pi * rng.random(d))
+
+
+class TestReducedSearch:
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4])
+    def test_dft_outputs_equal_the_unreduced_search(self, rank_tol, monkeypatch):
+        for d in range(2, 13):
+            tm = dft_matrix(d)
+            got = deficiency_profile(tm, rank_tol=rank_tol)
+            want = unreduced(monkeypatch, lambda: deficiency_profile(tm, rank_tol=rank_tol))
+            assert outputs(got) == outputs(want)
+            assert got.worst_gap_ratio <= want.worst_gap_ratio
+            tau = tau_fast(tm, rank_tol=rank_tol)
+            assert tau == got.tau == unreduced(monkeypatch, lambda: tau_fast(tm, rank_tol=rank_tol))
+            # Every grid of d <= 6 fits one batch: nothing is verified there.
+            assert got.row_group_order == (affine_order(d) if d > 6 else 1)
+            assert got.column_translations == (d > 6)
+
+    def test_phase_scaled_dft_keeps_the_dft_witnesses(self):
+        rng = np.random.default_rng(5)
+        for d in (8, 9, 10, 12):
+            f = dft_matrix(d)
+            tm = from_array(random_phases(rng, d)[:, None] * f.matrix * random_phases(rng, d))
+            got, want = deficiency_profile(tm), deficiency_profile(f)
+            assert (got.row_group_order, got.column_translations) == (affine_order(d), True)
+            assert got.r_values == want.r_values
+            assert got.witnesses == want.witnesses
+            assert tau_fast(tm) == want.tau
+
+    @pytest.mark.parametrize(
+        "tm,rank_tol",
+        [
+            (_perturbed_dft(12, 1e-9, 12), 1e-6),
+            (_perturbed_dft(8, 1e-9, 0), 1e-10),
+            (random_unitary(9, 2), 1e-10),
+            (identity(7), 1e-10),
+            (identity(9), 1e-10),
+        ],
+        ids=["perturbed_dft12", "perturbed_dft8", "haar9", "identity7", "identity9"],
+    )
+    def test_no_map_verified_outputs_bitwise_equal(self, tm, rank_tol, monkeypatch):
+        got = deficiency_profile(tm, rank_tol=rank_tol)
+        want = unreduced(monkeypatch, lambda: deficiency_profile(tm, rank_tol=rank_tol))
+        assert (got.row_group_order, got.column_translations) == (1, False)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert tau_fast(tm, rank_tol=rank_tol) == want.tau
+
+    def test_identity_eight_keeps_its_unit_maps(self, monkeypatch):
+        # Every unit u mod 8 has u^2 = 1, so j -> u j, k -> u^-1 k = u k
+        # maps the identity to itself: a genuine symmetry, verified.
+        tm = identity(8)
+        got = deficiency_profile(tm)
+        want = unreduced(monkeypatch, lambda: deficiency_profile(tm))
+        assert (got.row_group_order, got.column_translations) == (4, False)
+        assert outputs(got) == outputs(want)
+        assert got.worst_gap_ratio <= want.worst_gap_ratio
+
+    def test_reduced_search_decides_fewer_blocks(self, monkeypatch):
+        blocks = []
+
+        def counted(a, row_sets, col_sets, threshold):
+            for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold):
+                blocks[-1] += ranks.size
+                yield rows, ranks, gaps
+
+        monkeypatch.setattr(incompat.deficiency, "batch_ranks", counted)
+        tm = dft_matrix(12)
+        blocks.append(0)
+        assert tau_fast(tm) == 5
+        blocks.append(0)
+        assert unreduced(monkeypatch, lambda: tau_fast(tm)) == 5
+        assert 0 < 10 * blocks[0] < blocks[1]
+
+    def test_scaled_dft_verifies(self):
+        # A real scale factor changes no phase ratio: the maps hold exactly.
+        tm = from_array(dft_matrix(9).matrix * (1 + 1e-9))
+        sym = verify(tm.matrix, tm.residual)
+        assert (sym.row_order, sym.column_translations) == (54, True)
+
+    def test_one_entry_off_breaks_the_maps_through_it(self):
+        a = dft_matrix(8).matrix.copy()
+        a[3, 5] *= np.exp(1e-9j)
+        sym = verify(a, 0.0)
+        assert (sym.row_order, sym.column_translations) == (1, False)
+
+    @pytest.mark.parametrize("d", [7, 8, 9, 12])
+    def test_row_group_is_the_affine_group(self, d):
+        sym = verify(dft_matrix(d).matrix, 0.0)
+        perms = {tuple(p) for p in sym.rows}
+        assert perms == {tuple((u * j + b) % d for j in range(d))
+                         for u in range(1, d) if math.gcd(u, d) == 1 for b in range(d)}
+        assert {tuple(p) for p in sym.cols} == {tuple((j + b) % d for j in range(d))
+                                                 for b in range(d)}
+
+
+def brute_orbit_least(sets, gens):
+    """Whether each set is least in its orbit, by closing the orbit under gens."""
+    least = []
+    for s in sets:
+        orbit, frontier = {tuple(s)}, [tuple(s)]
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for g in gens:
+                    y = tuple(sorted(int(g[i]) for i in x))
+                    if y not in orbit:
+                        orbit.add(y)
+                        fresh.append(y)
+            frontier = fresh
+        least.append(min(orbit) == tuple(s))
+    return np.array(least)
+
+
+def affine_group(d, units, shift):
+    ident = np.arange(d)
+    offsets = ident if shift else ident[:1]
+    dilations = incompat.symmetry._subgroup(units, d)
+    return np.array([(u * ident + b) % d for u in dilations for b in offsets])
+
+
+@given(
+    st.integers(2, 10),
+    st.integers(1, 10),
+    st.booleans(),
+    st.lists(st.integers(2, 9), max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_orbit_least_matches_brute_force(d, m, shift, picks):
+    m = min(m, d)
+    units = [u for u in picks if u < d and math.gcd(u, d) == 1]
+    group = affine_group(d, units, shift)
+    ident = np.arange(d)
+    gens = [(ident + 1) % d] if shift else []
+    gens += [u * ident % d for u in units]
+    sets = np.array(list(itertools.combinations(range(d), m)))
+    assert np.array_equal(orbit_least(sets, group), brute_orbit_least(sets, gens or [ident]))
+
+
+@pytest.mark.parametrize("d,m", [(8, 3), (12, 3), (12, 8)])
+def test_least_rows_are_taken_in_order(d, m):
+    sym = verify(dft_matrix(d).matrix, 0.0)
+    sets = np.array(list(itertools.combinations(range(d), m)))
+    want = sets[orbit_least(sets, sym.rows)]
+    got = np.array(list(sym.least_rows(itertools.combinations(range(d), m), m)))
+    assert np.array_equal(got, want)
+    assert np.array_equal(sym.least_cols(sets), sets[orbit_least(sets, sym.cols)])
