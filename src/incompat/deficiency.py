@@ -322,9 +322,13 @@ def _descent(tm: TransitionMatrix, rank_tol: float, sym: symmetry.Symmetry | Non
 def r_row(
     tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> tuple[int, Optional[SubmatrixSelector]]:
-    """Level-t row deficiency with the first maximizing selector."""
+    """Level-t row deficiency with the first maximizing selector. Like r_col
+    and r_t it searches one row set per orbit of the verified symmetry,
+    which leaves both unchanged (see _max_row_deficiency)."""
     _check_level(tm.dim, t, rank_tol)
-    value, sel, _ = _max_row_deficiency(tm.matrix, t, rank_tol=rank_tol)
+    value, sel, _ = _max_row_deficiency(
+        tm.matrix, t, rank_tol=rank_tol, sym=symmetry.verify(tm.matrix, tm.residual)
+    )
     return value, sel
 
 
@@ -333,7 +337,9 @@ def r_col(
 ) -> tuple[int, Optional[SubmatrixSelector]]:
     """Level-t column deficiency with the complement of r_row's witness."""
     _check_level(tm.dim, t, rank_tol)
-    _, sel, _ = _max_row_deficiency(tm.matrix, t, rank_tol=rank_tol)
+    _, sel, _ = _max_row_deficiency(
+        tm.matrix, t, rank_tol=rank_tol, sym=symmetry.verify(tm.matrix, tm.residual)
+    )
     value = _complement_deficiency(tm.matrix, sel, rank_tol)
     return value, sel.complement(tm.dim) if sel is not None else None
 
@@ -341,7 +347,9 @@ def r_col(
 def r_t(tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Level-t deficiency: the larger of the row and column values."""
     _check_level(tm.dim, t, rank_tol)
-    value, sel, _ = _max_row_deficiency(tm.matrix, t, rank_tol=rank_tol)
+    value, sel, _ = _max_row_deficiency(
+        tm.matrix, t, rank_tol=rank_tol, sym=symmetry.verify(tm.matrix, tm.residual)
+    )
     return max(value, _complement_deficiency(tm.matrix, sel, rank_tol))
 
 

@@ -27,16 +27,17 @@ The two square steps, the level search's level 0 and the subset search's
 square level, ask one question: is every m x m block full rank, for m up to
 some size, each size at its own threshold? squares_full_rank answers it. It
 walks the prefix tree of row sets depth first and gets each block's minor
-from the minors of its row prefix by Laplace expansion, m terms per block
-against O(m^3) for a Gram matrix or an SVD. Since every singular value of a
-block is at most ||a||_2, sigma_min >= |det| / ||a||_2^(m-1), so a block
-whose minor clears the threshold by a proven rounding bound is certified
-from the minor alone; every other block goes to batch_ranks, so the answer
-is batch_ranks's over every block.
+from its row prefix's by Laplace expansion, m gathered multiply-adds per
+block against O(m^3) for a Gram matrix or an SVD. Since every singular
+value of a block is at most ||a||_2, sigma_min >= |det| / ||a||_2^(m-1), so
+a block whose minor clears the threshold by a proven rounding bound is
+certified from the minor alone; every other block goes to batch_ranks, so
+the answer is batch_ranks's over every block.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator
@@ -162,9 +163,9 @@ def squares_full_rank(
     The minors come from _square_minors, an expansion of m terms per block
     in the minors of its row prefix, and a block is certified full rank from
     its minor alone. Every block that is not certified goes to batch_ranks
-    at its size's threshold, in two grids per chunk of row sets: the first
+    at its size's threshold, in two grids per slice of row sets: the first
     row set with an uncertified block times the column sets of its
-    uncertified blocks, then the chunk's other such row sets times the
+    uncertified blocks, then the slice's other such row sets times the
     column sets of any of theirs. The walk stops at the first grid with a
     deficient block. So the result is exactly that of batch_ranks over
     every block.
@@ -185,9 +186,8 @@ def squares_full_rank(
     N^(m-1) + E_(m-1). Their errors add at most sqrt(m) N E_(m-1). The dot
     product itself, in any order and with or without fused multiply-adds,
     is within (m + 2) eps / sqrt(2) < 4 m eps of sum |x_k| |y_k| of exact,
-    plus 2 m eta from underflow, eta the smallest subnormal; the d - m
-    exact zero terms of the matrix product that computes it change neither
-    its value nor its rounding. So
+    plus 2 m eta from underflow, eta the smallest subnormal; _square_minors
+    sums the m products in order, each sign exact. So
 
         E_m = sqrt(m) N ((1 + 4 m eps) E_(m-1) + 4 m eps N^(m-1)) + 4 m eta.
 
@@ -248,6 +248,22 @@ def _minor_bounds(
     return bounds
 
 
+@functools.lru_cache(maxsize=32)
+def _colex_tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-subsets of range(d) in colex order, one per column, and drop[k,
+    i], the colex rank of set i less its k-th entry; read-only and shared."""
+    pascal = np.array([[math.comb(n, k) for k in range(m + 1)] for n in range(d)])
+    # The m-sets in colex order are the lexicographic ones reversed (flat,
+    # so each set's entries too) and mirrored by c -> d - 1 - c.
+    combos = itertools.chain.from_iterable(itertools.combinations(range(d), m))
+    cols = (d - 1 - np.fromiter(combos, dtype=np.intp)[::-1]).reshape(-1, m).T.copy()
+    keep = pascal[cols, np.arange(1, m + 1)[:, None]]
+    down = np.cumsum(pascal[cols, np.arange(m)[:, None]], axis=0)
+    drop = np.cumsum(keep, axis=0) - keep + down[-1] - down
+    cols.flags.writeable = drop.flags.writeable = False
+    return cols, drop
+
+
 def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
     """Every m x m minor of the d x d matrix a, m = 1..top (with
     row_0_at_top, at m = top only those on row sets that hold row 0).
@@ -257,77 +273,60 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
 
         det a[R, C] = sum_k (-1)^(m-1+k) a[r_m, c_k] det a[R', C - c_k],
 
-    m terms per block. The column sets of each size are in colex
-    order, where C - c_k has rank sum_{i<k} comb(c_i, i + 1) + sum_{i>k}
-    comb(c_i, i). The walk is depth first over chunks of sibling row sets,
-    each with its minors over all column sets. A chunk's children are
-    computed together and yielded as (rows, cols, minors): rows the array of
-    the children's row sets, cols the column sets of their size, and
-    minors[i, j] = det a[rows[i], cols[j]]. For each chunk and slice of
-    column sets the parents' minors, with their signs, are scattered into a
-    d x |slice| matrix per parent, zero off each column set's m columns,
-    and one matrix product with the rows of a gives the children's minors:
-    the m terms of each expansion, and exact zeros. Each scatter and product
-    holds at most BATCH_ENTRIES entries, unless one parent's d x 1 alone is
-    larger, so the live memory is about one chunk's children per depth,
-    whatever the number of row sets. The index tables are built when the
-    walk first reaches a depth, and only for that call.
+    m terms per block. The column sets of each size are in colex order,
+    where C - c_k has rank sum_{i<k} comb(c_i, i + 1) + sum_{i>k} comb(c_i,
+    i) (_colex_tables). The walk is depth first over a stack of frames,
+    each a chunk of row sets of one size with their minors over all column
+    sets and a cursor into the chunk's (row set, new row) pairs, in
+    lexicographic order. Each step takes the top frame's next slice of
+    pairs, as many as have at most BATCH_ENTRIES minors (one if its column
+    sets alone are more), computes their minors as m gathered
+    multiply-adds, yields them as (rows, cols, minors) with minors[i, j] =
+    det a[rows[i], cols[j]], and pushes them as the next frame. So each
+    size's row sets come in lexicographic order, and each depth holds one
+    chunk: about (top + 3) BATCH_ENTRIES entries live, whatever the number
+    of row sets, besides the tables, which are fetched before any chunk is.
     """
     d = a.shape[0]
-    pascal = np.array([[math.comb(n, k) for k in range(top + 1)] for n in range(d)])
-    tables = [None]
+    tables = [_colex_tables(d, m) for m in range(1, top + 1)]
+    work = np.empty((2, max(BATCH_ENTRIES, math.comb(d, min(top, d // 2)))), dtype=complex)
+    stack = []
 
-    def table(m):
-        if len(tables) == m:
-            # The m-sets in colex order are the lexicographic ones reversed
-            # (flat, so each set's entries too) and mirrored by c -> d - 1 - c.
-            combos = itertools.chain.from_iterable(itertools.combinations(range(d), m))
-            cols = d - 1 - np.fromiter(combos, dtype=np.intp)[::-1].reshape(-1, m)
-            keep = pascal[cols, np.arange(1, m + 1)]
-            down = pascal[cols, np.arange(m)]
-            drop = np.cumsum(keep, axis=1) - keep
-            drop += np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down
-            sign = np.where((m - 1 + np.arange(m)) % 2, -1.0, 1.0)
-            # Where each parent minor goes in a d x step matrix per slice.
-            step = min(len(cols), max(1, BATCH_ENTRIES // d))
-            spot = cols * step + (np.arange(len(cols)) % step)[:, None]
-            tables.append((cols, drop, sign, step, spot))
-        return tables[m]
-
-    stack = [(np.zeros((1, 0), dtype=np.intp), np.ones((1, 1), dtype=complex))][:top]
-    while stack:
-        rows, minors = stack.pop()
+    def push(rows, minors):
         m = rows.shape[1] + 1
         kids = np.arange(d) > (rows[:, -1:] if m > 1 else np.full((1, 1), -1))
         if m == top and row_0_at_top:
             kids &= (np.arange(d) == 0) if m == 1 else (rows[:, :1] == 0)
         parent, new = np.nonzero(kids)
-        if not parent.size:
-            continue
-        cols, drop, sign, step, spot = table(m)
-        n_rows, n_cols = len(rows), len(cols)
-        first = int(new.min())
-        x = a[first : int(new.max()) + 1]
-        offset = (np.arange(n_rows) * (d * step))[:, None, None]
-        child = np.empty((len(parent), n_cols), dtype=complex)
-        for j in range(0, n_cols, step):
-            part = slice(j, j + step)
-            y = np.zeros((n_rows, d, step), dtype=complex)
-            terms = minors[:, drop[part]]
-            terms *= sign
-            y.reshape(-1)[spot[part] + offset] = terms
-            product = x @ y[:, :, : len(cols[part])]
-            child[:, part] = product[0] if n_rows == 1 else product[parent, new - first]
-        kid_rows = np.column_stack([rows[parent], new])
-        yield kid_rows, cols, child
+        if parent.size and m <= top:
+            stack.append([rows, minors, parent, new, 0])
+
+    push(np.zeros((1, 0), dtype=np.intp), np.ones((1, 1), dtype=complex))
+    while stack:
+        frame = stack[-1]
+        rows, minors, parent, new, start = frame
+        m = rows.shape[1] + 1
+        cols, drop = tables[m - 1]
+        stop = frame[4] = start + max(1, BATCH_ENTRIES // cols.shape[1])
+        if stop >= len(parent):
+            stack.pop()
+        p, r = parent[start:stop], new[start:stop]
+        # The first term's sign goes on the rows of a, the others alternate.
+        x, y = (a[r] if m % 2 else -a[r]), minors[p]
+        child = np.empty((len(p), cols.shape[1]), dtype=complex)
+        terms, factors = (w[: child.size].reshape(child.shape) for w in work)
+        np.take(y, drop[0], axis=1, out=child, mode="clip")
+        np.take(x, cols[0], axis=1, out=factors, mode="clip")
+        child *= factors
+        for k in range(1, m):
+            np.take(y, drop[k], axis=1, out=terms, mode="clip")
+            np.take(x, cols[k], axis=1, out=factors, mode="clip")
+            terms *= factors
+            (np.subtract if k % 2 else np.add)(child, terms, out=child)
+        kid_rows = np.column_stack([rows[p], r])
+        yield kid_rows, cols.T, child
         if m < top:
-            # Row sets ending in row d - 1 have no children; one parent's
-            # is its last child, so a view drops it.
-            more = slice(-1) if n_rows == 1 else new < d - 1
-            kid_rows, child = kid_rows[more], child[more]
-            size = max(1, BATCH_ENTRIES // (d * max(n_cols, math.comb(d, m + 1))))
-            for i in reversed(range(0, len(kid_rows), size)):
-                stack.append((kid_rows[i : i + size], child[i : i + size]))
+            push(kid_rows, child)
 
 
 def _certified_full_rank(

@@ -35,6 +35,7 @@ from incompat.rank import (
     DEFAULT_ZERO_THRESHOLD,
     FRAGILE_GAP_RATIO,
     _certified_full_rank,
+    _colex_tables,
     _minor_bounds,
     _square_minors,
     batch_ranks,
@@ -509,6 +510,21 @@ SCALED = [_scaled(_tilt(7e-4), 2.0)] + [
 ]
 
 
+def _walk_by_size(a, top, row_0_at_top):
+    """{m: (rows, cols, minors)} of _square_minors, each size's yields joined;
+    every yield of a size gives its column sets as a view of the cached
+    table."""
+    sizes = {}
+    for rows, cols, minors in _square_minors(a, top, row_0_at_top):
+        m = cols.shape[1]
+        assert cols.base is _colex_tables(a.shape[0], m)[0]
+        sizes.setdefault(m, []).append((rows, cols, minors))
+    return {
+        m: (np.concatenate([p[0] for p in parts]), parts[0][1], np.concatenate([p[2] for p in parts]))
+        for m, parts in sorted(sizes.items())
+    }
+
+
 class TestSquareMinors:
     """The minor certificate of squares_full_rank and the walk behind it."""
 
@@ -572,26 +588,32 @@ class TestSquareMinors:
     @pytest.mark.parametrize("budget", [1, 7, 40, 2**12])
     @pytest.mark.parametrize("row_0_at_top", [False, True])
     def test_walk_yields_every_minor_once(self, monkeypatch, budget, row_0_at_top):
-        monkeypatch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
-        rng = np.random.default_rng(budget)
-        d, top = 6, 4
-        a = _random_complex(rng, d, d)
-        seen = {}
-        for rows, cols, minors in _square_minors(a, top, row_0_at_top):
-            for i, j in itertools.product(range(len(rows)), range(len(cols))):
-                key = (tuple(rows[i].tolist()), tuple(cols[j].tolist()))
-                assert key not in seen
-                seen[key] = minors[i, j]
-        want = {
-            (r, c)
-            for m in range(1, top + 1)
-            for r in itertools.combinations(range(d), m)
-            for c in itertools.combinations(range(d), m)
-            if not (row_0_at_top and m == top and r[0] > 0)
-        }
-        assert set(seen) == want
-        for (r, c), minor in seen.items():
-            assert abs(minor - np.linalg.det(a[np.ix_(r, c)])) <= 1e-12 * 2 ** len(r)
+        # Every minor once, each size's row sets in lexicographic order, the
+        # same output as at the default budget, and the same read-only
+        # column tables.
+        for d in (2, 5, 8):
+            a = _random_complex(np.random.default_rng(d), d, d)
+            for top in range(1, d + 1):
+                want = _walk_by_size(a, top, row_0_at_top)
+                tables = [_colex_tables(d, m) for m in range(1, top + 1)]
+                with monkeypatch.context() as patch:
+                    patch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
+                    got = _walk_by_size(a, top, row_0_at_top)
+                    again = [_colex_tables(d, m) for m in range(1, top + 1)]
+                assert all(x is y for x, y in zip(again, tables))
+                assert all(not t.flags.writeable for t in itertools.chain(*tables))
+                assert list(got) == list(range(1, top + 1))
+                for m, (rows, cols, minors) in got.items():
+                    assert all(map(np.array_equal, (rows, cols, minors), want[m]))
+                    assert [tuple(r) for r in rows.tolist()] == [
+                        r for r in itertools.combinations(range(d), m)
+                        if not (row_0_at_top and m == top and r[0] > 0)
+                    ]
+                    assert sorted(map(tuple, cols.tolist())) == list(
+                        itertools.combinations(range(d), m)
+                    )
+                    dets = np.linalg.det(a[rows[:, None, :, None], cols[None, :, None, :]])
+                    assert (np.abs(minors - dets) <= 1e-12 * 2**m).all()
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4, 1e-3])
     def test_square_steps_match_batch_ranks_over_every_block(self, rank_tol, monkeypatch):
@@ -611,8 +633,10 @@ class TestSquareMinors:
         assert got == want
         assert all(True in g and False in g for g in got)
 
-    @pytest.mark.parametrize("d", [11, 12, 13])
+    @pytest.mark.parametrize("d", [9, 10, 11, 12, 13])
     def test_memory_does_not_grow_with_the_row_sets(self, d):
+        # The walk holds one chunk per depth: about (top + 3) BATCH_ENTRIES
+        # entries, plus the column tables, whatever the number of row sets.
         tm = random_unitary(d, 0)
         tracemalloc.start()
         try:
@@ -620,4 +644,4 @@ class TestSquareMinors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2**20

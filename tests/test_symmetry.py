@@ -15,7 +15,17 @@ from hypothesis import strategies as st
 
 import incompat.deficiency
 import incompat.symmetry
-from incompat import deficiency_profile, dft_matrix, from_array, identity, random_unitary, tau_fast
+from incompat import (
+    deficiency_profile,
+    dft_matrix,
+    from_array,
+    identity,
+    r_col,
+    r_row,
+    r_t,
+    random_unitary,
+    tau_fast,
+)
 from incompat.rank import batch_ranks
 from incompat.symmetry import orbit_least, trivial, verify
 from test_rank import _perturbed_dft
@@ -60,6 +70,26 @@ class TestReducedSearch:
             # Every grid of d <= 6 fits one batch: nothing is verified there.
             assert got.row_group_order == (affine_order(d) if d > 6 else 1)
             assert got.column_translations == (d > 6)
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_level_functions_equal_the_unreduced_search(self, rank_tol, monkeypatch):
+        # r_row, r_col and r_t search with the verified symmetry too. The
+        # three make the same search at each t, so the unreduced one is run
+        # once for all three (dft(11) takes about 4 s a pass over t).
+        search = incompat.deficiency._max_row_deficiency
+        for tm in [dft_matrix(d) for d in range(2, 13)] + [random_unitary(9, 0)]:
+            for t in range(tm.dim):
+                levels = lambda: [f(tm, t, rank_tol=rank_tol) for f in (r_row, r_col, r_t)]
+                got, memo = levels(), []
+
+                def search_once(*args, **kwargs):
+                    if not memo:
+                        memo.append(search(*args, **kwargs))
+                    return memo[0]
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(incompat.deficiency, "_max_row_deficiency", search_once)
+                    assert got == unreduced(monkeypatch, levels)
 
     def test_phase_scaled_dft_keeps_the_dft_witnesses(self):
         rng = np.random.default_rng(5)
