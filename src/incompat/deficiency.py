@@ -319,12 +319,12 @@ def _descent(tm: TransitionMatrix, rank_tol: float, sym: symmetry.Symmetry | Non
         yield t, value, sel, gap
 
 
-def r_row(
-    tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL
+def _level_search(
+    tm: TransitionMatrix, t: int, rank_tol: float
 ) -> tuple[int, Optional[SubmatrixSelector]]:
-    """Level-t row deficiency with the first maximizing selector. Like r_col
-    and r_t it searches one row set per orbit of the verified symmetry,
-    which leaves both unchanged (see _max_row_deficiency)."""
+    """The level-t row search behind r_row, r_col and r_t: one row set per
+    orbit of the verified symmetry, which leaves the value and the first
+    maximizing selector unchanged (see _max_row_deficiency)."""
     _check_level(tm.dim, t, rank_tol)
     value, sel, _ = _max_row_deficiency(
         tm.matrix, t, rank_tol=rank_tol, sym=symmetry.verify(tm.matrix, tm.residual)
@@ -332,24 +332,25 @@ def r_row(
     return value, sel
 
 
+def r_row(
+    tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL
+) -> tuple[int, Optional[SubmatrixSelector]]:
+    """Level-t row deficiency with the first maximizing selector."""
+    return _level_search(tm, t, rank_tol)
+
+
 def r_col(
     tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> tuple[int, Optional[SubmatrixSelector]]:
     """Level-t column deficiency with the complement of r_row's witness."""
-    _check_level(tm.dim, t, rank_tol)
-    _, sel, _ = _max_row_deficiency(
-        tm.matrix, t, rank_tol=rank_tol, sym=symmetry.verify(tm.matrix, tm.residual)
-    )
+    _, sel = _level_search(tm, t, rank_tol)
     value = _complement_deficiency(tm.matrix, sel, rank_tol)
     return value, sel.complement(tm.dim) if sel is not None else None
 
 
 def r_t(tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Level-t deficiency: the larger of the row and column values."""
-    _check_level(tm.dim, t, rank_tol)
-    value, sel, _ = _max_row_deficiency(
-        tm.matrix, t, rank_tol=rank_tol, sym=symmetry.verify(tm.matrix, tm.residual)
-    )
+    value, sel = _level_search(tm, t, rank_tol)
     return max(value, _complement_deficiency(tm.matrix, sel, rank_tol))
 
 

@@ -61,6 +61,9 @@ DEFAULT_ZERO_THRESHOLD = 1e-8
 # Gram stack and Cholesky factor then take at most 128 KiB together; larger
 # batches save little per-call time and raise the peak memory.
 BATCH_ENTRIES = 2**12
+# The walk's colex tables of at most this many entries stay cached, at most
+# 32 (2 MiB); larger ones, from d = 12 on, are built per call.
+TABLE_CACHE_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -251,15 +254,20 @@ def _minor_bounds(
 @functools.lru_cache(maxsize=32)
 def _colex_tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-subsets of range(d) in colex order, one per column, and drop[k,
-    i], the colex rank of set i less its k-th entry; read-only and shared."""
+    i], the colex rank of set i less its k-th entry; read-only."""
     pascal = np.array([[math.comb(n, k) for k in range(m + 1)] for n in range(d)])
     # The m-sets in colex order are the lexicographic ones reversed (flat,
     # so each set's entries too) and mirrored by c -> d - 1 - c.
     combos = itertools.chain.from_iterable(itertools.combinations(range(d), m))
     cols = (d - 1 - np.fromiter(combos, dtype=np.intp)[::-1]).reshape(-1, m).T.copy()
-    keep = pascal[cols, np.arange(1, m + 1)[:, None]]
-    down = np.cumsum(pascal[cols, np.arange(m)[:, None]], axis=0)
-    drop = np.cumsum(keep, axis=0) - keep + down[-1] - down
+    # C - c_k has rank sum_{i<k} keep[i] + sum_{i>k} down[i], keep[i] =
+    # comb(c_i, i + 1) and down[i] = comb(c_i, i): cumsum(keep - down) - keep
+    # + sum(down), built in place in down, so three tables are live.
+    keep, drop = (pascal[cols, np.arange(i, m + i)[:, None]] for i in (1, 0))
+    total = drop.sum(axis=0)
+    np.cumsum(np.subtract(keep, drop, out=drop), axis=0, out=drop)
+    keep -= total
+    drop -= keep
     cols.flags.writeable = drop.flags.writeable = False
     return cols, drop
 
@@ -273,24 +281,20 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
 
         det a[R, C] = sum_k (-1)^(m-1+k) a[r_m, c_k] det a[R', C - c_k],
 
-    m terms per block. The column sets of each size are in colex order,
-    where C - c_k has rank sum_{i<k} comb(c_i, i + 1) + sum_{i>k} comb(c_i,
-    i) (_colex_tables). The walk is depth first over a stack of frames,
-    each a chunk of row sets of one size with their minors over all column
-    sets and a cursor into the chunk's (row set, new row) pairs, in
-    lexicographic order. Each step takes the top frame's next slice of
-    pairs, as many as have at most BATCH_ENTRIES minors (one if its column
-    sets alone are more), computes their minors as m gathered
-    multiply-adds, yields them as (rows, cols, minors) with minors[i, j] =
-    det a[rows[i], cols[j]], and pushes them as the next frame. So each
+    m terms per block, the column sets of each size in colex order
+    (_colex_tables). The walk is depth first over a stack of frames, each a
+    chunk of row sets of one size, their minors over all column sets and a
+    cursor into their (row set, new row) pairs in lexicographic order. Each
+    step takes the top frame's next slice of pairs, at most BATCH_ENTRIES
+    minors and parent minors (or one pair), computes their minors as m
+    gathered multiply-adds, yields them as (rows, cols, minors), minors[i,
+    j] = det a[rows[i], cols[j]], and pushes them as the next frame. So each
     size's row sets come in lexicographic order, and each depth holds one
     chunk: about (top + 3) BATCH_ENTRIES entries live, whatever the number
-    of row sets, besides the tables, which are fetched before any chunk is.
+    of row sets, besides each size's tables, fetched when first reached.
     """
     d = a.shape[0]
-    tables = [_colex_tables(d, m) for m in range(1, top + 1)]
-    work = np.empty((2, max(BATCH_ENTRIES, math.comb(d, min(top, d // 2)))), dtype=complex)
-    stack = []
+    tables, work, stack = {}, np.empty((2, BATCH_ENTRIES), dtype=complex), []
 
     def push(rows, minors):
         m = rows.shape[1] + 1
@@ -303,17 +307,21 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
 
     push(np.zeros((1, 0), dtype=np.intp), np.ones((1, 1), dtype=complex))
     while stack:
-        frame = stack[-1]
-        rows, minors, parent, new, start = frame
+        rows, minors, parent, new, start = frame = stack[-1]
         m = rows.shape[1] + 1
-        cols, drop = tables[m - 1]
-        stop = frame[4] = start + max(1, BATCH_ENTRIES // cols.shape[1])
+        if m not in tables:
+            small = m * math.comb(d, m) <= TABLE_CACHE_ENTRIES
+            tables[m] = (_colex_tables if small else _colex_tables.__wrapped__)(d, m)
+        cols, drop = tables[m]
+        stop = frame[4] = start + max(1, BATCH_ENTRIES // max(minors.shape[1], cols.shape[1]))
         if stop >= len(parent):
             stack.pop()
         p, r = parent[start:stop], new[start:stop]
         # The first term's sign goes on the rows of a, the others alternate.
         x, y = (a[r] if m % 2 else -a[r]), minors[p]
         child = np.empty((len(p), cols.shape[1]), dtype=complex)
+        if work.shape[1] < child.size:
+            work = np.empty((2, child.size), dtype=complex)
         terms, factors = (w[: child.size].reshape(child.shape) for w in work)
         np.take(y, drop[0], axis=1, out=child, mode="clip")
         np.take(x, cols[0], axis=1, out=factors, mode="clip")

@@ -34,6 +34,7 @@ from incompat import (
 from incompat.rank import (
     DEFAULT_ZERO_THRESHOLD,
     FRAGILE_GAP_RATIO,
+    TABLE_CACHE_ENTRIES,
     _certified_full_rank,
     _colex_tables,
     _minor_bounds,
@@ -645,3 +646,29 @@ class TestSquareMinors:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_early_decline_builds_only_the_sizes_it_reaches(self):
+        # identity(40) declines at size 1: no table of a larger size (the
+        # size 20 one alone would be C(40, 20) x 20 entries) and no work
+        # buffer beyond what size 1 uses is built.
+        tracemalloc.start()
+        try:
+            assert tau_fast(identity(40)) == 38
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_only_small_tables_stay_cached(self):
+        # The first yield of each size up to 7 at d = 14: the tables of sizes
+        # 1..4 (at most 4004 entries) are cached, those of 5..7 only used.
+        _colex_tables.cache_clear()
+        walk = _square_minors(random_unitary(14, 0).matrix, 7)
+        firsts = [cols for _, cols, _ in itertools.islice(walk, 7)]
+        walk.close()
+        assert [cols.shape[1] for cols in firsts] == list(range(1, 8))
+        small = [m for m in range(1, 8) if m * math.comb(14, m) <= TABLE_CACHE_ENTRIES]
+        assert small == [1, 2, 3, 4]
+        assert _colex_tables.cache_info().currsize == len(small)
+        for m, cols in enumerate(firsts, 1):
+            assert (cols.base is _colex_tables(14, m)[0]) == (m in small)
