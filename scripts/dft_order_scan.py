@@ -4,10 +4,11 @@
 With --verify, cross-checks the closed form against the deficiency route
 for every d up to 18, both tau_fast and the full deficiency_profile (whose
 row and column values at tau must also agree), and against the exhaustive
-subset search too for every d up to 8. The level search decides one row set
-per orbit of the DFT's affine symmetry, which keeps d = 14, 16 and 18 to
-seconds; prime d (13, 17) is decided by the level-0 step alone, which has
-no such reduction and is the slowest part of a full run.
+subset search too for every d up to its default cap (DEFAULT_SUPPORT_CAP,
+10). The level search decides one row set per orbit of the DFT's affine
+symmetry, which keeps d = 14, 16 and 18 to seconds; prime d (13, 17) is
+decided by the level-0 step alone, which has no such reduction and is the
+slowest part of a full run.
 """
 
 import argparse
@@ -20,9 +21,9 @@ from incompat import (
     min_support_uncertainty,
     tau_fast,
 )
+from incompat.support import DEFAULT_SUPPORT_CAP
 
 DEFICIENCY_MAX_DIM = 18
-SEARCH_MAX_DIM = 8
 
 
 def run(max_dim: int, verify: bool) -> None:
@@ -35,7 +36,7 @@ def run(max_dim: int, verify: bool) -> None:
             tm = dft_matrix(d)
             profile = deficiency_profile(tm)
             routes = {"deficiency": d - tau_fast(tm), "profile": profile.chi}
-            if d <= SEARCH_MAX_DIM:
+            if d <= DEFAULT_SUPPORT_CAP:
                 routes["search"] = min_support_uncertainty(tm).n_ab
             tau = profile.tau
             sides = (profile.r_row_values[tau], profile.r_col_values[tau]) if tau >= 0 else (0, 0)
@@ -54,7 +55,7 @@ if __name__ == "__main__":
     parser.add_argument(
         "--verify", action="store_true",
         help=f"cross-check d <= {DEFICIENCY_MAX_DIM} against tau_fast and deficiency_profile "
-        f"(equal row and column values at tau), and d <= {SEARCH_MAX_DIM} against the "
+        f"(equal row and column values at tau), and d <= {DEFAULT_SUPPORT_CAP} against the "
         "subset search too",
     )
     args = parser.parse_args()

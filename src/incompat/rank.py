@@ -32,7 +32,9 @@ block against O(m^3) for a Gram matrix or an SVD. Since every singular
 value of a block is at most ||a||_2, sigma_min >= |det| / ||a||_2^(m-1), so
 a block whose minor clears the threshold by a proven rounding bound is
 certified from the minor alone; every other block goes to batch_ranks, so
-the answer is batch_ranks's over every block.
+the answer is batch_ranks's over every block. strong_minors runs the same
+walk and keeps, per size, which blocks their minors certify at one
+threshold, for the subset search's tall blocks.
 """
 
 from __future__ import annotations
@@ -231,6 +233,50 @@ def squares_full_rank(
     return True
 
 
+def strong_minors(
+    a: np.ndarray, top: int, threshold: float, residual: float
+) -> list[np.ndarray]:
+    """Which m x m blocks of the d x d matrix a, m = 1..top, have a minor
+    that certifies them full rank at threshold: strong[m - 1][i, j] for the
+    m-row set of colex rank i and the m-column set of colex rank j
+    (colex_ranks), from one walk of _square_minors to size top.
+
+    The certificate is squares_full_rank's with every size at threshold: a
+    block is strong when its computed |det| exceeds need_m (_minor_bounds),
+    and then sigma_min(S) > threshold + 32 m^2 eps N, N >= ||a||_2 from the
+    residual, as proven there. A taller block U[R, K] with |R| > m = |K| is
+    then full column rank too when U[R', K] is strong for some m-subset R'
+    of R: deleting rows can only lower singular values, so sigma_m(U[R, K])
+    >= sigma_min(U[R', K]) (Horn & Johnson, Topics in Matrix Analysis, Cor.
+    3.1.3). A minor that overflows or is NaN, or a size whose need_m is not
+    finite, certifies nothing. The tables take sum_m C(d, m)^2 bytes.
+    """
+    d = a.shape[0]
+    need = [bound for _, bound in _minor_bounds(d, residual, [threshold] * top)]
+    strong = [np.zeros((math.comb(d, m),) * 2, dtype=bool) for m in range(1, top + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, _, minors in _square_minors(a, top):
+            m = rows.shape[1]
+            strong[m - 1][colex_ranks(rows, d)] = np.abs(minors) > need[m - 1]
+    return strong
+
+
+def colex_ranks(sets: np.ndarray, d: int) -> np.ndarray:
+    """The colex rank, sum_i comb(c_i, i + 1), of each increasing tuple c of
+    indices below d along the last axis: the index of strong_minors's
+    tables."""
+    m = sets.shape[-1]
+    return _pascal(d, m)[sets, np.arange(1, m + 1)].sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=32)
+def _pascal(d: int, m: int) -> np.ndarray:
+    """comb(c, k) for c < d and k <= m; read-only."""
+    table = np.array([[math.comb(c, k) for k in range(m + 1)] for c in range(d)])
+    table.flags.writeable = False
+    return table
+
+
 def _minor_bounds(
     d: int, residual: float, thresholds: list[float]
 ) -> list[tuple[float, float]]:
@@ -255,7 +301,7 @@ def _minor_bounds(
 def _colex_tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-subsets of range(d) in colex order, one per column, and drop[k,
     i], the colex rank of set i less its k-th entry; read-only."""
-    pascal = np.array([[math.comb(n, k) for k in range(m + 1)] for n in range(d)])
+    pascal = _pascal(d, m)
     # The m-sets in colex order are the lexicographic ones reversed (flat,
     # so each set's entries too) and mirrored by c -> d - 1 - c.
     combos = itertools.chain.from_iterable(itertools.combinations(range(d), m))

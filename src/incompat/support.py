@@ -15,12 +15,17 @@ size d: every n x n block, n = 1..d - 1) before any other, each square at
 the threshold of the pairs' blocks inside it; when every square block is
 full rank there, no smaller size can hit, and the search returns its first
 pair of size d + 1 after computing C(2d, d) - 2 minors instead of deciding
-about 4^d blocks.
+about 4^d blocks. When that level does not clear, each level too large for
+one rank batch sends to batch_ranks only the blocks that no square minor
+certifies full rank (interlacing: a tall block has rank |K| when one of its
+square row sub-blocks does), so the DFTs, whose levels hold few deficient
+blocks, decide a few hundred blocks instead of tens of thousands.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +35,18 @@ from .errors import DegenerateWitnessError, DimensionCapError, InvalidParameterE
 from .errors import NonFiniteEntryError, ZeroVectorError
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
 from .rank import (
+    BATCH_ENTRIES,
     DEFAULT_RANK_TOL,
     DEFAULT_ZERO_THRESHOLD,
     KernelWitness,
     batch_ranks,
+    colex_ranks,
     kernel_witness,
     rank_threshold,
     squares_full_rank,
+    strong_minors,
 )
+from .symmetry import one_batch
 
 # 4^d subset pairs; above this the search is refused unless the cap is raised.
 DEFAULT_SUPPORT_CAP = 10
@@ -144,6 +153,30 @@ def min_support_uncertainty(
     rounding allowance, no s <= d can hit and the search starts at s = d +
     1, whose first pair is the hit; otherwise it starts at s = 2.
     Either way the hit is the one the search from s = 2 returns.
+
+    A level whose grid does not fit one batch (symmetry.one_batch) is first
+    screened by square minors. Its blocks U[R, K] are tall: r = |R| = d -
+    n_a >= n_b = |K|, as s <= d. The block is certified when some n_b-row
+    subset R' of R has a square minor that certifies U[R', K] at T + delta
+    (_strong_squares), T = tol * (d - 1) the largest threshold of any level
+    and delta the allowance of _square_level_clear; a certificate at the
+    largest threshold holds at every smaller one, so one table per size
+    serves every level. Only the row sets with an uncertified block go to
+    batch_ranks, times the column sets of any of their uncertified blocks.
+    The minors come from one walk to size s - 1, run when a level first
+    needs a size the last walk did not reach. Levels that fit one batch are
+    decided lazily as before and stop at their first hit, so inputs whose
+    levels are all small never pay for the walk.
+
+    The screen changes no hit. A certified U[R', K] has sigma_min > T +
+    delta (rank.strong_minors), and deleting rows can only lower singular
+    values (interlacing, Horn & Johnson, Topics in Matrix Analysis, Cor.
+    3.1.3), so sigma_nb(U[R, K]) >= sigma_min(U[R', K]) > tol * r + delta.
+    As in _square_level_clear, the SVD moves sigma_nb by less than delta /
+    2, so batch_ranks gives the block rank n_b, whether its Gram certificate
+    or its SVD decides it: it is not a hit. So the grid sent to batch_ranks
+    holds every block of the level that can hit, in the order above, and
+    its first hit is the level's: the same hit and witness.
     """
     check_tolerance("zero_threshold", zero_threshold)
     check_tolerance("rank_tol", rank_tol)
@@ -156,6 +189,7 @@ def min_support_uncertainty(
         )
     a = tm.matrix
     first = d + 1 if _square_level_clear(tm, rank_tol) else 2
+    strong: list[np.ndarray] = []
     for s in range(first, d + 2):
         for nb in range(1, s):
             na = s - nb
@@ -164,12 +198,21 @@ def min_support_uncertainty(
                 # at s = d + 1 with nb == 1, so the state is a single B column.
                 y = np.ones(1, dtype=complex)
                 return _build_witness(tm, tuple(range(d)), (0,), y, zero_threshold)
+            r = d - na
             col_sets = np.array(list(itertools.combinations(range(d), nb)))
-            threshold = rank_threshold((d - na, nb), rank_tol, 1.0)
+            threshold = rank_threshold((r, nb), rank_tol, 1.0)
             # The complements of the A subsets in lexicographic order are the
             # (d - na)-subsets in reverse lexicographic order.
-            outside = reversed(list(itertools.combinations(range(d), d - na)))
-            for rows, ranks, _ in batch_ranks(a, outside, col_sets, threshold):
+            outside = reversed(list(itertools.combinations(range(d), r)))
+            if one_batch(math.comb(d, r), len(col_sets), r, nb, d):
+                row_sets, cols = outside, col_sets
+            else:
+                if nb > len(strong):
+                    strong = _strong_squares(tm, s - 1, rank_tol)
+                row_sets = np.array(list(outside))
+                weak = ~_minor_certified(strong[nb - 1], row_sets, col_sets, d)
+                row_sets, cols = row_sets[weak.any(axis=1)], col_sets[weak.any(axis=0)]
+            for rows, ranks, _ in batch_ranks(a, row_sets, cols, threshold):
                 hits = ranks < nb
                 # The first hit in the sequential order: A subset, then B subset.
                 hit_rows = np.flatnonzero(hits.any(axis=1))
@@ -177,12 +220,47 @@ def min_support_uncertainty(
                     continue
                 i = hit_rows[0]
                 subset_a = tuple(sorted(set(range(d)).difference(rows[i].tolist())))
-                subset_b = tuple(col_sets[np.argmax(hits[i])].tolist())
+                subset_b = tuple(cols[np.argmax(hits[i])].tolist())
                 y = kernel_witness(
                     a, "right", SubmatrixSelector(rows[i], subset_b), tol=rank_tol, scale=1.0
                 ).coefficients
                 return _build_witness(tm, subset_a, subset_b, y, zero_threshold)
     raise AssertionError("unreachable: the search terminates by s = d + 1")
+
+
+def _strong_squares(tm: TransitionMatrix, top: int, rank_tol: float) -> list[np.ndarray]:
+    """rank.strong_minors's tables for sizes 1..top at T + delta, T = tol *
+    (d - 1) the largest threshold of any level with s <= d and delta the
+    rounding allowance of _square_level_clear."""
+    bound = rank_threshold((tm.dim - 1, tm.dim - 1), rank_tol, 1.0) + _allowance(tm)
+    return strong_minors(tm.matrix, top, bound, tm.residual)
+
+
+def _minor_certified(
+    strong: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, d: int
+) -> np.ndarray:
+    """Which blocks a[R, K] of one level of the d x d matrix a have a
+    certified |K| x |K| sub-block a[R', K], R' a subset of R: entry [i, j]
+    for row_sets[i] and col_sets[j], with strong the _strong_squares table
+    of size |K| <= |R|. The table is packed to bits along the column sets,
+    and each chunk of row sets gathers at most BATCH_ENTRIES bytes of it (or
+    one row set's)."""
+    nb = col_sets.shape[1]
+    table = np.packbits(strong[:, colex_ranks(col_sets, d)], axis=1)
+    subsets = np.array(list(itertools.combinations(range(row_sets.shape[1]), nb)))
+    step = max(1, BATCH_ENTRIES // (len(subsets) * max(table.shape[1], nb)))
+    chunks = (row_sets[i : i + step][:, subsets] for i in range(0, len(row_sets), step))
+    certified = np.concatenate(
+        [np.bitwise_or.reduce(table[colex_ranks(sub, d)], axis=1) for sub in chunks]
+    )
+    return np.unpackbits(certified, axis=1, count=len(col_sets)).view(bool)
+
+
+def _allowance(tm: TransitionMatrix) -> float:
+    """The rounding allowance delta = 32 d^2 eps (1 + d * residual) of the
+    square level's proof (_square_level_clear)."""
+    d = tm.dim
+    return 32 * d * d * np.finfo(float).eps * (1 + d * tm.residual)
 
 
 def _square_level_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
@@ -219,9 +297,8 @@ def _square_level_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
     search's level-0 step rests on the complement identity instead, and
     this step does not share it, so the two routes stay independent.
     """
-    d = tm.dim
-    allowance = 32 * d * d * np.finfo(float).eps * (1 + d * tm.residual)
-    thresholds = [rank_threshold((n, n), rank_tol, 1.0) + allowance for n in range(1, d)]
+    allowance = _allowance(tm)
+    thresholds = [rank_threshold((n, n), rank_tol, 1.0) + allowance for n in range(1, tm.dim)]
     return squares_full_rank(tm.matrix, thresholds, tm.residual)
 
 

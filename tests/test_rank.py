@@ -40,7 +40,9 @@ from incompat.rank import (
     _minor_bounds,
     _square_minors,
     batch_ranks,
+    colex_ranks,
     rank_threshold,
+    strong_minors,
 )
 
 
@@ -332,9 +334,17 @@ class TestCertifiedSearches:
         # after level 0, the coherence prune skips the DFTs' levels above tau,
         # and the square steps send only the blocks their minors do not
         # certify to batch_ranks.
-        for tm in SEARCH_CORPUS + FRAGILE_DFTS + [dft_matrix(8), dft_matrix(9)]:
+        corpus = SEARCH_CORPUS + FRAGILE_DFTS + [dft_matrix(8), dft_matrix(9)]
+        for tm in corpus:
             deficiency_profile(tm, rank_tol=rank_tol)
             tau_fast(tm, rank_tol=rank_tol)
+            with contextlib.suppress(DegenerateWitnessError):
+                min_support_uncertainty(tm, rank_tol=rank_tol)
+        # The subset search screens the levels of dft(8) and dft(9) by their
+        # square minors; run it again with every level decided whole, so the
+        # grids it decides without the screen are compared too.
+        monkeypatch.setattr(incompat.support, "one_batch", lambda *args: True)
+        for tm in corpus:
             with contextlib.suppress(DegenerateWitnessError):
                 min_support_uncertainty(tm, rank_tol=rank_tol)
         # One call per row-set chunk, so count blocks, not calls: at least
@@ -551,6 +561,26 @@ class TestSquareMinors:
                 assert (s[:, -1] > thresholds[m - 1] + 16 * m * eps * s[:, 0]).all()
                 certified += i.size
         assert certified > 0
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-4])
+    def test_strong_minors_keep_each_minor_at_its_colex_ranks(self, rank_tol):
+        kinds = set()
+        for tm in [dft_matrix(6), random_unitary(7, 0), _perturbed_dft(6, 1e-9, 0)]:
+            d = tm.dim
+            threshold = rank_threshold((d, d), rank_tol, 1.0)
+            need = [bound for _, bound in _minor_bounds(d, tm.residual, [threshold] * (d - 1))]
+            strong = strong_minors(tm.matrix, d - 1, threshold, tm.residual)
+            assert [t.shape for t in strong] == [(math.comb(d, m),) * 2 for m in range(1, d)]
+            seen = [np.zeros_like(t) for t in strong]
+            for rows, cols, minors in _square_minors(tm.matrix, d - 1):
+                m = cols.shape[1]
+                assert np.array_equal(colex_ranks(cols, d), np.arange(len(cols)))
+                i = colex_ranks(rows, d)
+                assert np.array_equal(strong[m - 1][i], np.abs(minors) > need[m - 1])
+                seen[m - 1][i] = True
+            assert all(s.all() for s in seen)
+            kinds.update(np.unique(np.concatenate([t.ravel() for t in strong])).tolist())
+        assert kinds == {False, True}
 
     def test_rounding_bound_holds_in_exact_arithmetic(self):
         # Every computed minor is within E_m of the exact one, underflow

@@ -19,7 +19,8 @@ def run_script(name, *args):
 
 def test_dft_order_scan_verifies_every_dimension():
     # tau_fast and the profile are checked up to d = 18 (the subset search
-    # up to 8), so every row up to the prime d = 13 is checked.
+    # up to its default cap, 10), so every row up to the prime d = 13 is
+    # checked.
     out = run_script("dft_order_scan.py", "--max-dim", "13", "--verify")
     assert out.returncode == 0, out.stderr
     rows = out.stdout.splitlines()[1:]

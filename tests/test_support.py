@@ -1,12 +1,17 @@
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incompat.rank
 import incompat.report
 import incompat.support
-from bruteforce import brute_min_support, fft_support_counts
+from bruteforce import brute_min_support, fft_support_counts, svd_batch_ranks
 from incompat import (
     DegenerateWitnessError,
     DimensionCapError,
@@ -16,6 +21,7 @@ from incompat import (
     bronzan_rotation,
     deficiency_profile,
     dft_matrix,
+    from_array,
     identity,
     min_support_uncertainty,
     qubit_rotation,
@@ -24,9 +30,9 @@ from incompat import (
     support_counts,
 )
 from incompat.rank import _square_minors as square_minors
-from incompat.rank import batch_ranks, kernel_witness
+from incompat.rank import batch_ranks, kernel_witness, rank_threshold, strong_minors
 from incompat.report import extremal_checks, profile_shape_checks
-from test_rank import FRAGILE_DFTS, SEARCH_CORPUS
+from test_rank import FRAGILE_DFTS, SEARCH_CORPUS, _perturbed_dft
 
 # Brute-force subset-search minima for the DFT, frozen from the independent
 # span-intersection oracle in bruteforce.py; they equal the most balanced
@@ -212,6 +218,112 @@ class TestSquareLevelFirst:
         with pytest.raises(DimensionCapError):
             min_support_uncertainty(random_unitary(5, 0), max_dim=4)
         assert batches == []
+
+
+def _dft_product(*dims):
+    """DFT(n_1) kron DFT(n_2) kron ..."""
+    return from_array(functools.reduce(np.kron, [dft_matrix(n).matrix for n in dims]))
+
+
+# Inputs of d >= 8, whose levels outgrow one batch: DFTs and their products
+# have deficient blocks, so the square level does not clear and the levels
+# below it are screened by their square minors.
+TALL_CORPUS = (
+    [dft_matrix(d) for d in (8, 9, 10)]
+    + [_dft_product(2, 4), _dft_product(3, 3), _dft_product(2, 2, 2)]
+    + [_perturbed_dft(d, eps, 0) for d in (8, 9) for eps in (1e-12, 1e-9, 1e-6)]
+)
+
+
+def _check_certified_blocks(tm, rank_tol):
+    """Check that every block the subset search's minor screen certifies,
+    on every level with s <= d, has rank n_b under the SVD at its level's
+    threshold; return (blocks certified, blocks screened)."""
+    d = tm.dim
+    strong = incompat.support._strong_squares(tm, d - 1, rank_tol)
+    certified_count = total = 0
+    for r in range(1, d):
+        row_sets = np.array(list(itertools.combinations(range(d), r)))
+        for nb in range(1, r + 1):
+            col_sets = np.array(list(itertools.combinations(range(d), nb)))
+            certified = incompat.support._minor_certified(strong[nb - 1], row_sets, col_sets, d)
+            threshold = rank_threshold((r, nb), rank_tol, 1.0)
+            ranks, _ = svd_batch_ranks(tm.matrix, row_sets, col_sets, threshold)
+            assert (ranks[certified] == nb).all()
+            certified_count += certified.sum()
+            total += certified.size
+    return certified_count, total
+
+
+class TestTallBlockCertificate:
+    """Levels too large for one batch send to batch_ranks only the blocks
+    that none of their square row sub-blocks certifies."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4])
+    def test_certificate_changes_no_result(self, rank_tol, monkeypatch):
+        walks = []
+
+        def counted(*args):
+            walks.append(args[1])
+            return strong_minors(*args)
+
+        monkeypatch.setattr(incompat.support, "strong_minors", counted)
+        want, screened = [], 0
+        for tm in TALL_CORPUS:
+            before = len(walks)
+            want.append(_oracle_result(tm, rank_tol))
+            screened += len(walks) > before
+        # With every level decided as one batch, none is screened.
+        walked = len(walks)
+        monkeypatch.setattr(incompat.support, "one_batch", lambda *args: True)
+        assert [_oracle_result(tm, rank_tol) for tm in TALL_CORPUS] == want
+        assert len(walks) == walked
+        assert screened >= 9
+
+    def test_dft9_decides_few_blocks(self, monkeypatch):
+        # 18,867 blocks when every level of dft(9) went to batch_ranks whole.
+        batches = _counted_blocks(monkeypatch)
+        assert min_support_uncertainty(dft_matrix(9)).n_ab == 6
+        assert 0 < sum(batches) <= 1000
+
+    @given(
+        st.sampled_from(["haar", "dft", "perturbed"]),
+        st.integers(2, 8),
+        st.integers(0, 2**16),
+        st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4, 1e-2]),
+        st.sampled_from([1e-10, 1e-6]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_certified_blocks_have_full_rank(self, family, d, seed, eps, rank_tol):
+        tm = {
+            "haar": lambda: random_unitary(d, seed),
+            "dft": lambda: dft_matrix(d),
+            "perturbed": lambda: _perturbed_dft(d, eps, seed),
+        }[family]()
+        _check_certified_blocks(tm, rank_tol)
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize(
+        "tm", [dft_matrix(9), _dft_product(3, 3), _perturbed_dft(9, 1e-9, 0)],
+        ids=["dft9", "dft3xdft3", "perturbed_dft9"],
+    )
+    def test_certified_blocks_have_full_rank_at_d9(self, tm, rank_tol):
+        # Structured inputs of a screened size: most blocks are certified.
+        certified, total = _check_certified_blocks(tm, rank_tol)
+        assert certified > total / 2
+
+    def test_memory_stays_bounded(self):
+        # The walk's slices, its strong tables (sum_m C(10, m)^2 bytes up to
+        # the walk's size) and one chunk of a level's screen at a time.
+        tm = dft_matrix(10)
+        min_support_uncertainty(tm)
+        tracemalloc.start()
+        try:
+            assert min_support_uncertainty(tm).n_ab == 7
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 def _oracle_or_degenerate(tm, rank_tol):
