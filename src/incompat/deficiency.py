@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import symmetry
-from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance, unitarity_residual
+from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
 from .rank import (
     DEFAULT_RANK_TOL,
     batch_ranks,
@@ -149,6 +149,8 @@ def _coherence_cap(
 def _max_row_deficiency(
     a: np.ndarray,
     t: int,
+    mu: float,
+    e: float,
     *,
     stop_at: int | None = None,
     rank_tol: float = DEFAULT_RANK_TOL,
@@ -175,7 +177,8 @@ def _max_row_deficiency(
       Bruckstein (IEEE TIT 2002), per block and per deficiency. For the
       input U, V is the nearest unitary and e = d * residual >= ||U - V||_2,
       the allowance of _square_blocks_clear; then mu_V <= mu + e with mu =
-      max |U_jk|, and each singular value of a block moves by at most e.
+      max |U_jk|, and each singular value of a block moves by at most e;
+      the caller computes mu and e once per matrix (_coherence).
       With X = m (d - m - t) (mu + e)^2, th the threshold and s = 32 d^3
       eps, the cap is the largest j <= m with j (1 - (th + e)^2 - s) <= X.
       For every larger j, 1 - X / j > (th + e)^2 + s, so
@@ -244,7 +247,6 @@ def _max_row_deficiency(
     Returns (value, selector or None, worst gap ratio seen).
     """
     d = a.shape[0]
-    mu, e = float(np.abs(a).max()), d * unitarity_residual(a)
     best = 0
     best_sel: SubmatrixSelector | None = None
     worst_gap = 0.0
@@ -310,11 +312,12 @@ def _descent(tm: TransitionMatrix, rank_tol: float, sym: symmetry.Symmetry | Non
         return
     if sym is None:
         sym = symmetry.verify(tm.matrix, tm.residual)
+    mu, e = _coherence(tm)
     value = None
     for t in range(tm.dim - 1, -1, -1):
         stop_at = None if value is None else value + 1
         value, sel, gap = _max_row_deficiency(
-            tm.matrix, t, stop_at=stop_at, rank_tol=rank_tol, sym=sym
+            tm.matrix, t, mu, e, stop_at=stop_at, rank_tol=rank_tol, sym=sym
         )
         yield t, value, sel, gap
 
@@ -327,9 +330,16 @@ def _level_search(
     maximizing selector unchanged (see _max_row_deficiency)."""
     _check_level(tm.dim, t, rank_tol)
     value, sel, _ = _max_row_deficiency(
-        tm.matrix, t, rank_tol=rank_tol, sym=symmetry.verify(tm.matrix, tm.residual)
+        tm.matrix, t, *_coherence(tm), rank_tol=rank_tol,
+        sym=symmetry.verify(tm.matrix, tm.residual),
     )
     return value, sel
+
+
+def _coherence(tm: TransitionMatrix) -> tuple[float, float]:
+    """(mu, e) of _max_row_deficiency's coherence cap: the largest entry
+    modulus and d * residual."""
+    return float(np.abs(tm.matrix).max()), tm.dim * tm.residual
 
 
 def r_row(

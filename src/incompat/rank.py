@@ -31,10 +31,14 @@ from its row prefix's by Laplace expansion, m gathered multiply-adds per
 block against O(m^3) for a Gram matrix or an SVD. Since every singular
 value of a block is at most ||a||_2, sigma_min >= |det| / ||a||_2^(m-1), so
 a block whose minor clears the threshold by a proven rounding bound is
-certified from the minor alone; every other block goes to batch_ranks, so
-the answer is batch_ranks's over every block. strong_minors runs the same
-walk and keeps, per size, which blocks their minors certify at one
-threshold, for the subset search's tall blocks.
+certified from the minor alone. Since sigma_min <= |det| / |det S_k| for
+each parent S_k of the expansion, a block whose minor is that far below
+the threshold times its largest parent is proven deficient, which ends the
+step; every other block goes to batch_ranks, so the answer is
+batch_ranks's over every block. strong_minors runs the same walk and
+keeps, per size, which blocks their minors certify at one threshold, and
+subset_covers carries such a table from row sets to their supersets, for
+the subset search's tall blocks.
 """
 
 from __future__ import annotations
@@ -214,14 +218,42 @@ def squares_full_rank(
     modulus, so while need_m / eps is finite none overflows. A size whose
     need_m / eps is not finite certifies nothing: its minors, overflowed or
     NaN among them, all go to batch_ranks, which guards its own arithmetic.
+
+    Decline. Before a slice's uncertified blocks go to batch_ranks, their
+    minors may prove one deficient, and the answer is then False without
+    batch_ranks. Let S_k be the m parent blocks of S's Laplace expansion,
+    S less its last row and its k-th column (for m = 1, the empty block,
+    minor 1). Deleting a row and a column can only lower singular values,
+    so prod_(i<m) sigma_i(S) >= |det S_k| and sigma_m(S) <= |det S| / |det
+    S_k| for each k. With cut = th - 32 m^2 eps N, a block is proven
+    deficient when
+
+        (1 + 8 m eps) (|c| + E_m + cut E_(m-1)) < cut max_k |c_k|,
+
+    c and c_k the computed minors. The factor covers the test's own
+    rounding, five roundings on its left side and two on its right, so
+    |det S| <= |c| + E_m < cut (|c_k| - E_(m-1)) <= cut |det S_k| for the
+    largest c_k, and sigma_m(S) < cut. The SVD's error is less than 32
+    m^2 eps N, as above, so batch_ranks would find S deficient: its Gram
+    certificate proves sigma_min > th or nothing, and its SVD keeps fewer
+    than m singular values above th. The answer is the same either way.
+    Where cut is not positive (for example when th is 0) or need_m is not
+    finite, nothing is proven deficient.
     """
-    need = [bound for _, bound in _minor_bounds(a.shape[0], residual, thresholds)]
+    d = a.shape[0]
+    need = [bound for _, bound in _minor_bounds(d, residual, thresholds)]
+    decline = None  # computed at the first uncertified block
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, cols, minors in _square_minors(a, len(thresholds), row_0_at_top):
+        for rows, cols, minors, parents in _square_minors(a, len(thresholds), row_0_at_top):
             m = cols.shape[1]
             weak = ~(np.abs(minors) > need[m - 1])
             if not weak.any():
                 continue
+            decline = decline or _decline_bounds(d, residual, thresholds)
+            i, j = np.nonzero(weak)
+            laplace = parents[i[:, None], _drop_ranks(cols[j], d)]
+            if _declined(minors[i, j], laplace, decline[m - 1]).any():
+                return False
             # The first row set with an uncertified block alone, then the rest:
             # a deficient block is often on the first, and its grid is small.
             weak_rows = np.flatnonzero(weak.any(axis=1))
@@ -249,16 +281,38 @@ def strong_minors(
     of R: deleting rows can only lower singular values, so sigma_m(U[R, K])
     >= sigma_min(U[R', K]) (Horn & Johnson, Topics in Matrix Analysis, Cor.
     3.1.3). A minor that overflows or is NaN, or a size whose need_m is not
-    finite, certifies nothing. The tables take sum_m C(d, m)^2 bytes.
+    finite, certifies nothing. The tables take sum_m C(d, m)^2 bytes. The
+    walk's minors of size 1 are the entries themselves, so top = 1 reads
+    them off a without a walk.
     """
     d = a.shape[0]
     need = [bound for _, bound in _minor_bounds(d, residual, [threshold] * top)]
     strong = [np.zeros((math.comb(d, m),) * 2, dtype=bool) for m in range(1, top + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, _, minors in _square_minors(a, top):
+        strong[0] = np.abs(a) > need[0]
+        walk = _square_minors(a, top) if top > 1 else ()
+        for rows, _, minors, _ in walk:
             m = rows.shape[1]
             strong[m - 1][colex_ranks(rows, d)] = np.abs(minors) > need[m - 1]
     return strong
+
+
+def subset_covers(table: np.ndarray, d: int, m: int, top: int) -> list[np.ndarray]:
+    """For a table over the m-row sets of a d x d matrix, row i for the set
+    of colex rank i (strong_minors's, with any columns, boolean or packed
+    to bits), the tables over the r-row sets for r = m..top: row i of the
+    r-th is the OR of table's rows over the m-subsets of the r-set of colex
+    rank i.
+
+    Each is the OR of the last one's rows over the set less one of its
+    first m + 1 entries, read through _colex_tables's drop ranks: an
+    m-subset of a larger set misses one of those m + 1 entries, so it lies
+    in one of those sets, and each of them lies in the set."""
+    covers = [table]
+    for r in range(m + 1, top + 1):
+        drop = _tables(d, r)[1][: m + 1]
+        covers.append(np.bitwise_or.reduce(covers[-1][drop], axis=0))
+    return covers
 
 
 def colex_ranks(sets: np.ndarray, d: int) -> np.ndarray:
@@ -286,7 +340,7 @@ def _minor_bounds(
     at thresholds[m - 1]. Products only, no ** or pow: a huge residual must
     give inf, not OverflowError, and Python floats, which do not warn."""
     eps, eta = float(np.finfo(float).eps), float(np.finfo(float).smallest_subnormal)
-    norm = (1 + d * residual) * (1 + 4 * d * d * eps)
+    norm = _norm_bound(d, residual)
     bounds = []
     err, power = 0.0, 1.0  # E_(m-1) and N^(m-1)
     for m, th in enumerate(map(float, thresholds), 1):
@@ -295,6 +349,52 @@ def _minor_bounds(
         bounds.append((err, need if need / eps < math.inf else math.inf))
         power *= norm
     return bounds
+
+
+def _decline_bounds(
+    d: int, residual: float, thresholds: list[float]
+) -> list[tuple[float, float]]:
+    """(cut_m, floor_m) for m = 1..len(thresholds), as in squares_full_rank:
+    an m x m block is proven deficient when (1 + 8 m eps) (|det| + floor_m)
+    < cut_m max_k |det S_k|, with cut_m = th - 32 m^2 eps N and floor_m =
+    E_m + cut_m E_(m-1). cut_m is 0, which proves nothing, where that
+    difference is not positive or need_m is not finite."""
+    eps = float(np.finfo(float).eps)
+    norm = _norm_bound(d, residual)
+    bounds, prev = [], 0.0  # E_(m-1)
+    for m, (th, (err, need)) in enumerate(
+        zip(map(float, thresholds), _minor_bounds(d, residual, thresholds)), 1
+    ):
+        cut = th - 32 * m * m * eps * norm
+        cut = cut if cut > 0 and need < math.inf else 0.0
+        bounds.append((cut, err + cut * prev))
+        prev = err
+    return bounds
+
+
+def _declined(minors: np.ndarray, laplace: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """Which m x m blocks the decline of squares_full_rank proves deficient:
+    entry n for the block with computed minor minors[n] and the computed
+    minors laplace[n, k] of its m Laplace parents, with (cut, floor) =
+    bounds, its size's _decline_bounds. A cut of 0 proves nothing."""
+    cut, floor = bounds
+    m = laplace.shape[1]
+    lead = np.abs(laplace).max(axis=1)
+    return (1 + 8 * m * np.finfo(float).eps) * (np.abs(minors) + floor) < cut * lead
+
+
+def _norm_bound(d: int, residual: float) -> float:
+    """N = (1 + d residual)(1 + 4 d^2 eps), a bound on ||a||_2 of a d x d
+    matrix with this computed residual (squares_full_rank)."""
+    return (1 + d * residual) * (1 + 4 * d * d * float(np.finfo(float).eps))
+
+
+def _drop_ranks(sets: np.ndarray, d: int) -> np.ndarray:
+    """The colex rank of each m-set of indices below d less its k-th
+    entry, at [i, k]; 0, the empty set's, for m = 1."""
+    m = sets.shape[1]
+    others = np.array([[i for i in range(m) if i != k] for k in range(m)], dtype=np.intp)
+    return colex_ranks(sets[:, others], d)
 
 
 @functools.lru_cache(maxsize=32)
@@ -318,6 +418,13 @@ def _colex_tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, drop
 
 
+def _tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_colex_tables(d, m), cached only when it has at most
+    TABLE_CACHE_ENTRIES entries; a larger one is built for the caller."""
+    small = m * math.comb(d, m) <= TABLE_CACHE_ENTRIES
+    return (_colex_tables if small else _colex_tables.__wrapped__)(d, m)
+
+
 def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
     """Every m x m minor of the d x d matrix a, m = 1..top (with
     row_0_at_top, at m = top only those on row sets that hold row 0).
@@ -333,8 +440,10 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
     cursor into their (row set, new row) pairs in lexicographic order. Each
     step takes the top frame's next slice of pairs, at most BATCH_ENTRIES
     minors and parent minors (or one pair), computes their minors as m
-    gathered multiply-adds, yields them as (rows, cols, minors), minors[i,
-    j] = det a[rows[i], cols[j]], and pushes them as the next frame. So each
+    gathered multiply-adds, yields them as (rows, cols, minors, parents),
+    minors[i, j] = det a[rows[i], cols[j]] and parents[i] the minors of
+    rows[i] less its last row over the (m - 1)-column sets in colex order,
+    and pushes the minors as the next frame. So each
     size's row sets come in lexicographic order, and each depth holds one
     chunk: about (top + 3) BATCH_ENTRIES entries live, whatever the number
     of row sets, besides each size's tables, fetched when first reached.
@@ -356,8 +465,7 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
         rows, minors, parent, new, start = frame = stack[-1]
         m = rows.shape[1] + 1
         if m not in tables:
-            small = m * math.comb(d, m) <= TABLE_CACHE_ENTRIES
-            tables[m] = (_colex_tables if small else _colex_tables.__wrapped__)(d, m)
+            tables[m] = _tables(d, m)
         cols, drop = tables[m]
         stop = frame[4] = start + max(1, BATCH_ENTRIES // max(minors.shape[1], cols.shape[1]))
         if stop >= len(parent):
@@ -378,7 +486,7 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
             terms *= factors
             (np.subtract if k % 2 else np.add)(child, terms, out=child)
         kid_rows = np.column_stack([rows[p], r])
-        yield kid_rows, cols.T, child
+        yield kid_rows, cols.T, child, y
         if m < top:
             push(kid_rows, child)
 

@@ -15,17 +15,18 @@ size d: every n x n block, n = 1..d - 1) before any other, each square at
 the threshold of the pairs' blocks inside it; when every square block is
 full rank there, no smaller size can hit, and the search returns its first
 pair of size d + 1 after computing C(2d, d) - 2 minors instead of deciding
-about 4^d blocks. When that level does not clear, each level too large for
-one rank batch sends to batch_ranks only the blocks that no square minor
-certifies full rank (interlacing: a tall block has rank |K| when one of its
-square row sub-blocks does), so the DFTs, whose levels hold few deficient
-blocks, decide a few hundred blocks instead of tens of thousands.
+about 4^d blocks. When that level does not clear, every level sends to
+batch_ranks only the blocks that no square minor certifies full rank
+(interlacing: a tall block has rank |K| when one of its square row
+sub-blocks does). The minors come from one walk per call, and each row
+set's certified blocks from those of its subsets, so the DFTs, whose
+levels hold few deficient blocks, decide about ten blocks instead of tens
+of thousands.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .errors import DegenerateWitnessError, DimensionCapError, InvalidParameterE
 from .errors import NonFiniteEntryError, ZeroVectorError
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
 from .rank import (
-    BATCH_ENTRIES,
     DEFAULT_RANK_TOL,
     DEFAULT_ZERO_THRESHOLD,
     KernelWitness,
@@ -45,8 +45,8 @@ from .rank import (
     rank_threshold,
     squares_full_rank,
     strong_minors,
+    subset_covers,
 )
-from .symmetry import one_batch
 
 # 4^d subset pairs; above this the search is refused unless the cap is raised.
 DEFAULT_SUPPORT_CAP = 10
@@ -154,19 +154,21 @@ def min_support_uncertainty(
     1, whose first pair is the hit; otherwise it starts at s = 2.
     Either way the hit is the one the search from s = 2 returns.
 
-    A level whose grid does not fit one batch (symmetry.one_batch) is first
-    screened by square minors. Its blocks U[R, K] are tall: r = |R| = d -
-    n_a >= n_b = |K|, as s <= d. The block is certified when some n_b-row
-    subset R' of R has a square minor that certifies U[R', K] at T + delta
-    (_strong_squares), T = tol * (d - 1) the largest threshold of any level
-    and delta the allowance of _square_level_clear; a certificate at the
-    largest threshold holds at every smaller one, so one table per size
-    serves every level. Only the row sets with an uncertified block go to
-    batch_ranks, times the column sets of any of their uncertified blocks.
-    The minors come from one walk to size s - 1, run when a level first
-    needs a size the last walk did not reach. Levels that fit one batch are
-    decided lazily as before and stop at their first hit, so inputs whose
-    levels are all small never pay for the walk.
+    Every level with s <= d is screened by square minors before
+    batch_ranks decides it. Its blocks U[R, K] are tall: r = |R| = d - n_a
+    >= n_b = |K|. The block is certified when some n_b-row subset R' of R
+    has a square minor that certifies U[R', K] at T + delta, T = tol * (d -
+    1) the largest threshold of any level and delta the allowance of
+    _square_level_clear; a certificate at the largest threshold holds at
+    every smaller one, so one table per size serves every level. Only the
+    row sets with an uncertified block go to batch_ranks, times the column
+    sets of any of their uncertified blocks. _Screen holds the tables: the
+    minors of size 1 are the entries, read without a walk; the first level
+    with n_b >= 2 takes sizes up to d // 2 from one walk of
+    rank.strong_minors, and only a level with a larger n_b, reached when
+    no pair hits below s = d // 2 + 2, walks once more, to d - 1. The
+    certified blocks of each (n_b, r) come from rank.subset_covers, built
+    once per n_b and call for every r.
 
     The screen changes no hit. A certified U[R', K] has sigma_min > T +
     delta (rank.strong_minors), and deleting rows can only lower singular
@@ -189,7 +191,7 @@ def min_support_uncertainty(
         )
     a = tm.matrix
     first = d + 1 if _square_level_clear(tm, rank_tol) else 2
-    strong: list[np.ndarray] = []
+    screen = _Screen(tm, rank_tol)
     for s in range(first, d + 2):
         for nb in range(1, s):
             na = s - nb
@@ -203,15 +205,9 @@ def min_support_uncertainty(
             threshold = rank_threshold((r, nb), rank_tol, 1.0)
             # The complements of the A subsets in lexicographic order are the
             # (d - na)-subsets in reverse lexicographic order.
-            outside = reversed(list(itertools.combinations(range(d), r)))
-            if one_batch(math.comb(d, r), len(col_sets), r, nb, d):
-                row_sets, cols = outside, col_sets
-            else:
-                if nb > len(strong):
-                    strong = _strong_squares(tm, s - 1, rank_tol)
-                row_sets = np.array(list(outside))
-                weak = ~_minor_certified(strong[nb - 1], row_sets, col_sets, d)
-                row_sets, cols = row_sets[weak.any(axis=1)], col_sets[weak.any(axis=0)]
+            row_sets = np.array(list(itertools.combinations(range(d), r))[::-1])
+            weak = screen.weak(row_sets, col_sets)
+            row_sets, cols = row_sets[weak.any(axis=1)], col_sets[weak.any(axis=0)]
             for rows, ranks, _ in batch_ranks(a, row_sets, cols, threshold):
                 hits = ranks < nb
                 # The first hit in the sequential order: A subset, then B subset.
@@ -228,32 +224,34 @@ def min_support_uncertainty(
     raise AssertionError("unreachable: the search terminates by s = d + 1")
 
 
-def _strong_squares(tm: TransitionMatrix, top: int, rank_tol: float) -> list[np.ndarray]:
-    """rank.strong_minors's tables for sizes 1..top at T + delta, T = tol *
-    (d - 1) the largest threshold of any level with s <= d and delta the
-    rounding allowance of _square_level_clear."""
-    bound = rank_threshold((tm.dim - 1, tm.dim - 1), rank_tol, 1.0) + _allowance(tm)
-    return strong_minors(tm.matrix, top, bound, tm.residual)
+class _Screen:
+    """Which blocks of the subset search's levels with s <= d no square row
+    sub-block certifies, from rank.strong_minors's tables at T + delta, T =
+    tol * (d - 1) the largest threshold of any such level and delta the
+    rounding allowance of _square_level_clear. The tables are built when a
+    level first needs them and kept for the call (see
+    min_support_uncertainty)."""
 
+    def __init__(self, tm: TransitionMatrix, rank_tol: float):
+        self.tm = tm
+        self.bound = rank_threshold((tm.dim - 1, tm.dim - 1), rank_tol, 1.0) + _allowance(tm)
+        self.strong: list[np.ndarray] = []
+        self.covers: dict[int, list[np.ndarray]] = {}
 
-def _minor_certified(
-    strong: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, d: int
-) -> np.ndarray:
-    """Which blocks a[R, K] of one level of the d x d matrix a have a
-    certified |K| x |K| sub-block a[R', K], R' a subset of R: entry [i, j]
-    for row_sets[i] and col_sets[j], with strong the _strong_squares table
-    of size |K| <= |R|. The table is packed to bits along the column sets,
-    and each chunk of row sets gathers at most BATCH_ENTRIES bytes of it (or
-    one row set's)."""
-    nb = col_sets.shape[1]
-    table = np.packbits(strong[:, colex_ranks(col_sets, d)], axis=1)
-    subsets = np.array(list(itertools.combinations(range(row_sets.shape[1]), nb)))
-    step = max(1, BATCH_ENTRIES // (len(subsets) * max(table.shape[1], nb)))
-    chunks = (row_sets[i : i + step][:, subsets] for i in range(0, len(row_sets), step))
-    certified = np.concatenate(
-        [np.bitwise_or.reduce(table[colex_ranks(sub, d)], axis=1) for sub in chunks]
-    )
-    return np.unpackbits(certified, axis=1, count=len(col_sets)).view(bool)
+    def weak(self, row_sets: np.ndarray, col_sets: np.ndarray) -> np.ndarray:
+        """Entry [i, j] for row_sets[i], r-sets with r < d, and col_sets[j],
+        every n_b-set in lexicographic order, n_b <= r: whether no n_b-row
+        subset of the row set certifies the block."""
+        d, nb = self.tm.dim, col_sets.shape[1]
+        if nb not in self.covers:
+            if nb > len(self.strong):
+                # Size 1 needs no walk; one walk to d // 2 serves most calls.
+                top = 1 if nb == 1 else d // 2 if nb <= d // 2 else d - 1
+                self.strong = strong_minors(self.tm.matrix, top, self.bound, self.tm.residual)
+            table = np.packbits(self.strong[nb - 1][:, colex_ranks(col_sets, d)], axis=1)
+            self.covers[nb] = subset_covers(table, d, nb, d - 1)
+        packed = self.covers[nb][row_sets.shape[1] - nb][colex_ranks(row_sets, d)]
+        return ~np.unpackbits(packed, axis=1, count=len(col_sets)).view(bool)
 
 
 def _allowance(tm: TransitionMatrix) -> float:

@@ -265,7 +265,9 @@ class TestLevelZeroFirst:
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
     def test_agrees_with_level_zero_search(self, rank_tol):
         for tm in SEARCH_CORPUS + FRAGILE_DFTS:
-            full, _, _ = _max_row_deficiency(tm.matrix, 0, stop_at=1, rank_tol=rank_tol)
+            full, _, _ = _max_row_deficiency(
+                tm.matrix, 0, *_coherence(tm), stop_at=1, rank_tol=rank_tol
+            )
             assert _square_blocks_clear(tm, rank_tol) == (full == 0)
 
     @pytest.mark.parametrize("eps,rank_tol", [(1e-8, 1e-10), (1e-4, 1e-6)])
@@ -417,8 +419,8 @@ class TestChiInvariances:
 
 
 def _coherence(tm):
-    """(mu, e) as the level search computes them: the largest entry modulus
-    and d times the unitarity residual."""
+    """(mu, e) as the level search computes them, once per matrix: the
+    largest entry modulus and d times the unitarity residual."""
     return float(np.abs(tm.matrix).max()), tm.dim * tm.residual
 
 

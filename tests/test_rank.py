@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import math
 import tracemalloc
@@ -37,12 +36,16 @@ from incompat.rank import (
     TABLE_CACHE_ENTRIES,
     _certified_full_rank,
     _colex_tables,
+    _declined,
+    _decline_bounds,
+    _drop_ranks,
     _minor_bounds,
     _square_minors,
     batch_ranks,
     colex_ranks,
     rank_threshold,
     strong_minors,
+    subset_covers,
 )
 
 
@@ -335,18 +338,26 @@ class TestCertifiedSearches:
         # and the square steps send only the blocks their minors do not
         # certify to batch_ranks.
         corpus = SEARCH_CORPUS + FRAGILE_DFTS + [dft_matrix(8), dft_matrix(9)]
+        reached = []
         for tm in corpus:
             deficiency_profile(tm, rank_tol=rank_tol)
             tau_fast(tm, rank_tol=rank_tol)
-            with contextlib.suppress(DegenerateWitnessError):
-                min_support_uncertainty(tm, rank_tol=rank_tol)
-        # The subset search screens the levels of dft(8) and dft(9) by their
-        # square minors; run it again with every level decided whole, so the
-        # grids it decides without the screen are compared too.
-        monkeypatch.setattr(incompat.support, "one_batch", lambda *args: True)
-        for tm in corpus:
-            with contextlib.suppress(DegenerateWitnessError):
-                min_support_uncertainty(tm, rank_tol=rank_tol)
+            try:
+                reached.append(min(tm.dim, min_support_uncertainty(tm, rank_tol=rank_tol).n_ab))
+            except DegenerateWitnessError:
+                reached.append(tm.dim)
+        # The subset search leaves most blocks of its levels to the square
+        # minors; feed the full grid of every level it reaches with s <= d
+        # to the check directly, so the blocks a search without the screen
+        # decides are compared too.
+        for tm, top in zip(corpus, reached):
+            d = tm.dim
+            for s, nb in ((s, nb) for s in range(2, top + 1) for nb in range(1, s)):
+                r = d - s + nb
+                row_sets = list(itertools.combinations(range(d), r))[::-1]
+                col_sets = np.array(list(itertools.combinations(range(d), nb)))
+                for _ in checked(tm.matrix, row_sets, col_sets, rank_threshold((r, nb), rank_tol, 1.0)):
+                    pass
         # One call per row-set chunk, so count blocks, not calls: at least
         # the 73,037 that one call per row set compared on this corpus.
         assert sum(batches) >= 73_037
@@ -521,17 +532,59 @@ SCALED = [_scaled(_tilt(7e-4), 2.0)] + [
 ]
 
 
+def _square_step_thresholds(tm, rank_tol):
+    """The per-size thresholds that the level-0 step and the subset search's
+    square level pass to squares_full_rank."""
+    seen = []
+
+    def record(a, thresholds, residual, **kwargs):
+        seen.append(thresholds)
+        return True
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incompat.deficiency, "squares_full_rank", record)
+        patch.setattr(incompat.support, "squares_full_rank", record)
+        incompat.deficiency._square_blocks_clear(tm, rank_tol)
+        incompat.support._square_level_clear(tm, rank_tol)
+    return seen
+
+
+def _check_declined(tm, thresholds):
+    """Check every block of the walk to len(thresholds) that the decline
+    proves deficient against the SVD at its size's threshold; return how
+    many were proven."""
+    d = tm.dim
+    decline = _decline_bounds(d, tm.residual, thresholds)
+    proven = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, cols, minors, parents in _square_minors(tm.matrix, len(thresholds)):
+            m = cols.shape[1]
+            i, j = (g.ravel() for g in np.indices(minors.shape))
+            laplace = parents[i[:, None], _drop_ranks(cols[j], d)]
+            hit = _declined(minors[i, j], laplace, decline[m - 1])
+            if hit.any():
+                i, j = i[hit], j[hit]
+                blocks = tm.matrix[rows[i][:, :, None], cols[j][:, None, :]]
+                s = np.linalg.svd(blocks, compute_uv=False)
+                assert ((s > thresholds[m - 1]).sum(axis=1) < m).all()
+                proven += hit.sum()
+    return proven
+
+
 def _walk_by_size(a, top, row_0_at_top):
-    """{m: (rows, cols, minors)} of _square_minors, each size's yields joined;
-    every yield of a size gives its column sets as a view of the cached
-    table."""
+    """{m: (rows, cols, minors, parents)} of _square_minors, each size's
+    yields joined; every yield of a size gives its column sets as a view of
+    the cached table."""
     sizes = {}
-    for rows, cols, minors in _square_minors(a, top, row_0_at_top):
+    for rows, cols, minors, parents in _square_minors(a, top, row_0_at_top):
         m = cols.shape[1]
         assert cols.base is _colex_tables(a.shape[0], m)[0]
-        sizes.setdefault(m, []).append((rows, cols, minors))
+        sizes.setdefault(m, []).append((rows, cols, minors, parents))
     return {
-        m: (np.concatenate([p[0] for p in parts]), parts[0][1], np.concatenate([p[2] for p in parts]))
+        m: (
+            np.concatenate([p[0] for p in parts]), parts[0][1],
+            np.concatenate([p[2] for p in parts]), np.concatenate([p[3] for p in parts]),
+        )
         for m, parts in sorted(sizes.items())
     }
 
@@ -550,7 +603,7 @@ class TestSquareMinors:
             d = tm.dim
             thresholds = [rank_threshold((m, m), rank_tol, 1.0) for m in range(1, d + 1)]
             need = [bound for _, bound in _minor_bounds(d, tm.residual, thresholds)]
-            for rows, cols, minors in _square_minors(tm.matrix, d):
+            for rows, cols, minors, _ in _square_minors(tm.matrix, d):
                 m = cols.shape[1]
                 i, j = np.nonzero(np.abs(minors) > need[m - 1])
                 if not i.size:
@@ -571,8 +624,11 @@ class TestSquareMinors:
             need = [bound for _, bound in _minor_bounds(d, tm.residual, [threshold] * (d - 1))]
             strong = strong_minors(tm.matrix, d - 1, threshold, tm.residual)
             assert [t.shape for t in strong] == [(math.comb(d, m),) * 2 for m in range(1, d)]
+            # Size 1 alone is read off the entries, with the walk's values.
+            (entries,) = strong_minors(tm.matrix, 1, threshold, tm.residual)
+            assert np.array_equal(entries, strong[0])
             seen = [np.zeros_like(t) for t in strong]
-            for rows, cols, minors in _square_minors(tm.matrix, d - 1):
+            for rows, cols, minors, _ in _square_minors(tm.matrix, d - 1):
                 m = cols.shape[1]
                 assert np.array_equal(colex_ranks(cols, d), np.arange(len(cols)))
                 i = colex_ranks(rows, d)
@@ -588,7 +644,7 @@ class TestSquareMinors:
         checked = 0
         for tm in [tm for tm in SEARCH_CORPUS + FRAGILE_DFTS + SCALED if tm.dim <= 5]:
             errs = [err for err, _ in _minor_bounds(tm.dim, tm.residual, [0.0] * tm.dim)]
-            for rows, cols, minors in _square_minors(tm.matrix, tm.dim):
+            for rows, cols, minors, _ in _square_minors(tm.matrix, tm.dim):
                 err = Fraction(errs[cols.shape[1] - 1])
                 for i, j in itertools.product(range(len(rows)), range(len(cols))):
                     re, im = _exact_det(tm.matrix[np.ix_(rows[i], cols[j])])
@@ -610,18 +666,79 @@ class TestSquareMinors:
         assert tm.residual == probe.residual
         need = _minor_bounds(3, tm.residual, [0.0] * 3)[1][1]
         rows, cols, minors = next(
-            (rows, cols, minors) for rows, cols, minors in _square_minors(tm.matrix, 2)
+            (rows, cols, minors) for rows, cols, minors, _ in _square_minors(tm.matrix, 2)
             if cols.shape[1] == 2 and rows[0].tolist() == [0, 1]
         )
         assert cols[0].tolist() == [0, 1] and minors[0, 0] == tm.matrix[1, 1]
         assert not abs(minors[0, 0]) > need
 
+    @given(
+        st.sampled_from(["haar", "dft", "perturbed"]),
+        st.integers(2, 9),
+        st.integers(0, 2**16),
+        st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4]),
+        st.sampled_from([1e-10, 1e-6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_declined_blocks_are_deficient_under_the_svd(self, family, d, seed, eps, rank_tol):
+        # Every block the decline proves deficient, at the thresholds of
+        # either square step, keeps fewer than m singular values above its
+        # threshold under the SVD.
+        tm = {
+            "haar": lambda: random_unitary(d, seed),
+            "dft": lambda: dft_matrix(d),
+            "perturbed": lambda: _perturbed_dft(d, eps, seed),
+        }[family]()
+        for thresholds in _square_step_thresholds(tm, rank_tol):
+            _check_declined(tm, thresholds)
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_dft_declines_from_its_minors(self, rank_tol, monkeypatch):
+        # Both square steps of dft(8) decline without batch_ranks, and their
+        # declined blocks are deficient under the SVD.
+        tm = dft_matrix(8)
+        proven = sum(_check_declined(tm, th) for th in _square_step_thresholds(tm, rank_tol))
+        assert proven > 0
+        monkeypatch.setattr(incompat.rank, "batch_ranks", None)
+        assert not incompat.deficiency._square_blocks_clear(tm, rank_tol)
+        assert not incompat.support._square_level_clear(tm, rank_tol)
+
+    def test_minor_within_its_rounding_bound_of_the_cut_is_not_declined(self):
+        # The block of _tilt(c) on rows and columns (0, 1) is diag(1, c):
+        # minor c, Laplace parents 0 and 1, sigma_min c. At a threshold whose
+        # cut is c plus half of floor_2 the block is deficient, but its
+        # rounded minors cannot prove it.
+        tm = _tilt(1e-3)
+        eps = np.finfo(float).eps
+        norm = (1 + 3 * tm.residual) * (1 + 36 * eps)
+        err1, err2 = (err for err, _ in _minor_bounds(3, tm.residual, [0.0, 0.0]))
+        c = tm.matrix[1, 1].real
+        cut = (c + err2 / 2) / (1 - err1 / 2)
+        threshold = cut + 128 * eps * norm
+        rows, cols, minors, parents = next(
+            item for item in _square_minors(tm.matrix, 2)
+            if item[1].shape[1] == 2 and item[0][0].tolist() == [0, 1]
+        )
+        assert cols[0].tolist() == [0, 1] and minors[0, 0] == c
+        laplace = parents[:1, _drop_ranks(cols[:1], 3)[0]]
+        assert np.array_equal(laplace, [[0, 1]])
+        bounds = _decline_bounds(3, tm.residual, [0.0, threshold])[1]
+        assert not _declined(minors[0, :1], laplace, bounds).any()
+        assert np.linalg.svd(tm.matrix[:2, :2], compute_uv=False)[-1] < cut
+
+    def test_threshold_zero_proves_nothing(self):
+        # cut = th - 32 m^2 eps N is not positive at th = 0.
+        tm = dft_matrix(8)
+        bounds = _decline_bounds(8, tm.residual, [0.0] * 7)
+        assert [cut for cut, _ in bounds] == [0.0] * 7
+        assert _check_declined(tm, [0.0] * 7) == 0
+
     @pytest.mark.parametrize("budget", [1, 7, 40, 2**12])
     @pytest.mark.parametrize("row_0_at_top", [False, True])
     def test_walk_yields_every_minor_once(self, monkeypatch, budget, row_0_at_top):
         # Every minor once, each size's row sets in lexicographic order, the
-        # same output as at the default budget, and the same read-only
-        # column tables.
+        # same output as at the default budget, the same read-only column
+        # tables, and with each row set the minors of its row prefix.
         for d in (2, 5, 8):
             a = _random_complex(np.random.default_rng(d), d, d)
             for top in range(1, d + 1):
@@ -634,8 +751,8 @@ class TestSquareMinors:
                 assert all(x is y for x, y in zip(again, tables))
                 assert all(not t.flags.writeable for t in itertools.chain(*tables))
                 assert list(got) == list(range(1, top + 1))
-                for m, (rows, cols, minors) in got.items():
-                    assert all(map(np.array_equal, (rows, cols, minors), want[m]))
+                for m, (rows, cols, minors, parents) in got.items():
+                    assert all(map(np.array_equal, (rows, cols, minors, parents), want[m]))
                     assert [tuple(r) for r in rows.tolist()] == [
                         r for r in itertools.combinations(range(d), m)
                         if not (row_0_at_top and m == top and r[0] > 0)
@@ -645,6 +762,12 @@ class TestSquareMinors:
                     )
                     dets = np.linalg.det(a[rows[:, None, :, None], cols[None, :, None, :]])
                     assert (np.abs(minors - dets) <= 1e-12 * 2**m).all()
+                    lower = list(itertools.combinations(range(d), m - 1))
+                    lower = np.array(lower, dtype=np.intp).reshape(len(lower), m - 1)
+                    lower = lower[np.argsort(colex_ranks(lower, d))]
+                    prefix = rows[:, None, :-1, None]
+                    dets = np.linalg.det(a[prefix, lower[None, :, None, :]])
+                    assert (np.abs(parents - dets) <= 1e-12 * 2**m).all()
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4, 1e-3])
     def test_square_steps_match_batch_ranks_over_every_block(self, rank_tol, monkeypatch):
@@ -689,12 +812,32 @@ class TestSquareMinors:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_subset_covers_or_each_sets_subsets(self, m):
+        # Row i of the r-th cover is the OR of the table's rows over the
+        # m-subsets of the r-set of colex rank i, boolean or packed to bits.
+        d, width = 7, 11
+        table = np.random.default_rng(m).random((math.comb(d, m), width)) < 0.15
+        covers = subset_covers(table, d, m, d - 1)
+        packed = subset_covers(np.packbits(table, axis=1), d, m, d - 1)
+        assert len(covers) == len(packed) == d - m
+        for r, cover in enumerate(covers, m):
+            sets = np.array(list(itertools.combinations(range(d), r)))
+            want = [
+                table[colex_ranks(np.array(list(itertools.combinations(rows, m))), d)].any(axis=0)
+                for rows in sets
+            ]
+            assert np.array_equal(cover[colex_ranks(sets, d)], want)
+            unpacked = np.unpackbits(packed[r - m], axis=1, count=width).view(bool)
+            assert np.array_equal(unpacked, cover)
+        assert 0 < covers[1].mean() < covers[-1].mean()
+
     def test_only_small_tables_stay_cached(self):
         # The first yield of each size up to 7 at d = 14: the tables of sizes
         # 1..4 (at most 4004 entries) are cached, those of 5..7 only used.
         _colex_tables.cache_clear()
         walk = _square_minors(random_unitary(14, 0).matrix, 7)
-        firsts = [cols for _, cols, _ in itertools.islice(walk, 7)]
+        firsts = [cols for _, cols, _, _ in itertools.islice(walk, 7)]
         walk.close()
         assert [cols.shape[1] for cols in firsts] == list(range(1, 8))
         small = [m for m in range(1, 8) if m * math.comb(14, m) <= TABLE_CACHE_ENTRIES]

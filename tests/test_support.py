@@ -29,8 +29,11 @@ from incompat import (
     support_at_tau,
     support_counts,
 )
+from incompat.matrices import SubmatrixSelector
+from incompat.rank import DEFAULT_ZERO_THRESHOLD
 from incompat.rank import _square_minors as square_minors
 from incompat.rank import batch_ranks, kernel_witness, rank_threshold, strong_minors
+from incompat.support import _build_witness as build_witness
 from incompat.report import extremal_checks, profile_shape_checks
 from test_rank import FRAGILE_DFTS, SEARCH_CORPUS, _perturbed_dft
 
@@ -157,6 +160,38 @@ def _oracle_result(tm, rank_tol):
     return w.n_ab, w.subset_a, w.subset_b, w.state_in_a.tobytes()
 
 
+def _sequential_result(tm, rank_tol):
+    """_oracle_result by the search's documented order alone: s from 2, n_b
+    ascending, then A subsets and B subsets lexicographic, one A subset at
+    a time, every block decided by svd_batch_ranks at its threshold, with
+    neither the square level nor the screen. The witness is rebuilt from
+    the first hit as the oracle rebuilds it."""
+    a, d = tm.matrix, tm.dim
+    try:
+        for s in range(2, d + 2):
+            for nb in range(1, s):
+                na = s - nb
+                if na == d:
+                    w = build_witness(
+                        tm, tuple(range(d)), (0,), np.ones(1, dtype=complex), DEFAULT_ZERO_THRESHOLD
+                    )
+                    return w.n_ab, w.subset_a, w.subset_b, w.state_in_a.tobytes()
+                col_sets = np.array(list(itertools.combinations(range(d), nb)))
+                threshold = rank_threshold((d - na, nb), rank_tol, 1.0)
+                for subset_a in itertools.combinations(range(d), na):
+                    rows = [j for j in range(d) if j not in subset_a]
+                    hits = np.flatnonzero(svd_batch_ranks(a, [rows], col_sets, threshold)[0][0] < nb)
+                    if hits.size:
+                        subset_b = tuple(col_sets[hits[0]].tolist())
+                        sel = SubmatrixSelector(rows, subset_b)
+                        y = kernel_witness(a, "right", sel, tol=rank_tol, scale=1.0).coefficients
+                        w = build_witness(tm, subset_a, subset_b, y, DEFAULT_ZERO_THRESHOLD)
+                        return w.n_ab, w.subset_a, w.subset_b, w.state_in_a.tobytes()
+    except DegenerateWitnessError as exc:
+        return str(exc)
+    raise AssertionError("unreachable: the search terminates by s = d + 1")
+
+
 def _counted_blocks(monkeypatch):
     """Wrap the oracle's rank step; return the list of its batch sizes."""
     batches = []
@@ -204,9 +239,9 @@ class TestSquareLevelFirst:
         minors = []
 
         def counted(*args):
-            for rows, cols, values in square_minors(*args):
-                minors.append(values.size)
-                yield rows, cols, values
+            for item in square_minors(*args):
+                minors.append(item[2].size)
+                yield item
 
         monkeypatch.setattr(incompat.rank, "_square_minors", counted)
         assert min_support_uncertainty(random_unitary(8, 0), rank_tol=1e-10).n_ab == 9
@@ -240,13 +275,13 @@ def _check_certified_blocks(tm, rank_tol):
     on every level with s <= d, has rank n_b under the SVD at its level's
     threshold; return (blocks certified, blocks screened)."""
     d = tm.dim
-    strong = incompat.support._strong_squares(tm, d - 1, rank_tol)
+    screen = incompat.support._Screen(tm, rank_tol)
     certified_count = total = 0
     for r in range(1, d):
         row_sets = np.array(list(itertools.combinations(range(d), r)))
         for nb in range(1, r + 1):
             col_sets = np.array(list(itertools.combinations(range(d), nb)))
-            certified = incompat.support._minor_certified(strong[nb - 1], row_sets, col_sets, d)
+            certified = ~screen.weak(row_sets, col_sets)
             threshold = rank_threshold((r, nb), rank_tol, 1.0)
             ranks, _ = svd_batch_ranks(tm.matrix, row_sets, col_sets, threshold)
             assert (ranks[certified] == nb).all()
@@ -255,9 +290,22 @@ def _check_certified_blocks(tm, rank_tol):
     return certified_count, total
 
 
+def _family(family, d, seed, eps):
+    """One input of a named family; d is ignored by the fixed-size ones."""
+    angles = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
+    return {
+        "identity": lambda: identity(d),
+        "bronzan": lambda: bronzan_rotation(angles[seed % 5], angles[seed // 5 % 5]),
+        "qubit": lambda: qubit_rotation((0.0, 1e-160, eps, 0.3, math.pi / 2)[seed % 5]),
+        "haar": lambda: random_unitary(d, seed),
+        "dft": lambda: dft_matrix(d),
+        "perturbed": lambda: _perturbed_dft(d, eps, seed),
+    }[family]()
+
+
 class TestTallBlockCertificate:
-    """Levels too large for one batch send to batch_ranks only the blocks
-    that none of their square row sub-blocks certifies."""
+    """Every level with s <= d sends to batch_ranks only the blocks that
+    none of their square row sub-blocks certifies."""
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4])
     def test_certificate_changes_no_result(self, rank_tol, monkeypatch):
@@ -268,17 +316,47 @@ class TestTallBlockCertificate:
             return strong_minors(*args)
 
         monkeypatch.setattr(incompat.support, "strong_minors", counted)
-        want, screened = [], 0
+        screened = 0
         for tm in TALL_CORPUS:
             before = len(walks)
-            want.append(_oracle_result(tm, rank_tol))
+            assert _oracle_result(tm, rank_tol) == _sequential_result(tm, rank_tol)
             screened += len(walks) > before
-        # With every level decided as one batch, none is screened.
-        walked = len(walks)
-        monkeypatch.setattr(incompat.support, "one_batch", lambda *args: True)
-        assert [_oracle_result(tm, rank_tol) for tm in TALL_CORPUS] == want
-        assert len(walks) == walked
         assert screened >= 9
+
+    @pytest.mark.parametrize("d,n_ab,blocks", [(8, 6, 8), (9, 6, 9), (10, 7, 10)])
+    def test_dft_decides_few_blocks_from_one_walk(self, d, n_ab, blocks, monkeypatch):
+        # 7,904 / 18,867 / 64,510 blocks with no screen.
+        batches = _counted_blocks(monkeypatch)
+        walks, tables = [], []
+
+        def walked(*args):
+            walks.append(args[1])
+            return square_minors(*args)
+
+        def counted(*args):
+            tables.append(args[1])
+            return strong_minors(*args)
+
+        monkeypatch.setattr(incompat.rank, "_square_minors", walked)
+        monkeypatch.setattr(incompat.support, "strong_minors", counted)
+        assert min_support_uncertainty(dft_matrix(d)).n_ab == n_ab
+        assert sum(batches) == blocks
+        # The square level's walk to d - 1, then the screen's one walk, to
+        # d // 2; its size 1 table is read off the entries without a walk.
+        assert walks == [d - 1, d // 2]
+        assert tables == [1, d // 2]
+
+    @given(
+        st.sampled_from(["identity", "bronzan", "qubit", "haar", "dft", "perturbed"]),
+        st.integers(1, 7),
+        st.integers(0, 2**16),
+        st.sampled_from([1e-12, 1e-9, 1e-6]),
+        st.sampled_from([1e-10, 1e-6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_sequential_search(self, family, d, seed, eps, rank_tol):
+        tm = _family(family, d, seed, eps)
+        assert _oracle_result(tm, rank_tol) == _sequential_result(tm, rank_tol)
 
     def test_dft9_decides_few_blocks(self, monkeypatch):
         # 18,867 blocks when every level of dft(9) went to batch_ranks whole.
