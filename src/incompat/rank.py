@@ -12,13 +12,14 @@ own batches, at most BATCH_ENTRIES block entries each, so memory does not
 grow with d, and yields each batch's rows with their ranks and gaps. The
 searches replay each batch's rows in the sequential order, so the
 first-achieving witness, the early exits and the worst gap are those of a
-search that decides one row set at a time. In each batch, batch_ranks first
-tries to prove each block full rank from its Gram matrix G: sigma_min^2 =
-lambda_min(G) >= det(G) * ((k - 1) / tr G)^(k - 1) for a k x k Gram matrix
-(AM-GM on the other eigenvalues), evaluated with an explicit allowance for
-rounding. A block is certified only when that bound, less the allowance,
-puts sigma_min above the threshold itself. The allowance also puts it above
-the threshold by more than the SVD's own error, so the SVD would keep all k
+search that decides one row set at a time. In each slice of at least
+GRAM_MIN_BLOCKS blocks, batch_ranks first tries to prove each block full
+rank from its Gram matrix G: sigma_min^2 = lambda_min(G) >=
+det(G) * ((k - 1) / tr G)^(k - 1) for a k x k Gram matrix (AM-GM on the
+other eigenvalues), evaluated with an explicit allowance for rounding. A
+block is certified only when that bound, less the allowance, puts
+sigma_min above the threshold itself. The allowance also puts it above the
+threshold by more than the SVD's own error, so the SVD would keep all k
 singular values too and the certificate skips SVDs without changing a
 decision, at every tolerance. Every other block, every kernel witness and
 numerical_rank are decided by SVD.
@@ -31,14 +32,11 @@ from its row prefix's by Laplace expansion, m gathered multiply-adds per
 block against O(m^3) for a Gram matrix or an SVD. Since every singular
 value of a block is at most ||a||_2, sigma_min >= |det| / ||a||_2^(m-1), so
 a block whose minor clears the threshold by a proven rounding bound is
-certified from the minor alone. Since sigma_min <= |det| / |det S_k| for
-each parent S_k of the expansion, a block whose minor is that far below
-the threshold times its largest parent is proven deficient, which ends the
-step; every other block goes to batch_ranks, so the answer is
-batch_ranks's over every block. strong_minors runs the same walk and
-keeps, per size, which blocks their minors certify at one threshold, and
-subset_covers carries such a table from row sets to their supersets, for
-the subset search's tall blocks.
+certified from the minor alone; every other block goes to batch_ranks, so
+the answer is batch_ranks's over every block. strong_minors runs the same
+walk and keeps, per size, which blocks their minors certify at one
+threshold, and subset_covers carries such a table from row sets to their
+supersets, for the subset search's tall blocks.
 """
 
 from __future__ import annotations
@@ -67,6 +65,9 @@ DEFAULT_ZERO_THRESHOLD = 1e-8
 # Gram stack and Cholesky factor then take at most 128 KiB together; larger
 # batches save little per-call time and raise the peak memory.
 BATCH_ENTRIES = 2**12
+# A slice of fewer blocks than this goes straight to the SVD: the Gram
+# certificate's fixed cost, about 15 numpy calls, exceeds the SVD of so few.
+GRAM_MIN_BLOCKS = 16
 # The walk's colex tables of at most this many entries stay cached, at most
 # 32 (2 MiB); larger ones, from d = 12 on, are built per call.
 TABLE_CACHE_ENTRIES = 2**12
@@ -122,11 +123,12 @@ def batch_ranks(
     ranks, gaps), with the batch's row sets as an array and the decision for
     a[rows[i], col_sets[j]] at [i, j]. A batch keeps within BATCH_ENTRIES; a
     row set whose column sets alone are over it is a batch of its own,
-    decided in slices of its column sets. A block that the Gram determinant
-    certificate (_certified_full_rank) proves to have every singular value
-    above ``threshold``, by more than the SVD's own error, gets rank k =
-    min(rows, cols) and gap 0 without an SVD: the SVD would keep all k
-    singular values of such a block, and the gap of a full-rank block is 0.
+    decided in slices of its column sets. In a slice of at least
+    GRAM_MIN_BLOCKS blocks, a block that the Gram determinant certificate
+    (_certified_full_rank) proves to have every singular value above
+    ``threshold``, by more than the SVD's own error, gets rank k = min(rows,
+    cols) and gap 0 without an SVD: the SVD would keep all k singular values
+    of such a block, and the gap of a full-rank block is 0.
     The other blocks of a slice go to one batched SVD, whose singular values
     above ``threshold`` are counted, with the dropped/kept ratio at the rank
     boundary as the gap (0 for zero- or full-rank blocks); none is called
@@ -177,7 +179,9 @@ def squares_full_rank(
     uncertified blocks, then the slice's other such row sets times the
     column sets of any of theirs. The walk stops at the first grid with a
     deficient block. So the result is exactly that of batch_ranks over
-    every block.
+    every block. A step that finds a deficient block mostly ends at its
+    first uncertified row set's grid, a few blocks, which batch_ranks
+    leaves to one SVD (GRAM_MIN_BLOCKS).
 
     Certificate. First, N = (1 + d residual)(1 + 4 d^2 eps) bounds ||a||_2.
     Each entry of a^H a is a dot product of d terms, between columns of
@@ -218,42 +222,14 @@ def squares_full_rank(
     modulus, so while need_m / eps is finite none overflows. A size whose
     need_m / eps is not finite certifies nothing: its minors, overflowed or
     NaN among them, all go to batch_ranks, which guards its own arithmetic.
-
-    Decline. Before a slice's uncertified blocks go to batch_ranks, their
-    minors may prove one deficient, and the answer is then False without
-    batch_ranks. Let S_k be the m parent blocks of S's Laplace expansion,
-    S less its last row and its k-th column (for m = 1, the empty block,
-    minor 1). Deleting a row and a column can only lower singular values,
-    so prod_(i<m) sigma_i(S) >= |det S_k| and sigma_m(S) <= |det S| / |det
-    S_k| for each k. With cut = th - 32 m^2 eps N, a block is proven
-    deficient when
-
-        (1 + 8 m eps) (|c| + E_m + cut E_(m-1)) < cut max_k |c_k|,
-
-    c and c_k the computed minors. The factor covers the test's own
-    rounding, five roundings on its left side and two on its right, so
-    |det S| <= |c| + E_m < cut (|c_k| - E_(m-1)) <= cut |det S_k| for the
-    largest c_k, and sigma_m(S) < cut. The SVD's error is less than 32
-    m^2 eps N, as above, so batch_ranks would find S deficient: its Gram
-    certificate proves sigma_min > th or nothing, and its SVD keeps fewer
-    than m singular values above th. The answer is the same either way.
-    Where cut is not positive (for example when th is 0) or need_m is not
-    finite, nothing is proven deficient.
     """
-    d = a.shape[0]
-    need = [bound for _, bound in _minor_bounds(d, residual, thresholds)]
-    decline = None  # computed at the first uncertified block
+    need = [bound for _, bound in _minor_bounds(a.shape[0], residual, thresholds)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, cols, minors, parents in _square_minors(a, len(thresholds), row_0_at_top):
+        for rows, cols, minors in _square_minors(a, len(thresholds), row_0_at_top):
             m = cols.shape[1]
             weak = ~(np.abs(minors) > need[m - 1])
             if not weak.any():
                 continue
-            decline = decline or _decline_bounds(d, residual, thresholds)
-            i, j = np.nonzero(weak)
-            laplace = parents[i[:, None], _drop_ranks(cols[j], d)]
-            if _declined(minors[i, j], laplace, decline[m - 1]).any():
-                return False
             # The first row set with an uncertified block alone, then the rest:
             # a deficient block is often on the first, and its grid is small.
             weak_rows = np.flatnonzero(weak.any(axis=1))
@@ -291,7 +267,7 @@ def strong_minors(
     with np.errstate(over="ignore", invalid="ignore"):
         strong[0] = np.abs(a) > need[0]
         walk = _square_minors(a, top) if top > 1 else ()
-        for rows, _, minors, _ in walk:
+        for rows, _, minors in walk:
             m = rows.shape[1]
             strong[m - 1][colex_ranks(rows, d)] = np.abs(minors) > need[m - 1]
     return strong
@@ -340,7 +316,7 @@ def _minor_bounds(
     at thresholds[m - 1]. Products only, no ** or pow: a huge residual must
     give inf, not OverflowError, and Python floats, which do not warn."""
     eps, eta = float(np.finfo(float).eps), float(np.finfo(float).smallest_subnormal)
-    norm = _norm_bound(d, residual)
+    norm = (1 + d * residual) * (1 + 4 * d * d * eps)
     bounds = []
     err, power = 0.0, 1.0  # E_(m-1) and N^(m-1)
     for m, th in enumerate(map(float, thresholds), 1):
@@ -349,52 +325,6 @@ def _minor_bounds(
         bounds.append((err, need if need / eps < math.inf else math.inf))
         power *= norm
     return bounds
-
-
-def _decline_bounds(
-    d: int, residual: float, thresholds: list[float]
-) -> list[tuple[float, float]]:
-    """(cut_m, floor_m) for m = 1..len(thresholds), as in squares_full_rank:
-    an m x m block is proven deficient when (1 + 8 m eps) (|det| + floor_m)
-    < cut_m max_k |det S_k|, with cut_m = th - 32 m^2 eps N and floor_m =
-    E_m + cut_m E_(m-1). cut_m is 0, which proves nothing, where that
-    difference is not positive or need_m is not finite."""
-    eps = float(np.finfo(float).eps)
-    norm = _norm_bound(d, residual)
-    bounds, prev = [], 0.0  # E_(m-1)
-    for m, (th, (err, need)) in enumerate(
-        zip(map(float, thresholds), _minor_bounds(d, residual, thresholds)), 1
-    ):
-        cut = th - 32 * m * m * eps * norm
-        cut = cut if cut > 0 and need < math.inf else 0.0
-        bounds.append((cut, err + cut * prev))
-        prev = err
-    return bounds
-
-
-def _declined(minors: np.ndarray, laplace: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    """Which m x m blocks the decline of squares_full_rank proves deficient:
-    entry n for the block with computed minor minors[n] and the computed
-    minors laplace[n, k] of its m Laplace parents, with (cut, floor) =
-    bounds, its size's _decline_bounds. A cut of 0 proves nothing."""
-    cut, floor = bounds
-    m = laplace.shape[1]
-    lead = np.abs(laplace).max(axis=1)
-    return (1 + 8 * m * np.finfo(float).eps) * (np.abs(minors) + floor) < cut * lead
-
-
-def _norm_bound(d: int, residual: float) -> float:
-    """N = (1 + d residual)(1 + 4 d^2 eps), a bound on ||a||_2 of a d x d
-    matrix with this computed residual (squares_full_rank)."""
-    return (1 + d * residual) * (1 + 4 * d * d * float(np.finfo(float).eps))
-
-
-def _drop_ranks(sets: np.ndarray, d: int) -> np.ndarray:
-    """The colex rank of each m-set of indices below d less its k-th
-    entry, at [i, k]; 0, the empty set's, for m = 1."""
-    m = sets.shape[1]
-    others = np.array([[i for i in range(m) if i != k] for k in range(m)], dtype=np.intp)
-    return colex_ranks(sets[:, others], d)
 
 
 @functools.lru_cache(maxsize=32)
@@ -440,10 +370,8 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
     cursor into their (row set, new row) pairs in lexicographic order. Each
     step takes the top frame's next slice of pairs, at most BATCH_ENTRIES
     minors and parent minors (or one pair), computes their minors as m
-    gathered multiply-adds, yields them as (rows, cols, minors, parents),
-    minors[i, j] = det a[rows[i], cols[j]] and parents[i] the minors of
-    rows[i] less its last row over the (m - 1)-column sets in colex order,
-    and pushes the minors as the next frame. So each
+    gathered multiply-adds, yields them as (rows, cols, minors), minors[i,
+    j] = det a[rows[i], cols[j]], and pushes them as the next frame. So each
     size's row sets come in lexicographic order, and each depth holds one
     chunk: about (top + 3) BATCH_ENTRIES entries live, whatever the number
     of row sets, besides each size's tables, fetched when first reached.
@@ -486,7 +414,7 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
             terms *= factors
             (np.subtract if k % 2 else np.add)(child, terms, out=child)
         kid_rows = np.column_stack([rows[p], r])
-        yield kid_rows, cols.T, child, y
+        yield kid_rows, cols.T, child
         if m < top:
             push(kid_rows, child)
 
@@ -498,10 +426,11 @@ def _certified_full_rank(
     the SVD's own error.
 
     Decides a grid like batch_ranks: entry [i, j] is for row set i and
-    column set j. With k = min(rows, cols) and G the k x k Gram matrix of a
-    block S (S S^H or S^H S), sigma_min(S)^2 = lambda_min(G), and since the
-    other k - 1 eigenvalues have product at most ((tr G) / (k - 1))^(k - 1)
-    (AM-GM),
+    column set j. A grid of fewer than GRAM_MIN_BLOCKS blocks certifies
+    nothing, which is trivially sound. With k = min(rows, cols) and G the k
+    x k Gram matrix of a block S (S S^H or S^H S), sigma_min(S)^2 =
+    lambda_min(G), and since the other k - 1 eigenvalues have product at
+    most ((tr G) / (k - 1))^(k - 1) (AM-GM),
 
         lambda_min(G) >= det(G) * ((k - 1) / tr G)^(k - 1)
 
@@ -553,6 +482,8 @@ def _certified_full_rank(
     outer products, scaled by 1 / tr G in place.
     """
     (n_rows, m), (n_cols, c) = row_sets.shape, col_sets.shape
+    if n_rows * n_cols < GRAM_MIN_BLOCKS:
+        return np.zeros((n_rows, n_cols), dtype=bool)
     d = a.shape[1]
     k = min(m, c)
     shift = 32 * (max(m, c) + k) ** 2 * np.finfo(float).eps

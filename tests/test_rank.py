@@ -33,12 +33,10 @@ from incompat import (
 from incompat.rank import (
     DEFAULT_ZERO_THRESHOLD,
     FRAGILE_GAP_RATIO,
+    GRAM_MIN_BLOCKS,
     TABLE_CACHE_ENTRIES,
     _certified_full_rank,
     _colex_tables,
-    _declined,
-    _decline_bounds,
-    _drop_ranks,
     _minor_bounds,
     _square_minors,
     batch_ranks,
@@ -210,6 +208,12 @@ def _batch(blocks):
     return a, np.arange(rows)[None, :], np.arange(len(blocks) * cols).reshape(len(blocks), cols)
 
 
+def _at_gate(blocks):
+    """blocks repeated up to at least GRAM_MIN_BLOCKS, so that a grid of them
+    reaches the Gram certificate."""
+    return blocks * -(-GRAM_MIN_BLOCKS // len(blocks))
+
+
 def _block(rng, rows, cols, sigmas):
     """U diag(sigmas) V^H with Haar-like U, V: singular values exactly sigmas."""
     u, _ = np.linalg.qr(_random_complex(rng, rows, rows))
@@ -264,12 +268,15 @@ class TestCertifiedBatchRanks:
         zero = np.zeros((rows, cols), dtype=complex)
         full = _block(rng, rows, cols, np.ones(k))
         threshold = rank_threshold((rows, cols), 1e-10, 1.0)
-        for blocks in ([zero] * 4, [zero, full, zero, full]):
+        for blocks in (_at_gate([zero] * 4), _at_gate([zero, full, zero, full])):
             a, sel, col_sets = _batch(blocks)
             got = _grid(a, sel, col_sets, threshold)
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert list(got[0][0]) == [0, k, 0, k]
+        assert list(got[0][0]) == [0, k, 0, k] * (len(blocks) // 4)
+        # The full blocks are certified, the zero ones left to the SVD.
+        cert = _certified_full_rank(a, sel, col_sets, threshold)[0]
+        assert list(cert) == [False, True] * (len(blocks) // 2)
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 0.0])
     @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (2, 3), (3, 2)])
@@ -280,20 +287,43 @@ class TestCertifiedBatchRanks:
         k = min(rows, cols)
         threshold = rank_threshold((rows, cols), rank_tol, 1.0)
         for scale in (1e-200, 1e-162, 1e-160, 1e-155, 1e-154, 1e-150, 1e150, 1e154, 1e160):
-            blocks = [
+            blocks = _at_gate([
                 scale * _block(rng, rows, cols, np.ones(k)),
                 scale * _block(rng, rows, cols, np.geomspace(1.0, 0.1, k)),
                 _block(rng, rows, cols, np.ones(k)),
-            ]
+            ])
             a, sel, col_sets = _batch(blocks)
             got = _grid(a, sel, col_sets, threshold)
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            # The scaled blocks leave the unscaled ones as they are alone.
+            assert _certified_full_rank(a, sel, col_sets, threshold)[0, 2::3].all()
 
     def test_huge_threshold_certifies_nothing(self):
-        a, sel, col_sets = _batch([np.eye(3, dtype=complex)] * 2)
+        a, sel, col_sets = _batch(_at_gate([np.eye(3, dtype=complex)] * 2))
         assert not _certified_full_rank(a, sel, col_sets, 1e200).any()
-        assert list(_grid(a, sel, col_sets, 1e200)[0][0]) == [0, 0]
+        assert list(_grid(a, sel, col_sets, 1e200)[0][0]) == [0] * len(col_sets)
+
+    @pytest.mark.parametrize("n", [GRAM_MIN_BLOCKS - 1, GRAM_MIN_BLOCKS])
+    def test_small_slices_skip_the_gram_certificate(self, n, monkeypatch):
+        # A slice of fewer than GRAM_MIN_BLOCKS blocks goes to the SVD with no
+        # Gram stack; a slice of GRAM_MIN_BLOCKS blocks is factored once.
+        rng = np.random.default_rng(n)
+        blocks = [_block(rng, 2, 3, [1.0, (1e-12, 0.5, 0.0)[i % 3]]) for i in range(n)]
+        a, sel, col_sets = _batch(blocks)
+        threshold = rank_threshold((2, 3), 1e-10, 1.0)
+        want = svd_batch_ranks(a, sel, col_sets, threshold)
+        cholesky, calls = np.linalg.cholesky, []
+
+        def counted(x, *args, **kwargs):
+            calls.append(x.shape)
+            return cholesky(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        got = _grid(a, sel, col_sets, threshold)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert (got[1] > 0).any()
+        assert len(calls) == (n >= GRAM_MIN_BLOCKS)
 
 
 def _perturbed_dft(d, eps, seed):
@@ -532,59 +562,17 @@ SCALED = [_scaled(_tilt(7e-4), 2.0)] + [
 ]
 
 
-def _square_step_thresholds(tm, rank_tol):
-    """The per-size thresholds that the level-0 step and the subset search's
-    square level pass to squares_full_rank."""
-    seen = []
-
-    def record(a, thresholds, residual, **kwargs):
-        seen.append(thresholds)
-        return True
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(incompat.deficiency, "squares_full_rank", record)
-        patch.setattr(incompat.support, "squares_full_rank", record)
-        incompat.deficiency._square_blocks_clear(tm, rank_tol)
-        incompat.support._square_level_clear(tm, rank_tol)
-    return seen
-
-
-def _check_declined(tm, thresholds):
-    """Check every block of the walk to len(thresholds) that the decline
-    proves deficient against the SVD at its size's threshold; return how
-    many were proven."""
-    d = tm.dim
-    decline = _decline_bounds(d, tm.residual, thresholds)
-    proven = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows, cols, minors, parents in _square_minors(tm.matrix, len(thresholds)):
-            m = cols.shape[1]
-            i, j = (g.ravel() for g in np.indices(minors.shape))
-            laplace = parents[i[:, None], _drop_ranks(cols[j], d)]
-            hit = _declined(minors[i, j], laplace, decline[m - 1])
-            if hit.any():
-                i, j = i[hit], j[hit]
-                blocks = tm.matrix[rows[i][:, :, None], cols[j][:, None, :]]
-                s = np.linalg.svd(blocks, compute_uv=False)
-                assert ((s > thresholds[m - 1]).sum(axis=1) < m).all()
-                proven += hit.sum()
-    return proven
-
-
 def _walk_by_size(a, top, row_0_at_top):
-    """{m: (rows, cols, minors, parents)} of _square_minors, each size's
-    yields joined; every yield of a size gives its column sets as a view of
-    the cached table."""
+    """{m: (rows, cols, minors)} of _square_minors, each size's yields joined;
+    every yield of a size gives its column sets as a view of the cached
+    table."""
     sizes = {}
-    for rows, cols, minors, parents in _square_minors(a, top, row_0_at_top):
+    for rows, cols, minors in _square_minors(a, top, row_0_at_top):
         m = cols.shape[1]
         assert cols.base is _colex_tables(a.shape[0], m)[0]
-        sizes.setdefault(m, []).append((rows, cols, minors, parents))
+        sizes.setdefault(m, []).append((rows, cols, minors))
     return {
-        m: (
-            np.concatenate([p[0] for p in parts]), parts[0][1],
-            np.concatenate([p[2] for p in parts]), np.concatenate([p[3] for p in parts]),
-        )
+        m: (np.concatenate([p[0] for p in parts]), parts[0][1], np.concatenate([p[2] for p in parts]))
         for m, parts in sorted(sizes.items())
     }
 
@@ -603,7 +591,7 @@ class TestSquareMinors:
             d = tm.dim
             thresholds = [rank_threshold((m, m), rank_tol, 1.0) for m in range(1, d + 1)]
             need = [bound for _, bound in _minor_bounds(d, tm.residual, thresholds)]
-            for rows, cols, minors, _ in _square_minors(tm.matrix, d):
+            for rows, cols, minors in _square_minors(tm.matrix, d):
                 m = cols.shape[1]
                 i, j = np.nonzero(np.abs(minors) > need[m - 1])
                 if not i.size:
@@ -628,7 +616,7 @@ class TestSquareMinors:
             (entries,) = strong_minors(tm.matrix, 1, threshold, tm.residual)
             assert np.array_equal(entries, strong[0])
             seen = [np.zeros_like(t) for t in strong]
-            for rows, cols, minors, _ in _square_minors(tm.matrix, d - 1):
+            for rows, cols, minors in _square_minors(tm.matrix, d - 1):
                 m = cols.shape[1]
                 assert np.array_equal(colex_ranks(cols, d), np.arange(len(cols)))
                 i = colex_ranks(rows, d)
@@ -644,7 +632,7 @@ class TestSquareMinors:
         checked = 0
         for tm in [tm for tm in SEARCH_CORPUS + FRAGILE_DFTS + SCALED if tm.dim <= 5]:
             errs = [err for err, _ in _minor_bounds(tm.dim, tm.residual, [0.0] * tm.dim)]
-            for rows, cols, minors, _ in _square_minors(tm.matrix, tm.dim):
+            for rows, cols, minors in _square_minors(tm.matrix, tm.dim):
                 err = Fraction(errs[cols.shape[1] - 1])
                 for i, j in itertools.product(range(len(rows)), range(len(cols))):
                     re, im = _exact_det(tm.matrix[np.ix_(rows[i], cols[j])])
@@ -666,79 +654,18 @@ class TestSquareMinors:
         assert tm.residual == probe.residual
         need = _minor_bounds(3, tm.residual, [0.0] * 3)[1][1]
         rows, cols, minors = next(
-            (rows, cols, minors) for rows, cols, minors, _ in _square_minors(tm.matrix, 2)
+            (rows, cols, minors) for rows, cols, minors in _square_minors(tm.matrix, 2)
             if cols.shape[1] == 2 and rows[0].tolist() == [0, 1]
         )
         assert cols[0].tolist() == [0, 1] and minors[0, 0] == tm.matrix[1, 1]
         assert not abs(minors[0, 0]) > need
 
-    @given(
-        st.sampled_from(["haar", "dft", "perturbed"]),
-        st.integers(2, 9),
-        st.integers(0, 2**16),
-        st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4]),
-        st.sampled_from([1e-10, 1e-6]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_declined_blocks_are_deficient_under_the_svd(self, family, d, seed, eps, rank_tol):
-        # Every block the decline proves deficient, at the thresholds of
-        # either square step, keeps fewer than m singular values above its
-        # threshold under the SVD.
-        tm = {
-            "haar": lambda: random_unitary(d, seed),
-            "dft": lambda: dft_matrix(d),
-            "perturbed": lambda: _perturbed_dft(d, eps, seed),
-        }[family]()
-        for thresholds in _square_step_thresholds(tm, rank_tol):
-            _check_declined(tm, thresholds)
-
-    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
-    def test_dft_declines_from_its_minors(self, rank_tol, monkeypatch):
-        # Both square steps of dft(8) decline without batch_ranks, and their
-        # declined blocks are deficient under the SVD.
-        tm = dft_matrix(8)
-        proven = sum(_check_declined(tm, th) for th in _square_step_thresholds(tm, rank_tol))
-        assert proven > 0
-        monkeypatch.setattr(incompat.rank, "batch_ranks", None)
-        assert not incompat.deficiency._square_blocks_clear(tm, rank_tol)
-        assert not incompat.support._square_level_clear(tm, rank_tol)
-
-    def test_minor_within_its_rounding_bound_of_the_cut_is_not_declined(self):
-        # The block of _tilt(c) on rows and columns (0, 1) is diag(1, c):
-        # minor c, Laplace parents 0 and 1, sigma_min c. At a threshold whose
-        # cut is c plus half of floor_2 the block is deficient, but its
-        # rounded minors cannot prove it.
-        tm = _tilt(1e-3)
-        eps = np.finfo(float).eps
-        norm = (1 + 3 * tm.residual) * (1 + 36 * eps)
-        err1, err2 = (err for err, _ in _minor_bounds(3, tm.residual, [0.0, 0.0]))
-        c = tm.matrix[1, 1].real
-        cut = (c + err2 / 2) / (1 - err1 / 2)
-        threshold = cut + 128 * eps * norm
-        rows, cols, minors, parents = next(
-            item for item in _square_minors(tm.matrix, 2)
-            if item[1].shape[1] == 2 and item[0][0].tolist() == [0, 1]
-        )
-        assert cols[0].tolist() == [0, 1] and minors[0, 0] == c
-        laplace = parents[:1, _drop_ranks(cols[:1], 3)[0]]
-        assert np.array_equal(laplace, [[0, 1]])
-        bounds = _decline_bounds(3, tm.residual, [0.0, threshold])[1]
-        assert not _declined(minors[0, :1], laplace, bounds).any()
-        assert np.linalg.svd(tm.matrix[:2, :2], compute_uv=False)[-1] < cut
-
-    def test_threshold_zero_proves_nothing(self):
-        # cut = th - 32 m^2 eps N is not positive at th = 0.
-        tm = dft_matrix(8)
-        bounds = _decline_bounds(8, tm.residual, [0.0] * 7)
-        assert [cut for cut, _ in bounds] == [0.0] * 7
-        assert _check_declined(tm, [0.0] * 7) == 0
-
     @pytest.mark.parametrize("budget", [1, 7, 40, 2**12])
     @pytest.mark.parametrize("row_0_at_top", [False, True])
     def test_walk_yields_every_minor_once(self, monkeypatch, budget, row_0_at_top):
         # Every minor once, each size's row sets in lexicographic order, the
-        # same output as at the default budget, the same read-only column
-        # tables, and with each row set the minors of its row prefix.
+        # same output as at the default budget, and the same read-only
+        # column tables.
         for d in (2, 5, 8):
             a = _random_complex(np.random.default_rng(d), d, d)
             for top in range(1, d + 1):
@@ -751,8 +678,8 @@ class TestSquareMinors:
                 assert all(x is y for x, y in zip(again, tables))
                 assert all(not t.flags.writeable for t in itertools.chain(*tables))
                 assert list(got) == list(range(1, top + 1))
-                for m, (rows, cols, minors, parents) in got.items():
-                    assert all(map(np.array_equal, (rows, cols, minors, parents), want[m]))
+                for m, (rows, cols, minors) in got.items():
+                    assert all(map(np.array_equal, (rows, cols, minors), want[m]))
                     assert [tuple(r) for r in rows.tolist()] == [
                         r for r in itertools.combinations(range(d), m)
                         if not (row_0_at_top and m == top and r[0] > 0)
@@ -762,12 +689,6 @@ class TestSquareMinors:
                     )
                     dets = np.linalg.det(a[rows[:, None, :, None], cols[None, :, None, :]])
                     assert (np.abs(minors - dets) <= 1e-12 * 2**m).all()
-                    lower = list(itertools.combinations(range(d), m - 1))
-                    lower = np.array(lower, dtype=np.intp).reshape(len(lower), m - 1)
-                    lower = lower[np.argsort(colex_ranks(lower, d))]
-                    prefix = rows[:, None, :-1, None]
-                    dets = np.linalg.det(a[prefix, lower[None, :, None, :]])
-                    assert (np.abs(parents - dets) <= 1e-12 * 2**m).all()
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 1e-4, 1e-3])
     def test_square_steps_match_batch_ranks_over_every_block(self, rank_tol, monkeypatch):
@@ -837,7 +758,7 @@ class TestSquareMinors:
         # 1..4 (at most 4004 entries) are cached, those of 5..7 only used.
         _colex_tables.cache_clear()
         walk = _square_minors(random_unitary(14, 0).matrix, 7)
-        firsts = [cols for _, cols, _, _ in itertools.islice(walk, 7)]
+        firsts = [cols for _, cols, _ in itertools.islice(walk, 7)]
         walk.close()
         assert [cols.shape[1] for cols in firsts] == list(range(1, 8))
         small = [m for m in range(1, 8) if m * math.comb(14, m) <= TABLE_CACHE_ENTRIES]
