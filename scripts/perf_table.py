@@ -7,7 +7,8 @@ Each BENCH_<n>.json at the root of the checkout holds the summary that
 
 wrote for one version of the package. The table has one row per workload
 and, for each of `analyze_s` and `tau_s`, one column per file in order of n,
-each cell the median over the file's runs in calibrated seconds. The README's
+each cell the median over the file's runs in calibrated seconds, to three
+significant figures. The README's
 performance table is this output, verbatim.
 
     python3 scripts/perf_table.py
@@ -34,7 +35,7 @@ def render(paths: list[Path]) -> str:
         for metric in ("analyze_s", "tau_s"):
             for _, summary in benches:
                 value = summary.get(workload, {}).get(metric)
-                cells.append("-" if value is None else f"{value['median']:.3f}")
+                cells.append("-" if value is None else f"{value['median']:.3g}")
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
 

@@ -44,6 +44,7 @@ from . import symmetry
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
 from .rank import (
     DEFAULT_RANK_TOL,
+    _minor_bounds,
     batch_ranks,
     extract_submatrix,
     numerical_rank,
@@ -95,7 +96,7 @@ def _check_level(dim: int, t: int, rank_tol: float) -> None:
     check_tolerance("rank_tol", rank_tol)
 
 
-def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
+def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float, floors: list | None = None) -> bool:
     """Whether the level search would find every block of tm full rank.
 
     Levels are nonincreasing in t, so when no square block of U is singular
@@ -112,6 +113,13 @@ def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
     block. The step only certifies: False says nothing about any level,
     which the level search then decides.
 
+    floors, when given, are the minor floors of the subset search's
+    square level on tm (support._square_level_clear), whose walk covers
+    every block of this one with bit-identical minors. When each size's
+    need_m at this step's thresholds is below its floor, this walk would
+    certify every block, so True is returned without it. Only the minors
+    are shared; the thresholds and the proof below stay this step's own.
+
     Let V be the unitary nearest U, e = ||U - V||_2 <= ||U^dag U - I||_2 <=
     d * residual. Blocks of U and V differ in each singular value by at most
     e, and in V a block and its complement share their singular values below
@@ -126,6 +134,10 @@ def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
     thresholds = [
         rank_threshold((m, d - m), rank_tol, 1.0) + 2 * d * tm.residual for m in range(1, d // 2 + 1)
     ]
+    if floors and len(floors) >= len(thresholds):
+        bounds = _minor_bounds(d, tm.residual, thresholds)
+        if all(need < low for (_, need), low in zip(bounds, floors)):
+            return True
     return squares_full_rank(tm.matrix, thresholds, tm.residual, row_0_at_top=d % 2 == 0)
 
 
@@ -294,12 +306,14 @@ def _complement_deficiency(
     return len(comp.cols) - decided.rank
 
 
-def _descent(tm: TransitionMatrix, rank_tol: float, sym: symmetry.Symmetry | None = None):
+def _descent(
+    tm: TransitionMatrix, rank_tol: float, sym: symmetry.Symmetry | None = None, floors=None
+):
     """The row search of every level that needs one, yielded as
     (t, value, witness, worst gap ratio) for t descending from d - 1.
 
-    Nothing is yielded when _square_blocks_clear certifies that every level
-    is 0. Otherwise the searches reduce by sym, verified here
+    Nothing is yielded when _square_blocks_clear, given floors, certifies
+    that every level is 0. Otherwise the searches reduce by sym, verified here
     (symmetry.verify) when not given, and each level is searched with
     stop_at one above the value at t + 1, the unit-step bound on
     consecutive levels, so a search ends the moment it reaches that bound.
@@ -308,7 +322,7 @@ def _descent(tm: TransitionMatrix, rank_tol: float, sym: symmetry.Symmetry | Non
     deficient level every search asks only whether a deficient block
     exists, the question tau_fast asks.
     """
-    if _square_blocks_clear(tm, rank_tol):
+    if _square_blocks_clear(tm, rank_tol, floors):
         return
     if sym is None:
         sym = symmetry.verify(tm.matrix, tm.residual)
@@ -365,12 +379,13 @@ def r_t(tm: TransitionMatrix, t: int, *, rank_tol: float = DEFAULT_RANK_TOL) -> 
 
 
 def deficiency_profile(
-    tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL
+    tm: TransitionMatrix, *, rank_tol: float = DEFAULT_RANK_TOL, floors: list | None = None
 ) -> DeficiencyProfile:
     """Compute every level, tau, chi, and per-level witnesses from _descent;
     a level it does not search is 0, and the witnesses and worst_gap_ratio
     are those of its searches. The symmetry is verified up front, so the
-    profile reports it whether or not the level-0 step decides the input."""
+    profile reports it whether or not the level-0 step decides the input.
+    floors: min_support_uncertainty's, for the level-0 step."""
     check_tolerance("rank_tol", rank_tol)
     d = tm.dim
     row_vals = [0] * d
@@ -378,7 +393,7 @@ def deficiency_profile(
     witnesses: list[Optional[DeficiencyWitness]] = [None] * d
     worst = 0.0
     sym = symmetry.verify(tm.matrix, tm.residual)
-    for t, value, sel, gap in _descent(tm, rank_tol, sym):
+    for t, value, sel, gap in _descent(tm, rank_tol, sym, floors):
         col = _complement_deficiency(tm.matrix, sel, rank_tol)
         row_vals[t], col_vals[t] = value, col
         worst = max(worst, gap)

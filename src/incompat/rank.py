@@ -164,12 +164,20 @@ def batch_ranks(
 
 
 def squares_full_rank(
-    a: np.ndarray, thresholds: list[float], residual: float, *, row_0_at_top: bool = False
+    a: np.ndarray, thresholds: list[float], residual: float, *,
+    row_0_at_top: bool = False, floors: list | None = None,
 ) -> bool:
     """Whether batch_ranks finds every m x m block of the d x d matrix a full
     rank at thresholds[m - 1], for m = 1..top = len(thresholds); with
     row_0_at_top, only the row sets that hold row 0 at m = top. residual is
     ||a^H a - I||_max as computed (TransitionMatrix.residual).
+
+    floors, a list given with row_0_at_top False, receives on True each
+    size's floor: the least computed |minor| of the size, NaN if any is
+    NaN. A later walk of a to a size at most top computes bit-identical
+    minors, so it would certify every block when each size's need_m is
+    below its floor. So analyze_transition lets the level-0 step read the
+    subset search's walk, one list per call; each step keeps its own proof.
 
     The minors come from _square_minors, an expansion of m terms per block
     in the minors of its row prefix, and a block is certified full rank from
@@ -224,10 +232,16 @@ def squares_full_rank(
     NaN among them, all go to batch_ranks, which guards its own arithmetic.
     """
     need = [bound for _, bound in _minor_bounds(a.shape[0], residual, thresholds)]
+    record = floors is not None and not row_0_at_top
+    low = [math.inf] * len(thresholds)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, cols, minors in _square_minors(a, len(thresholds), row_0_at_top):
             m = cols.shape[1]
-            weak = ~(np.abs(minors) > need[m - 1])
+            size = np.abs(minors)
+            if record:
+                # np.minimum keeps a NaN minor's NaN, which fails every comparison.
+                low[m - 1] = np.minimum(low[m - 1], size.min())
+            weak = ~(size > need[m - 1])
             if not weak.any():
                 continue
             # The first row set with an uncertified block alone, then the rest:
@@ -238,6 +252,8 @@ def squares_full_rank(
                 for _, ranks, _ in batch_ranks(a, rows[group], col_sets, thresholds[m - 1]):
                     if ranks.min() < m:
                         return False
+    if record:
+        floors[:] = low
     return True
 
 

@@ -114,7 +114,10 @@ def analyze_transition(
     With oracle_cap, the subset search (min_support_uncertainty) runs first,
     so a dimension above oracle_cap raises DimensionCapError before any level
     is searched; support_matches_deficiency then records whether its minimum
-    equals chi, False when its witness cannot be rebuilt. A support witness
+    equals chi, False when its witness cannot be rebuilt. When its square
+    level clears, the profile's level-0 step reads that walk's minor floors,
+    a list made for this call alone, instead of computing each minor again;
+    each route keeps its own thresholds and proof. A support witness
     that cannot be rebuilt (DegenerateWitnessError) does not discard the
     deficiency route: the report is returned with support None and the
     reason in support_skipped.
@@ -123,18 +126,20 @@ def analyze_transition(
     check_tolerance("zero_threshold", zero_threshold)
     timings: dict = {}
 
+    floors = []
     if oracle_cap is not None:
         start = time.perf_counter()
         try:
             oracle_n_ab = min_support_uncertainty(
-                tm, zero_threshold=zero_threshold, rank_tol=rank_tol, max_dim=oracle_cap
+                tm, zero_threshold=zero_threshold, rank_tol=rank_tol, max_dim=oracle_cap,
+                floors=floors,
             ).n_ab
         except DegenerateWitnessError:
             oracle_n_ab = None
         timings["oracle"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    profile = deficiency_profile(tm, rank_tol=rank_tol)
+    profile = deficiency_profile(tm, rank_tol=rank_tol, floors=floors)
     timings["deficiency"] = time.perf_counter() - start
 
     support, support_skipped = None, None

@@ -132,6 +132,7 @@ def min_support_uncertainty(
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
     rank_tol: float = DEFAULT_RANK_TOL,
     max_dim: int = DEFAULT_SUPPORT_CAP,
+    floors: list | None = None,
 ) -> SupportWitness:
     """Brute-force minimal support uncertainty with an explicit witness state:
     the route to chi independent of the level search, which analyze_transition
@@ -152,7 +153,8 @@ def min_support_uncertainty(
     the proof): when it finds every n x n block full rank at tol * n plus a
     rounding allowance, no s <= d can hit and the search starts at s = d +
     1, whose first pair is the hit; otherwise it starts at s = 2.
-    Either way the hit is the one the search from s = 2 returns.
+    Either way the hit is the one the search from s = 2 returns. floors,
+    when given, receives the minor floors of a clear square level.
 
     Every level with s <= d is screened by square minors before
     batch_ranks decides it. Its blocks U[R, K] are tall: r = |R| = d - n_a
@@ -190,7 +192,7 @@ def min_support_uncertainty(
             f"subset search over dimension {d} exceeds the cap {max_dim}"
         )
     a = tm.matrix
-    first = d + 1 if _square_level_clear(tm, rank_tol) else 2
+    first = d + 1 if _square_level_clear(tm, rank_tol, floors) else 2
     screen = _Screen(tm, rank_tol)
     for s in range(first, d + 2):
         for nb in range(1, s):
@@ -261,7 +263,7 @@ def _allowance(tm: TransitionMatrix) -> float:
     return 32 * d * d * np.finfo(float).eps * (1 + d * tm.residual)
 
 
-def _square_level_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
+def _square_level_clear(tm: TransitionMatrix, rank_tol: float, floors: list | None = None) -> bool:
     """Whether no pair with s <= d can hit, decided on the s = d level alone.
 
     The s = d level is every n x n block, n = 1..d - 1, and each is decided
@@ -294,10 +296,15 @@ def _square_level_clear(tm: TransitionMatrix, rank_tol: float) -> bool:
     identity of unitaries, only the norm bound from the residual; the level
     search's level-0 step rests on the complement identity instead, and
     this step does not share it, so the two routes stay independent.
+
+    On True the walk's minor floors go into floors, when given, and the
+    level-0 step of the same analysis reads them instead of walking again.
+    It shares the computed minors only, not this proof: it decides at its
+    own thresholds by the complement identity.
     """
     allowance = _allowance(tm)
     thresholds = [rank_threshold((n, n), rank_tol, 1.0) + allowance for n in range(1, tm.dim)]
-    return squares_full_rank(tm.matrix, thresholds, tm.residual)
+    return squares_full_rank(tm.matrix, thresholds, tm.residual, floors=floors)
 
 
 def _build_witness(

@@ -17,6 +17,7 @@ from incompat import (
     NoKernelError,
     NonFiniteEntryError,
     SubmatrixSelector,
+    analyze_transition,
     bronzan_rotation,
     deficiency_profile,
     dft_matrix,
@@ -42,6 +43,7 @@ from incompat.rank import (
     batch_ranks,
     colex_ranks,
     rank_threshold,
+    squares_full_rank,
     strong_minors,
     subset_covers,
 )
@@ -507,8 +509,9 @@ class TestBatchBudget:
         assert seen == math.comb(d, m) and items > 1
 
 
-def _squares_by_batch_ranks(a, thresholds, residual, *, row_0_at_top=False):
-    """squares_full_rank's reference: batch_ranks over every block, size by size.
+def _squares_by_batch_ranks(a, thresholds, residual, *, row_0_at_top=False, floors=None):
+    """squares_full_rank's reference: batch_ranks over every block, size by
+    size. It records no floors, so floors is accepted and left as it is.
 
     Under errstate, as squares_full_rank runs it: the Gram certificate
     squares a threshold of 1e289 (the subset search's allowance at a
@@ -560,6 +563,54 @@ def _tilt(c):
 SCALED = [_scaled(_tilt(7e-4), 2.0)] + [
     _scaled(tm, scale) for tm in (dft_matrix(5), random_unitary(5, 0)) for scale in (2.0, 0.5)
 ]
+
+
+# The 1e150-scaled input overflows its minors of size 3 and the 1e-150-scaled
+# one underflows them.
+EXTREME = [_scaled(random_unitary(6, 0), scale) for scale in (1e150, 1e-150)]
+
+
+def _kron(theta):
+    """R(theta) (x) DFT(2), R(theta) the real rotation by theta: entries of
+    sin(theta) / sqrt(2), and a singular 2 x 2 block on rows (0, 1)."""
+    c, s = math.cos(theta), math.sin(theta)
+    return from_array(np.kron([[c, -s], [s, c]], dft_matrix(2).matrix))
+
+
+# At rank_tol 0 the square level's threshold, 32 d^2 eps, is above this
+# matrix's smallest entries, 5e-14, and the level-0 step's is below them, so
+# the square level declines at size 1 before it computes any larger minor,
+# and the level-0 step declines only at size 2.
+DECLINE_AT_SIZE_1 = _kron(math.asin(math.sqrt(2) * 5e-14))
+
+FLOOR_TOLS = [0.0, 1e-10, 1e-6, 1e-4, 1e-3]
+
+
+def _floors_decide_alike(tm):
+    """For the floors of the square level at each of FLOOR_TOLS, empty
+    unless it clears, check that the level-0 step decides tm alike with and
+    without them at each of FLOOR_TOLS. Return the set of its decisions and
+    how many read the floors instead of walking."""
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return squares_full_rank(*args, **kwargs)
+
+    decided, skipped = set(), 0
+    for oracle_tol in FLOOR_TOLS:
+        floors = []
+        clear = incompat.support._square_level_clear(tm, oracle_tol, floors)
+        assert len(floors) == (tm.dim - 1 if clear else 0)
+        for rank_tol in FLOOR_TOLS:
+            want = incompat.deficiency._square_blocks_clear(tm, rank_tol)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(incompat.deficiency, "squares_full_rank", counted)
+                before = len(walks)
+                assert incompat.deficiency._square_blocks_clear(tm, rank_tol, floors) == want
+            decided.add(want)
+            skipped += len(walks) == before
+    return decided, skipped
 
 
 def _walk_by_size(a, top, row_0_at_top):
@@ -695,8 +746,7 @@ class TestSquareMinors:
         # Entries of 1e150 overflow the minors of size 3 and entries of
         # 1e-150 underflow them; neither may certify a block or warn.
         haar = [random_unitary(d, seed) for d in range(2, 10) for seed in (0, 1)]
-        extreme = [_scaled(random_unitary(6, 0), scale) for scale in (1e150, 1e-150)]
-        corpus = SEARCH_CORPUS + FRAGILE_DFTS + haar + SCALED + extreme
+        corpus = SEARCH_CORPUS + FRAGILE_DFTS + haar + SCALED + EXTREME
         steps = (
             (incompat.deficiency, incompat.deficiency._square_blocks_clear),
             (incompat.support, incompat.support._square_level_clear),
@@ -707,6 +757,83 @@ class TestSquareMinors:
         want = [[step(tm, rank_tol) for tm in corpus] for _, step in steps]
         assert got == want
         assert all(True in g and False in g for g in got)
+
+    def test_floors_only_from_a_clear_walk_over_every_row_set(self):
+        # Each floor is the least |minor| of its size, bit for bit; the
+        # level-0 step's walk, on row 0 at its top size, computes the same
+        # minors.
+        tm = random_unitary(7, 0)
+        d, a = tm.dim, tm.matrix
+        thresholds = [rank_threshold((m, m), 1e-10, 1.0) for m in range(1, d)]
+        floors = []
+        assert squares_full_rank(a, thresholds, tm.residual, floors=floors)
+        full = _walk_by_size(a, d - 1, False)
+        assert floors == [np.abs(minors).min() for _, _, minors in full.values()]
+        for m, (rows, _, minors) in _walk_by_size(a, d // 2, True).items():
+            index = {r: i for i, r in enumerate(map(tuple, full[m][0].tolist()))}
+            same = [index[r] for r in map(tuple, rows.tolist())]
+            assert np.array_equal(minors, full[m][2][same])
+        # A walk on row 0 at its top size or one that declines records none.
+        for a, row_0_at_top in ((a, True), (dft_matrix(4).matrix, False)):
+            floors = []
+            squares_full_rank(
+                a, thresholds[:3], tm.residual, row_0_at_top=row_0_at_top, floors=floors
+            )
+            assert floors == []
+        # The size-2 minor is 4e400 - 1e400, inf - inf = NaN, in a full-rank
+        # block: the floor stays NaN, which no need_m is below.
+        floors = []
+        a = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex) * 1e200
+        assert squares_full_rank(a, [1e-10, 1e-10], 0.0, floors=floors)
+        assert floors[0] == 1e200 and math.isnan(floors[1])
+
+    def test_floors_decide_the_level_0_step_alike_on_the_corpora(self):
+        haar = [random_unitary(d, seed) for d in range(2, 10) for seed in (0, 1)]
+        corpus = SEARCH_CORPUS + FRAGILE_DFTS + haar + SCALED + EXTREME + [DECLINE_AT_SIZE_1]
+        decided, skipped = set(), 0
+        for tm in corpus:
+            got = _floors_decide_alike(tm)
+            decided |= got[0]
+            skipped += got[1]
+        assert decided == {False, True} and skipped > 100
+
+    @given(
+        st.sampled_from(["haar", "perturbed"]),
+        st.integers(2, 9),
+        st.integers(0, 2**16),
+        st.integers(-12, -2),
+    )
+    @settings(max_examples=30)
+    def test_floors_decide_the_level_0_step_alike(self, family, d, seed, log_eps):
+        tm = random_unitary(d, seed) if family == "haar" else _perturbed_dft(d, 10.0**log_eps, seed)
+        _floors_decide_alike(tm)
+
+    def test_analysis_walks_once_on_a_clear_square_level(self, monkeypatch):
+        # The level-0 step reads the subset search's floors, one list per
+        # call: nothing is kept on the matrix for a later call.
+        walks = []
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return _square_minors(*args, **kwargs)
+
+        def count(run):
+            before = len(walks)
+            run()
+            return len(walks) - before
+
+        monkeypatch.setattr(incompat.rank, "_square_minors", counted)
+        for seed in (0, 1, 2):
+            tm = random_unitary(9, seed)
+            assert count(lambda: analyze_transition(tm, {}, oracle_cap=10)) == 1
+            assert count(lambda: analyze_transition(tm, {}, oracle_cap=10)) == 1
+            assert count(lambda: tau_fast(tm)) == 1
+            # Without the subset search the level-0 step walks.
+            assert count(lambda: analyze_transition(tm, {})) == 1
+        # The DFT's square level declines, so nothing is shared.
+        tm = dft_matrix(8)
+        apart = count(lambda: min_support_uncertainty(tm)) + count(lambda: deficiency_profile(tm))
+        assert count(lambda: analyze_transition(tm, {}, oracle_cap=10)) == apart
 
     @pytest.mark.parametrize("d", [9, 10, 11, 12, 13])
     def test_memory_does_not_grow_with_the_row_sets(self, d):

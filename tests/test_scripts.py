@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts, run the way the README runs them."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -103,4 +104,32 @@ def test_perf_table_renders_committed_bench_files():
         cells = [cell.strip() for cell in row.strip("|").split("|")]
         assert cells[0] == f"`{workload}`"
         for metric in ("analyze_s", "tau_s"):
-            assert f"{metrics[metric]['median']:.3f}" in cells
+            assert f"{metrics[metric]['median']:.3g}" in cells
+
+
+def test_perf_table_renders_medians_to_three_significant_figures(tmp_path):
+    spec = importlib.util.spec_from_file_location("perf_table", ROOT / "scripts" / "perf_table.py")
+    perf_table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf_table)
+
+    def bench(n, workloads):
+        path = tmp_path / f"BENCH_{n}.json"
+        summary = {
+            name: {metric: {"median": value} for metric, value in zip(("analyze_s", "tau_s"), medians)}
+            for name, medians in workloads.items()
+        }
+        path.write_text(json.dumps({"workloads": summary}))
+        return path
+
+    # Given out of order: the columns follow n, and a workload missing from a
+    # file reads "-".
+    paths = [
+        bench(12, {"haar": (0.00482, 0.000931)}),
+        bench(9, {"haar": (0.178, 0.0176), "dft": (0.148, 0.0213)}),
+    ]
+    assert perf_table.render(paths).splitlines() == [
+        "| workload | `analyze_s` BENCH_9 | `analyze_s` BENCH_12 | `tau_s` BENCH_9 | `tau_s` BENCH_12 |",
+        "|---|---|---|---|---|",
+        "| `haar` | 0.178 | 0.00482 | 0.0176 | 0.000931 |",
+        "| `dft` | 0.148 | - | 0.0213 | - |",
+    ]
