@@ -15,7 +15,9 @@ value, and the complement of a row witness is a column witness. The column
 value reported is the column deficiency of that complement, decided by its
 own SVD, so the profile still cross-checks the two sides numerically. The
 row search takes its rank decisions from rank.batch_ranks, a batch of row
-sets at a time, and replays each batch in the sequential order.
+sets at a time, and replays each batch in the sequential order. A grid
+that follows one whose replay exited at its first row set starts with a
+batch of that one row set, as identity-like input stops there every time.
 
 Both deficiency_profile and tau_fast read the levels off one descent,
 _descent: level 0 decided first on half-size square blocks
@@ -167,6 +169,7 @@ def _max_row_deficiency(
     stop_at: int | None = None,
     rank_tol: float = DEFAULT_RANK_TOL,
     sym: symmetry.Symmetry | None = None,
+    alone: bool = False,
 ):
     """Maximum of m - rank over all m x (m+t) submatrices of the unitary a.
 
@@ -254,9 +257,17 @@ def _max_row_deficiency(
     witness is the first to achieve the maximum, an exit happens at the
     first row that reaches the ceiling or stop_at, and the worst gap ratio
     covers only the rows up to that exit, not those the batch decided past
-    it.
+    it. alone says whether the last grid searched, here or in the caller's
+    previous call, exited at its first row set; then the next grid's first
+    batch is that one row set (batch_ranks's first_rows), and the rest take
+    the usual size. A skipped m leaves the bit as it was. Identity-like
+    input exits at the first row set of every grid, and its first batches
+    would otherwise decide up to hundreds of blocks that the replay throws
+    away. Batching changes no decision, so nothing returned but the bit
+    depends on it.
 
-    Returns (value, selector or None, worst gap ratio seen).
+    Returns (value, selector or None, worst gap ratio seen, alone after the
+    last grid searched).
     """
     d = a.shape[0]
     best = 0
@@ -273,7 +284,9 @@ def _max_row_deficiency(
         row_sets = itertools.combinations(range(d), m)
         if sym is not None and not symmetry.one_batch(math.comb(d, m), len(col_sets), m, c, d):
             row_sets, col_sets = sym.least_rows(row_sets, m), sym.least_cols(col_sets)
-        for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold):
+        batches = batch_ranks(a, row_sets, col_sets, threshold, 1 if alone else None)
+        alone, seen = False, 0
+        for rows, ranks, gaps in batches:
             # Replay the batch in order: the sequential search stops at the
             # first row set that reaches the limit, its best is the first
             # maximum up to there, and only the rows it visits count towards
@@ -281,6 +294,7 @@ def _max_row_deficiency(
             row_best = m - ranks.min(axis=1)
             reached = np.flatnonzero(row_best >= limit)
             visited = reached[0] + 1 if reached.size else len(rows)
+            seen += visited
             i = int(np.argmax(row_best[:visited]))
             worst_gap = max(worst_gap, float(gaps[:visited].max()))
             if row_best[i] > best:
@@ -288,10 +302,11 @@ def _max_row_deficiency(
                 first = int(np.argmin(ranks[i]))
                 best_sel = SubmatrixSelector(rows[i].tolist(), col_sets[first].tolist())
             if best >= limit:
+                alone = seen == 1
                 if stop_at is not None and best >= stop_at:
-                    return best, best_sel, worst_gap
+                    return best, best_sel, worst_gap, alone
                 break
-    return best, best_sel, worst_gap
+    return best, best_sel, worst_gap, alone
 
 
 def _complement_deficiency(
@@ -320,18 +335,20 @@ def _descent(
     Level d - 1 has no candidate (its interlacing ceiling is 0), so the
     first bounded search is at t = d - 2 with stop_at 1: up to the first
     deficient level every search asks only whether a deficient block
-    exists, the question tau_fast asks.
+    exists, the question tau_fast asks. Each search gets the bit the one
+    before it left (alone, see _max_row_deficiency), so a grid after one
+    that exited at its first row set starts with that row set alone.
     """
     if _square_blocks_clear(tm, rank_tol, floors):
         return
     if sym is None:
         sym = symmetry.verify(tm.matrix, tm.residual)
     mu, e = _coherence(tm)
-    value = None
+    value, alone = None, False
     for t in range(tm.dim - 1, -1, -1):
         stop_at = None if value is None else value + 1
-        value, sel, gap = _max_row_deficiency(
-            tm.matrix, t, mu, e, stop_at=stop_at, rank_tol=rank_tol, sym=sym
+        value, sel, gap, alone = _max_row_deficiency(
+            tm.matrix, t, mu, e, stop_at=stop_at, rank_tol=rank_tol, sym=sym, alone=alone
         )
         yield t, value, sel, gap
 
@@ -343,7 +360,7 @@ def _level_search(
     orbit of the verified symmetry, which leaves the value and the first
     maximizing selector unchanged (see _max_row_deficiency)."""
     _check_level(tm.dim, t, rank_tol)
-    value, sel, _ = _max_row_deficiency(
+    value, sel, _, _ = _max_row_deficiency(
         tm.matrix, t, *_coherence(tm), rank_tol=rank_tol,
         sym=symmetry.verify(tm.matrix, tm.residual),
     )

@@ -207,7 +207,12 @@ def load_matrix(source, format: str = "json") -> np.ndarray:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(
+                f"input is not UTF-8 text: byte {exc.start} ({exc.reason})"
+            ) from exc
     if format == "json":
         return matrix_from_json(source)
     if format == "csv":
@@ -223,6 +228,8 @@ def matrix_from_json(text: str) -> np.ndarray:
         raise MatrixFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal over Python's digit limit
+        raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MatrixFormatError("top-level JSON value must be an object")
     rows, cols = doc.get("rows"), doc.get("cols")
@@ -252,6 +259,12 @@ def _json_grid(grid, name: str, rows: int, cols: int) -> np.ndarray:
         for j, value in enumerate(row):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise MatrixFormatError(f"field '{name}' entry ({i}, {j}) is not a number")
+            try:
+                float(value)
+            except OverflowError:
+                raise MatrixFormatError(
+                    f"field '{name}' entry ({i}, {j}) is too large for a float"
+                ) from None
     return np.array(grid, dtype=float)
 
 

@@ -113,7 +113,8 @@ def rank_from_singular_values(
 
 
 def batch_ranks(
-    a: np.ndarray, row_sets: Iterable, col_sets: np.ndarray, threshold: float
+    a: np.ndarray, row_sets: Iterable, col_sets: np.ndarray, threshold: float,
+    first_rows: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Ranks and gap ratios of a[R, K] for every row set R and column set K.
 
@@ -123,7 +124,9 @@ def batch_ranks(
     ranks, gaps), with the batch's row sets as an array and the decision for
     a[rows[i], col_sets[j]] at [i, j]. A batch keeps within BATCH_ENTRIES; a
     row set whose column sets alone are over it is a batch of its own,
-    decided in slices of its column sets. In a slice of at least
+    decided in slices of its column sets. With first_rows, the first batch
+    holds at most that many row sets: a search that expects to stop at its
+    first row set asks for only that one. In a slice of at least
     GRAM_MIN_BLOCKS blocks, a block that the Gram determinant certificate
     (_certified_full_rank) proves to have every singular value above
     ``threshold``, by more than the SVD's own error, gets rank k = min(rows,
@@ -143,7 +146,9 @@ def batch_ranks(
     col_step = min(n_cols, max(1, BATCH_ENTRIES // (m * c)))
     row_step = max(1, BATCH_ENTRIES // max(col_step * m * c, a.shape[1] ** 2))
     it = itertools.chain([first], it)
-    while chunk := list(itertools.islice(it, row_step)):
+    step = row_step if first_rows is None else min(first_rows, row_step)
+    while chunk := list(itertools.islice(it, step)):
+        step = row_step
         rows = np.array(chunk)
         ranks = np.full((len(rows), n_cols), k)
         gaps = np.zeros((len(rows), n_cols))

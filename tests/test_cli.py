@@ -189,6 +189,22 @@ class TestAnalyze:
         assert code == 2
         assert "tolerance" in err
 
+    @pytest.mark.parametrize(
+        "fmt,data",
+        [
+            ("json", b'{"rows":1,"cols":1,"re":[[1' + b"0" * 400 + b"]]}"),
+            ("json", b"\xff\xfe" + '{"rows":1,"cols":1,"re":[[1]]}'.encode("utf-16-le")),
+            ("csv", b"\xff\xfe" + "1".encode("utf-16-le")),
+        ],
+        ids=["huge-integer", "utf16-json", "utf16-csv"],
+    )
+    def test_unreadable_file_exit_2(self, capsys, tmp_path, fmt, data):
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_bad_unitarity_tolerance_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rows": 2, "cols": 2, "re": [[5, 1], [2, 7]]}))

@@ -215,16 +215,16 @@ class TestTauFast:
         # profile's, in the same order; only the column checks are left out.
         calls = []
 
-        def recorded(a, row_sets, col_sets, threshold):
+        def recorded(a, row_sets, col_sets, threshold, first_rows=None):
             pulled = []
-            calls.append((col_sets.shape, threshold, pulled))
+            calls.append((col_sets.shape, threshold, first_rows, pulled))
 
             def pull():
                 for rows in row_sets:
                     pulled.append(tuple(rows))
                     yield rows
 
-            yield from batch_ranks(a, pull(), col_sets, threshold)
+            yield from batch_ranks(a, pull(), col_sets, threshold, first_rows)
 
         def refuse(*args, **kwargs):
             raise AssertionError("tau_fast made a column check")
@@ -241,7 +241,7 @@ class TestTauFast:
             assert deficiency_profile(tm).tau == tau
             assert calls[: len(fast)] == fast
             # Calls past the level-0 step: blocks with more columns than rows.
-            searched += sum(len(rows[0]) < shape[1] for shape, _, rows in fast if rows)
+            searched += sum(len(rows[0]) < shape[1] for shape, _, _, rows in fast if rows)
         assert searched > 0
 
 
@@ -265,7 +265,7 @@ class TestLevelZeroFirst:
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
     def test_agrees_with_level_zero_search(self, rank_tol):
         for tm in SEARCH_CORPUS + FRAGILE_DFTS:
-            full, _, _ = _max_row_deficiency(
+            full, _, _, _ = _max_row_deficiency(
                 tm.matrix, 0, *_coherence(tm), stop_at=1, rank_tol=rank_tol
             )
             assert _square_blocks_clear(tm, rank_tol) == (full == 0)

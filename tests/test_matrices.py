@@ -288,6 +288,27 @@ class TestLoadMatrix:
         with pytest.raises(NonFiniteEntryError):
             load_matrix('{"rows":1,"cols":1,"re":[[1e999]]}', "json")
 
+    def test_json_integer_too_large_for_a_float_rejected(self):
+        # 10**400 overflows float(); the largest integer that rounds to a
+        # finite float is still accepted.
+        big = "1" + "0" * 400
+        with pytest.raises(MatrixFormatError, match=r"'im' entry \(1, 0\) is too large"):
+            load_matrix(f'{{"rows":2,"cols":1,"re":[[0],[1]],"im":[[0],[-{big}]]}}', "json")
+        top = 2**1024 - 2**970 - 1
+        arr = load_matrix(f'{{"rows":1,"cols":1,"re":[[{top}]]}}', "json")
+        assert arr[0, 0] == np.finfo(float).max
+
+    def test_json_integer_over_the_digit_limit_rejected(self):
+        with pytest.raises(MatrixFormatError, match="invalid JSON"):
+            load_matrix('{"rows":1,"cols":1,"re":[[' + "1" * 5000 + "]]}", "json")
+
+    @pytest.mark.parametrize(
+        "fmt,text", [("json", '{"rows":1,"cols":1,"re":[[1]]}'), ("csv", "1")], ids=["json", "csv"]
+    )
+    def test_non_utf8_bytes_rejected(self, fmt, text):
+        with pytest.raises(MatrixFormatError, match="not UTF-8 text: byte 0"):
+            load_matrix(b"\xff\xfe" + text.encode("utf-16-le"), fmt)
+
     def test_csv_bad_token_reports_position(self):
         with pytest.raises(MatrixFormatError, match="line 2, entry 1"):
             load_matrix("1,2\nx,4", "csv")

@@ -28,6 +28,8 @@ from incompat import (
     min_support_uncertainty,
     numerical_rank,
     qubit_rotation,
+    r_col,
+    r_row,
     random_unitary,
     tau_fast,
 )
@@ -354,8 +356,8 @@ class TestCertifiedSearches:
     def test_every_batch_matches_svd(self, rank_tol, monkeypatch):
         batches = []
 
-        def checked(a, row_sets, col_sets, threshold):
-            for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold):
+        def checked(a, row_sets, col_sets, threshold, first_rows=None):
+            for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold, first_rows):
                 want = svd_batch_ranks(a, rows, col_sets, threshold)
                 assert np.array_equal(ranks, want[0]) and np.array_equal(gaps, want[1])
                 batches.append(ranks.size)
@@ -460,6 +462,60 @@ class TestBatchBudget:
         got = [_search_results(tm) for tm in corpus]
         assert got == want
         assert set(batches) == {1}
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_searches_do_not_depend_on_the_first_batch(self, rank_tol, monkeypatch):
+        # A grid after one whose search exited at its first row set starts
+        # with a batch of that one row set. Forcing every first batch to the
+        # usual size changes no output.
+        corpus = (
+            SEARCH_CORPUS + FRAGILE_DFTS + [identity(d) for d in range(2, 10)]
+            + [bronzan_rotation(0.0, t2) for t2 in (0.3, 0.6, 1.1)]
+        )
+
+        def results(tm):
+            p = deficiency_profile(tm, rank_tol=rank_tol)
+            levels = [(r_row(tm, t, rank_tol=rank_tol), r_col(tm, t, rank_tol=rank_tol))
+                      for t in range(tm.dim)]
+            return (p.r_values, p.r_row_values, p.r_col_values, p.witnesses,
+                    p.worst_gap_ratio, tau_fast(tm, rank_tol=rank_tol), levels)
+
+        firsts = []
+
+        def usual(a, row_sets, col_sets, threshold, first_rows=None):
+            firsts.append(first_rows)
+            return batch_ranks(a, row_sets, col_sets, threshold)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(incompat.deficiency, "batch_ranks", usual)
+            want = [results(tm) for tm in corpus]
+        assert [results(tm) for tm in corpus] == want
+        assert 1 in firsts
+
+    def test_first_batch_alone_block_counts(self, monkeypatch):
+        # The blocks and batches the level search sends to batch_ranks: the
+        # identity's grids exit at their first row set, the DFT's do not.
+        counts = []
+
+        def counted(a, row_sets, col_sets, threshold, first_rows=None):
+            for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold, first_rows):
+                counts[-1][0] += ranks.size
+                counts[-1][1] += 1
+                yield rows, ranks, gaps
+
+        def count(search, tm):
+            counts.append([0, 0])
+            search(tm)
+            return tuple(counts[-1])
+
+        monkeypatch.setattr(incompat.deficiency, "batch_ranks", counted)
+        assert count(deficiency_profile, identity(7)) == (350, 12)
+        assert count(deficiency_profile, identity(9)) == (1_746, 20)
+        dfts = [dft_matrix(d) for d in (8, 9, 10, 12)]
+        assert [count(deficiency_profile, tm) for tm in dfts] == [
+            (895, 4), (158, 6), (675, 8), (5_535, 47)
+        ]
+        assert [count(tau_fast, tm) for tm in dfts] == [(30, 1), (30, 1), (78, 1), (387, 3)]
 
     @pytest.mark.parametrize("budget", [1, 7, 40, 600])
     @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 2), (3, 2), (2, 5)])

@@ -133,8 +133,8 @@ class TestReducedSearch:
     def test_reduced_search_decides_fewer_blocks(self, monkeypatch):
         blocks = []
 
-        def counted(a, row_sets, col_sets, threshold):
-            for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold):
+        def counted(a, row_sets, col_sets, threshold, first_rows=None):
+            for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold, first_rows):
                 blocks[-1] += ranks.size
                 yield rows, ranks, gaps
 
