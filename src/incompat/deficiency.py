@@ -18,6 +18,11 @@ row search takes its rank decisions from rank.batch_ranks, a batch of row
 sets at a time, and replays each batch in the sequential order. A grid
 that follows one whose replay exited at its first row set starts with a
 batch of that one row set, as identity-like input stops there every time.
+The row and column sets are read from one table per (d, k),
+rank.lex_sets, and their orbit representatives from
+symmetry.least_sets, each built once and cached when small; row sets of
+a larger table are taken lazily, so a search that stops early builds no
+more of them than it decides.
 
 Both deficiency_profile and tau_fast read the levels off one descent,
 _descent: level 0 decided first on half-size square blocks
@@ -35,7 +40,6 @@ translation class, with the same values and witnesses.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -229,11 +233,16 @@ def _max_row_deficiency(
     only lower it, by ending an m's search early or skipping an m; a cap of
     0 never changes it, as every block it skips has gap 0.
 
-    With sym (the symmetry that _descent verified on a; None reduces
-    nothing), an m whose grid does not fit one batch (symmetry.one_batch)
-    decides only the row sets least in their orbit under sym's row group,
-    taken lazily from the same ordered iterator, and, for each, only the
-    column sets least under its column translations. Let f(R) = max_C (m -
+    The column sets are the rows of rank.lex_sets(d, m + t), and the row
+    sets those of lex_sets(d, m) when that table is small enough to cache
+    (rank.small_table), or taken lazily from itertools.combinations in the
+    same order otherwise. With sym (the symmetry that _descent verified on
+    a; None reduces nothing), an m whose grid does not fit one batch
+    (symmetry.one_batch) decides only the row sets least in their orbit
+    under sym's row group (Symmetry.least_rows: the cached representatives
+    of a small table, the lazy chunked filter of a larger one), and, for
+    each, only the column sets least under its column translations
+    (Symmetry.least_cols). Let f(R) = max_C (m -
     rank a[R, C]) over the level's column sets. A verified map (pi, sigma)
     sends a[R, C] to a[pi(R), sigma(C)] with the same singular values, and
     sigma permutes the column sets, so f(pi(R)) = f(R). The search raises its
@@ -280,10 +289,9 @@ def _max_row_deficiency(
         if ceiling <= best:
             continue
         limit = ceiling if stop_at is None else min(ceiling, stop_at)
-        col_sets = np.array(list(itertools.combinations(range(d), c)))
-        row_sets = itertools.combinations(range(d), m)
-        if sym is not None and not symmetry.one_batch(math.comb(d, m), len(col_sets), m, c, d):
-            row_sets, col_sets = sym.least_rows(row_sets, m), sym.least_cols(col_sets)
+        whole = sym is None or symmetry.one_batch(math.comb(d, m), math.comb(d, c), m, c, d)
+        by = symmetry.trivial(d) if whole else sym
+        row_sets, col_sets = by.least_rows(m), by.least_cols(c)
         batches = batch_ranks(a, row_sets, col_sets, threshold, 1 if alone else None)
         alone, seen = False, 0
         for rows, ranks, gaps in batches:

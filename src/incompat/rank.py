@@ -37,6 +37,14 @@ the answer is batch_ranks's over every block. strong_minors runs the same
 walk and keeps, per size, which blocks their minors certify at one
 threshold, and subset_covers carries such a table from row sets to their
 supersets, for the subset search's tall blocks.
+
+Every search reads its subsets from one table per (d, k), lex_sets, the
+k-subsets of range(d) in lexicographic order. Their colex ranks
+(lex_ranks), the walk's colex tables (_colex_tables) and the orbit
+representatives of symmetry.least_sets are derived from it. Each is built
+once and kept while it has at most TABLE_CACHE_ENTRIES entries
+(cached_when_small); a larger one is built for the call that needs it, so
+what stays cached between calls does not grow with d.
 """
 
 from __future__ import annotations
@@ -68,8 +76,10 @@ BATCH_ENTRIES = 2**12
 # A slice of fewer blocks than this goes straight to the SVD: the Gram
 # certificate's fixed cost, about 15 numpy calls, exceeds the SVD of so few.
 GRAM_MIN_BLOCKS = 16
-# The walk's colex tables of at most this many entries stay cached, at most
-# 32 (2 MiB); larger ones, from d = 12 on, are built per call.
+# Subset tables (cached_when_small) of at most this many entries stay
+# cached, at most 32 of each kind: 2 MiB of the walk's colex tables, 1 MiB
+# of lex_sets's, 1 MiB of orbit representatives and 0.5 MiB of colex ranks.
+# Larger ones, from d = 12 on, are built per call.
 TABLE_CACHE_ENTRIES = 2**12
 
 
@@ -118,38 +128,48 @@ def batch_ranks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Ranks and gap ratios of a[R, K] for every row set R and column set K.
 
-    Both combinatorial searches decide rank here. The row sets are taken from
-    the iterable in order, a batch at a time, so a search that stops early
-    never builds the rest of its level; each batch is yielded as (rows,
-    ranks, gaps), with the batch's row sets as an array and the decision for
-    a[rows[i], col_sets[j]] at [i, j]. A batch keeps within BATCH_ENTRIES; a
-    row set whose column sets alone are over it is a batch of its own,
-    decided in slices of its column sets. With first_rows, the first batch
-    holds at most that many row sets: a search that expects to stop at its
-    first row set asks for only that one. In a slice of at least
-    GRAM_MIN_BLOCKS blocks, a block that the Gram determinant certificate
-    (_certified_full_rank) proves to have every singular value above
-    ``threshold``, by more than the SVD's own error, gets rank k = min(rows,
-    cols) and gap 0 without an SVD: the SVD would keep all k singular values
-    of such a block, and the gap of a full-rank block is 0.
-    The other blocks of a slice go to one batched SVD, whose singular values
-    above ``threshold`` are counted, with the dropped/kept ratio at the rank
-    boundary as the gap (0 for zero- or full-rank blocks); none is called
-    when all are certified.
+    Both combinatorial searches decide rank here. The row sets are decided
+    in order, a batch at a time: slices of an array, or taken lazily from
+    any other iterable, so a search that stops early never builds the rest
+    of a level too large to tabulate (deficiency._max_row_deficiency); each
+    batch is yielded as (rows, ranks, gaps), with the batch's row sets as an
+    array and the decision for a[rows[i], col_sets[j]] at [i, j]. A batch
+    keeps within BATCH_ENTRIES; a row set whose column sets alone are over
+    it is a batch of its own, decided in slices of its column sets. With
+    first_rows, the first batch holds at most that many row sets: a search
+    that expects to stop at its first row set asks for only that one. In a
+    slice of at least GRAM_MIN_BLOCKS blocks, a block that the Gram
+    determinant certificate (_certified_full_rank) proves to have every
+    singular value above ``threshold``, by more than the SVD's own error,
+    gets rank k = min(rows, cols) and gap 0 without an SVD: the SVD would
+    keep all k singular values of such a block, and the gap of a full-rank
+    block is 0. The other blocks of a slice go to one batched SVD, whose
+    singular values above ``threshold`` are counted, with the dropped/kept
+    ratio at the rank boundary as the gap (0 for zero- or full-rank
+    blocks); none is called when all are certified.
     """
-    it = iter(row_sets)
-    first = next(it, None)
-    if first is None:
-        return
-    m, (n_cols, c) = len(first), col_sets.shape
+    if isinstance(row_sets, np.ndarray):
+        it, m = None, row_sets.shape[1]
+    else:
+        it = iter(row_sets)
+        first = next(it, None)
+        if first is None:
+            return
+        it, m = itertools.chain([first], it), len(first)
+    n_cols, c = col_sets.shape
     k = min(m, c)
     col_step = min(n_cols, max(1, BATCH_ENTRIES // (m * c)))
     row_step = max(1, BATCH_ENTRIES // max(col_step * m * c, a.shape[1] ** 2))
-    it = itertools.chain([first], it)
     step = row_step if first_rows is None else min(first_rows, row_step)
-    while chunk := list(itertools.islice(it, step)):
-        step = row_step
-        rows = np.array(chunk)
+    start = 0
+    while True:
+        if it is None:
+            rows = row_sets[start : start + step]
+        else:
+            rows = np.array(list(itertools.islice(it, step)))
+        if not len(rows):
+            return
+        start, step = start + step, row_step
         ranks = np.full((len(rows), n_cols), k)
         gaps = np.zeros((len(rows), n_cols))
         for j in range(0, n_cols, col_step):
@@ -307,7 +327,7 @@ def subset_covers(table: np.ndarray, d: int, m: int, top: int) -> list[np.ndarra
     in one of those sets, and each of them lies in the set."""
     covers = [table]
     for r in range(m + 1, top + 1):
-        drop = _tables(d, r)[1][: m + 1]
+        drop = _colex_tables(d, r)[1][: m + 1]
         covers.append(np.bitwise_or.reduce(covers[-1][drop], axis=0))
     return covers
 
@@ -348,15 +368,53 @@ def _minor_bounds(
     return bounds
 
 
-@functools.lru_cache(maxsize=32)
+def small_table(d: int, k: int) -> bool:
+    """Whether the k-subsets of range(d) take at most TABLE_CACHE_ENTRIES
+    entries, so that their tables stay cached (cached_when_small)."""
+    return k * math.comb(d, k) <= TABLE_CACHE_ENTRIES
+
+
+def cached_when_small(build):
+    """The table builder build(d, k, *key), for tables of at most k * C(d,
+    k) entries, with the tables of small_table(d, k) kept in an LRU cache
+    of 32 and the larger ones built for the caller."""
+    cached = functools.lru_cache(maxsize=32)(build)
+
+    @functools.wraps(build)
+    def table(d: int, k: int, *key):
+        return (cached if small_table(d, k) else build)(d, k, *key)
+
+    table.cache_clear, table.cache_info = cached.cache_clear, cached.cache_info
+    return table
+
+
+@cached_when_small
+def lex_sets(d: int, k: int) -> np.ndarray:
+    """The k-subsets of range(d) in lexicographic order, one per row;
+    read-only. Every search reads its subsets from here."""
+    combos = itertools.chain.from_iterable(itertools.combinations(range(d), k))
+    sets = np.fromiter(combos, dtype=np.intp, count=k * math.comb(d, k))
+    sets = sets.reshape(math.comb(d, k), k)
+    sets.flags.writeable = False
+    return sets
+
+
+@cached_when_small
+def lex_ranks(d: int, k: int) -> np.ndarray:
+    """colex_ranks(lex_sets(d, k), d); read-only."""
+    ranks = colex_ranks(lex_sets(d, k), d)
+    ranks.flags.writeable = False
+    return ranks
+
+
+@cached_when_small
 def _colex_tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-subsets of range(d) in colex order, one per column, and drop[k,
     i], the colex rank of set i less its k-th entry; read-only."""
     pascal = _pascal(d, m)
     # The m-sets in colex order are the lexicographic ones reversed (flat,
     # so each set's entries too) and mirrored by c -> d - 1 - c.
-    combos = itertools.chain.from_iterable(itertools.combinations(range(d), m))
-    cols = (d - 1 - np.fromiter(combos, dtype=np.intp)[::-1]).reshape(-1, m).T.copy()
+    cols = (d - 1 - lex_sets(d, m).ravel()[::-1]).reshape(-1, m).T.copy()
     # C - c_k has rank sum_{i<k} keep[i] + sum_{i>k} down[i], keep[i] =
     # comb(c_i, i + 1) and down[i] = comb(c_i, i): cumsum(keep - down) - keep
     # + sum(down), built in place in down, so three tables are live.
@@ -367,13 +425,6 @@ def _colex_tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     drop -= keep
     cols.flags.writeable = drop.flags.writeable = False
     return cols, drop
-
-
-def _tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """_colex_tables(d, m), cached only when it has at most
-    TABLE_CACHE_ENTRIES entries; a larger one is built for the caller."""
-    small = m * math.comb(d, m) <= TABLE_CACHE_ENTRIES
-    return (_colex_tables if small else _colex_tables.__wrapped__)(d, m)
 
 
 def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
@@ -414,7 +465,7 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
         rows, minors, parent, new, start = frame = stack[-1]
         m = rows.shape[1] + 1
         if m not in tables:
-            tables[m] = _tables(d, m)
+            tables[m] = _colex_tables(d, m)
         cols, drop = tables[m]
         stop = frame[4] = start + max(1, BATCH_ENTRIES // max(minors.shape[1], cols.shape[1]))
         if stop >= len(parent):

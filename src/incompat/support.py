@@ -26,7 +26,7 @@ of thousands.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +40,9 @@ from .rank import (
     DEFAULT_ZERO_THRESHOLD,
     KernelWitness,
     batch_ranks,
-    colex_ranks,
     kernel_witness,
+    lex_ranks,
+    lex_sets,
     rank_threshold,
     squares_full_rank,
     strong_minors,
@@ -170,7 +171,8 @@ def min_support_uncertainty(
     rank.strong_minors, and only a level with a larger n_b, reached when
     no pair hits below s = d // 2 + 2, walks once more, to d - 1. The
     certified blocks of each (n_b, r) come from rank.subset_covers, built
-    once per n_b and call for every r.
+    once per n_b and call for every r. Each level's row and column sets are
+    read from rank.lex_sets, the row sets reversed.
 
     The screen changes no hit. A certified U[R', K] has sigma_min > T +
     delta (rank.strong_minors), and deleting rows can only lower singular
@@ -203,13 +205,12 @@ def min_support_uncertainty(
                 y = np.ones(1, dtype=complex)
                 return _build_witness(tm, tuple(range(d)), (0,), y, zero_threshold)
             r = d - na
-            col_sets = np.array(list(itertools.combinations(range(d), nb)))
             threshold = rank_threshold((r, nb), rank_tol, 1.0)
             # The complements of the A subsets in lexicographic order are the
             # (d - na)-subsets in reverse lexicographic order.
-            row_sets = np.array(list(itertools.combinations(range(d), r))[::-1])
-            weak = screen.weak(row_sets, col_sets)
-            row_sets, cols = row_sets[weak.any(axis=1)], col_sets[weak.any(axis=0)]
+            weak = screen.weak(r, nb)[::-1]
+            row_sets = lex_sets(d, r)[::-1][weak.any(axis=1)]
+            cols = lex_sets(d, nb)[weak.any(axis=0)]
             for rows, ranks, _ in batch_ranks(a, row_sets, cols, threshold):
                 hits = ranks < nb
                 # The first hit in the sequential order: A subset, then B subset.
@@ -232,7 +233,10 @@ class _Screen:
     tol * (d - 1) the largest threshold of any such level and delta the
     rounding allowance of _square_level_clear. The tables are built when a
     level first needs them and kept for the call (see
-    min_support_uncertainty)."""
+    min_support_uncertainty). They are indexed by colex rank, and the row
+    and column sets of a level are rank.lex_sets's, so each level reads its
+    blocks through rank.lex_ranks, the colex ranks of those tables, built
+    once per (d, k) and cached under lex_sets's rule."""
 
     def __init__(self, tm: TransitionMatrix, rank_tol: float):
         self.tm = tm
@@ -240,20 +244,20 @@ class _Screen:
         self.strong: list[np.ndarray] = []
         self.covers: dict[int, list[np.ndarray]] = {}
 
-    def weak(self, row_sets: np.ndarray, col_sets: np.ndarray) -> np.ndarray:
-        """Entry [i, j] for row_sets[i], r-sets with r < d, and col_sets[j],
-        every n_b-set in lexicographic order, n_b <= r: whether no n_b-row
-        subset of the row set certifies the block."""
-        d, nb = self.tm.dim, col_sets.shape[1]
+    def weak(self, r: int, nb: int) -> np.ndarray:
+        """Entry [i, j] for the i-th r-set and the j-th n_b-set of
+        rank.lex_sets, n_b <= r < d: whether no n_b-row subset of the row set
+        certifies the block."""
+        d = self.tm.dim
         if nb not in self.covers:
             if nb > len(self.strong):
                 # Size 1 needs no walk; one walk to d // 2 serves most calls.
                 top = 1 if nb == 1 else d // 2 if nb <= d // 2 else d - 1
                 self.strong = strong_minors(self.tm.matrix, top, self.bound, self.tm.residual)
-            table = np.packbits(self.strong[nb - 1][:, colex_ranks(col_sets, d)], axis=1)
+            table = np.packbits(self.strong[nb - 1][:, lex_ranks(d, nb)], axis=1)
             self.covers[nb] = subset_covers(table, d, nb, d - 1)
-        packed = self.covers[nb][row_sets.shape[1] - nb][colex_ranks(row_sets, d)]
-        return ~np.unpackbits(packed, axis=1, count=len(col_sets)).view(bool)
+        packed = self.covers[nb][r - nb][lex_ranks(d, r)]
+        return ~np.unpackbits(packed, axis=1, count=math.comb(d, nb)).view(bool)
 
 
 def _allowance(tm: TransitionMatrix) -> float:

@@ -16,10 +16,14 @@ and keeps only those that hold on the matrix itself, so a loaded DFT file
 is reduced too and a perturbed one is not. The verified maps generate the
 row group, the affine maps j -> u j + a their pi generate, and the column
 group, the translations when the column translation (the one map with pi =
-id) holds. The level search then decides only the row sets that are lexicographically least in their
-orbit under the row group and, for each, only the column sets least under
-the column group; deficiency._max_row_deficiency has the proof that this
-keeps its values and witnesses.
+id) holds. The level search then decides only the row sets that are
+lexicographically least in their orbit under the row group and, for each,
+only the column sets least under the column group;
+deficiency._max_row_deficiency has the proof that this keeps its values and
+witnesses. The representatives are filtered from rank.lex_sets's tables
+once per table and group (least_sets), and kept under lex_sets's caching
+rule; the row sets of a table too large to cache are filtered lazily, a
+chunk at a time, as the search takes them.
 """
 
 from __future__ import annotations
@@ -31,46 +35,88 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rank import BATCH_ENTRIES
+from .rank import BATCH_ENTRIES, cached_when_small, lex_sets, small_table
 
 
 @dataclass(frozen=True, eq=False)
 class Symmetry:
-    """The row group and the column translations' group the level search
-    may use, each as an array of permutations of range(d), one per row."""
+    """The row group the level search may use, the maps j -> u j + b of
+    range(d) for u in dilations and b in Z_d when row_shift (b = 0
+    otherwise), and whether the column translations k -> k + b hold."""
 
-    rows: np.ndarray
-    cols: np.ndarray
+    d: int
+    dilations: tuple[int, ...] = (1,)
+    row_shift: bool = False
+    column_translations: bool = False
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row group, one permutation of range(d) per row."""
+        return affine_group(self.d, self.dilations, self.row_shift)
+
+    @property
+    def cols(self) -> np.ndarray:
+        """The column group: the translations, or the identity alone."""
+        return affine_group(self.d, (1,), self.column_translations)
 
     @property
     def row_order(self) -> int:
-        return len(self.rows)
+        return len(self.dilations) * (self.d if self.row_shift else 1)
 
-    @property
-    def column_translations(self) -> bool:
-        return len(self.cols) > 1
+    def least_rows(self, m: int):
+        """The m-row sets least in their orbit under the row group, in
+        lexicographic order: least_sets's cached array when the table of
+        m-sets is small enough to cache, and otherwise taken lazily from
+        itertools.combinations and filtered a chunk at a time, so a search
+        that stops early never builds the rest."""
+        d = self.d
+        if small_table(d, m):
+            return least_sets(d, m, self.dilations, self.row_shift)
+        sets = itertools.combinations(range(d), m)
+        return sets if self.row_order == 1 else self._least_lazily(sets, m)
 
-    def least_rows(self, row_sets: Iterator, m: int) -> Iterator:
-        """The row sets of the ordered iterable (each of size m) that are
-        least in their orbit, taken lazily a chunk at a time, in order."""
-        if self.row_order == 1:
-            yield from row_sets
-            return
-        it = iter(row_sets)
-        step = max(1, BATCH_ENTRIES // (self.row_order * m))
-        while chunk := list(itertools.islice(it, step)):
+    def _least_lazily(self, row_sets: Iterator, m: int) -> Iterator:
+        group, step = self.rows, max(1, BATCH_ENTRIES // (self.row_order * m))
+        while chunk := list(itertools.islice(row_sets, step)):
             sets = np.array(chunk)
-            yield from sets[orbit_least(sets, self.rows)]
+            yield from sets[orbit_least(sets, group)]
 
-    def least_cols(self, col_sets: np.ndarray) -> np.ndarray:
-        """The column sets least in their orbit under the column group."""
-        return col_sets if len(self.cols) == 1 else col_sets[orbit_least(col_sets, self.cols)]
+    def least_cols(self, c: int) -> np.ndarray:
+        """The c-column sets least in their orbit under the column group, in
+        lexicographic order (least_sets)."""
+        return least_sets(self.d, c, (1,), self.column_translations)
 
 
 def trivial(d: int) -> Symmetry:
     """The symmetry that reduces nothing."""
-    ident = np.arange(d)[None]
-    return Symmetry(ident, ident)
+    return Symmetry(d)
+
+
+def affine_group(d: int, dilations: tuple[int, ...], shift: bool) -> np.ndarray:
+    """The maps j -> u j + b of range(d), u in dilations and b in Z_d when
+    shift (b = 0 otherwise), one per row."""
+    ident = np.arange(d)
+    offsets = ident if shift else ident[:1]
+    return ((np.outer(dilations, ident)[:, None, :] + offsets[None, :, None]) % d).reshape(-1, d)
+
+
+def least_sets(d: int, k: int, dilations: tuple[int, ...], shift: bool) -> np.ndarray:
+    """The rows of lex_sets(d, k) least in their orbit under
+    affine_group(d, dilations, shift), in order; read-only."""
+    if dilations == (1,) and not shift:
+        return lex_sets(d, k)
+    return _least_sets(d, k, dilations, shift)
+
+
+@cached_when_small
+def _least_sets(d: int, k: int, dilations: tuple[int, ...], shift: bool) -> np.ndarray:
+    """least_sets of a group other than the identity, cached under the
+    rule of lex_sets. The group is part of the key: a perturbed DFT can
+    verify a smaller group than the DFT, with other representatives."""
+    sets = lex_sets(d, k)
+    least = sets[orbit_least(sets, affine_group(d, dilations, shift))]
+    least.flags.writeable = False
+    return least
 
 
 def orbit_least(sets: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -154,11 +200,8 @@ def verify(a: np.ndarray, residual: float) -> Symmetry:
     col_shift, row_shift, *unit_ok = err <= 32 * d * np.finfo(float).eps * (1 + d * residual)
     # The maps j -> u j + a, u in the verified units' subgroup, a in Z_d
     # when the row translation holds and a = 0 otherwise.
-    dilations = np.array(_subgroup([u for u, ok in zip(units, unit_ok) if ok], d))
-    offsets = ident if row_shift else ident[:1]
-    rows = (np.outer(dilations, ident)[:, None, :] + offsets[None, :, None]) % d
-    cols = (ident[:, None] + ident) % d if col_shift else ident[None]
-    return Symmetry(rows.reshape(-1, d), cols)
+    dilations = tuple(_subgroup([u for u, ok in zip(units, unit_ok) if ok], d))
+    return Symmetry(d, dilations, bool(row_shift), bool(col_shift))
 
 
 def _phase(z: np.ndarray) -> np.ndarray:

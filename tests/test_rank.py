@@ -44,6 +44,8 @@ from incompat.rank import (
     _square_minors,
     batch_ranks,
     colex_ranks,
+    lex_ranks,
+    lex_sets,
     rank_threshold,
     squares_full_rank,
     strong_minors,
@@ -949,3 +951,61 @@ class TestSquareMinors:
         assert _colex_tables.cache_info().currsize == len(small)
         for m, cols in enumerate(firsts, 1):
             assert (cols.base is _colex_tables(14, m)[0]) == (m in small)
+
+
+class TestLexSets:
+    """The one table of k-subsets every search reads."""
+
+    def test_every_table_is_the_lexicographic_combinations(self):
+        for d in range(15):
+            for k in range(d + 1):
+                sets = lex_sets(d, k)
+                assert sets.shape == (math.comb(d, k), k)
+                assert list(map(tuple, sets.tolist())) == list(itertools.combinations(range(d), k))
+
+    @pytest.mark.parametrize("d,k", [(8, 3), (14, 7)], ids=["cached", "per-call"])
+    def test_read_only(self, d, k):
+        for table in (lex_sets(d, k), lex_ranks(d, k), *_colex_tables(d, k)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_only_small_tables_stay_cached(self):
+        small = {k for k in range(15) if k * math.comb(14, k) <= TABLE_CACHE_ENTRIES}
+        assert small == {0, 1, 2, 3, 4, 11, 12, 13, 14}
+        for table in (lex_sets, lex_ranks):
+            table.cache_clear()
+            first = [table(14, k) for k in range(15)]
+            assert table.cache_info().currsize == len(small)
+            assert [table(14, k) is first[k] for k in range(15)] == [k in small for k in range(15)]
+
+    def test_colex_tables_unchanged(self):
+        # The columns in colex order (by reversed tuple), and drop[j, i] the
+        # colex rank of column i less its j-th entry, as the walk reads them.
+        for d in range(1, 12):
+            for m in range(1, d + 1):
+                cols, drop = _colex_tables(d, m)
+                sets = sorted(itertools.combinations(range(d), m), key=lambda s: s[::-1])
+                assert list(map(tuple, cols.T.tolist())) == sets
+                assert colex_ranks(cols.T, d).tolist() == list(range(len(sets)))
+                for j in range(m):
+                    less = np.delete(cols.T, j, axis=1)
+                    assert np.array_equal(drop[j], colex_ranks(less, d))
+                assert np.array_equal(cols.T[lex_ranks(d, m)], lex_sets(d, m))
+
+    @pytest.mark.parametrize("budget", [1, 40, 2**12])
+    @pytest.mark.parametrize("first_rows", [None, 1])
+    def test_array_row_sets_are_sliced(self, monkeypatch, budget, first_rows):
+        # An array of row sets is decided in the batches an iterator over it
+        # gives, each batch a slice of the array.
+        monkeypatch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
+        d, a = 8, random_unitary(8, 0).matrix
+        row_sets, col_sets = lex_sets(d, 3), lex_sets(d, 4)
+        threshold = rank_threshold((3, 4), 1e-10, 1.0)
+        sliced = list(batch_ranks(a, row_sets, col_sets, threshold, first_rows))
+        taken = list(batch_ranks(a, map(tuple, row_sets.tolist()), col_sets, threshold, first_rows))
+        assert len(sliced) == len(taken) > 1
+        for (rows, ranks, gaps), want in zip(sliced, taken):
+            assert np.shares_memory(rows, row_sets)
+            assert all(map(np.array_equal, (rows, ranks, gaps), want))
+        assert list(batch_ranks(a, row_sets[:0], col_sets, threshold)) == []

@@ -96,15 +96,17 @@ def test_perf_table_renders_committed_bench_files():
     out = run_script("perf_table.py")
     assert out.returncode == 0, out.stderr
     header, rule, *rows = out.stdout.splitlines()
-    bench = json.loads((ROOT / "BENCH_6.json").read_text())["workloads"]
-    assert "`analyze_s` BENCH_6" in header and "`tau_s` BENCH_6" in header
+    files = sorted(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    assert [row.split("|")[1].strip() for row in rows] == [path.stem for path in files]
     assert rule.count("---") == header.count("|") - 1
-    assert len(rows) == len(bench)
-    for row, (workload, metrics) in zip(rows, bench.items()):
-        cells = [cell.strip() for cell in row.strip("|").split("|")]
-        assert cells[0] == f"`{workload}`"
+    bench = json.loads((ROOT / "BENCH_6.json").read_text())["workloads"]
+    names = [cell.strip() for cell in header.strip("|").split("|")]
+    cells = [cell.strip() for cell in rows[0].strip("|").split("|")]
+    assert names[0] == "file" and cells[0] == "BENCH_6"
+    for workload, metrics in bench.items():
         for metric in ("analyze_s", "tau_s"):
-            assert f"{metrics[metric]['median']:.3g}" in cells
+            column = names.index(f"`{workload}` `{metric}`")
+            assert cells[column] == f"{metrics[metric]['median']:.3g}"
 
 
 def test_perf_table_renders_medians_to_three_significant_figures(tmp_path):
@@ -121,15 +123,15 @@ def test_perf_table_renders_medians_to_three_significant_figures(tmp_path):
         path.write_text(json.dumps({"workloads": summary}))
         return path
 
-    # Given out of order: the columns follow n, and a workload missing from a
+    # Given out of order: the rows follow n, and a workload missing from a
     # file reads "-".
     paths = [
         bench(12, {"haar": (0.00482, 0.000931)}),
         bench(9, {"haar": (0.178, 0.0176), "dft": (0.148, 0.0213)}),
     ]
     assert perf_table.render(paths).splitlines() == [
-        "| workload | `analyze_s` BENCH_9 | `analyze_s` BENCH_12 | `tau_s` BENCH_9 | `tau_s` BENCH_12 |",
+        "| file | `haar` `analyze_s` | `haar` `tau_s` | `dft` `analyze_s` | `dft` `tau_s` |",
         "|---|---|---|---|---|",
-        "| `haar` | 0.178 | 0.00482 | 0.0176 | 0.000931 |",
-        "| `dft` | 0.148 | - | 0.0213 | - |",
+        "| BENCH_9 | 0.178 | 0.0176 | 0.148 | 0.0213 |",
+        "| BENCH_12 | 0.00482 | 0.000931 | - | - |",
     ]

@@ -281,7 +281,7 @@ def _check_certified_blocks(tm, rank_tol):
         row_sets = np.array(list(itertools.combinations(range(d), r)))
         for nb in range(1, r + 1):
             col_sets = np.array(list(itertools.combinations(range(d), nb)))
-            certified = ~screen.weak(row_sets, col_sets)
+            certified = ~screen.weak(r, nb)
             threshold = rank_threshold((r, nb), rank_tol, 1.0)
             ranks, _ = svd_batch_ranks(tm.matrix, row_sets, col_sets, threshold)
             assert (ranks[certified] == nb).all()

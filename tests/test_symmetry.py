@@ -5,8 +5,10 @@ that verifies nothing, so every row set and column set is decided.
 """
 
 import dataclasses
+import inspect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,19 +18,31 @@ from hypothesis import strategies as st
 import incompat.deficiency
 import incompat.symmetry
 from incompat import (
+    DegenerateWitnessError,
     deficiency_profile,
     dft_matrix,
     from_array,
     identity,
+    min_support_uncertainty,
     r_col,
     r_row,
     r_t,
     random_unitary,
     tau_fast,
 )
-from incompat.rank import batch_ranks
-from incompat.symmetry import orbit_least, trivial, verify
+from incompat.rank import (
+    TABLE_CACHE_ENTRIES,
+    _colex_tables,
+    batch_ranks,
+    colex_ranks,
+    lex_ranks,
+    lex_sets,
+)
+from incompat.symmetry import _least_sets, orbit_least, trivial, verify
 from test_rank import _perturbed_dft
+from test_support import TALL_CORPUS
+
+TABLE_CACHES = (lex_sets, lex_ranks, _least_sets)
 
 REDUCED_FIELDS = ("row_group_order", "column_translations", "worst_gap_ratio")
 
@@ -216,6 +230,94 @@ def test_least_rows_are_taken_in_order(d, m):
     sym = verify(dft_matrix(d).matrix, 0.0)
     sets = np.array(list(itertools.combinations(range(d), m)))
     want = sets[orbit_least(sets, sym.rows)]
-    got = np.array(list(sym.least_rows(itertools.combinations(range(d), m), m)))
+    got = np.array(list(sym.least_rows(m)))
     assert np.array_equal(got, want)
-    assert np.array_equal(sym.least_cols(sets), sets[orbit_least(sets, sym.cols)])
+    assert np.array_equal(sym.least_cols(m), sets[orbit_least(sets, sym.cols)])
+
+
+@pytest.mark.parametrize("d", range(7, 17))
+def test_cached_representatives_equal_the_filtered_table(d):
+    # The verified DFT group and, for d = 8, the identity's smaller one (its
+    # unit maps, no translation): each is its own key. Tables over the
+    # cache bound are filtered per call, lazily on the row side.
+    inputs = [dft_matrix(d)] + ([identity(8)] if d == 8 else [])
+    for sym in [verify(tm.matrix, tm.residual) for tm in inputs]:
+        assert sym.row_order > 1
+        for k in range(1, d + 1):
+            sets = np.array(list(itertools.combinations(range(d), k)))
+            rows, cols = sym.least_rows(k), sym.least_cols(k)
+            small = k * math.comb(d, k) <= TABLE_CACHE_ENTRIES
+            assert isinstance(rows, np.ndarray) == small
+            assert np.array_equal(np.array(list(rows)), sets[orbit_least(sets, sym.rows)])
+            assert np.array_equal(cols, sets[orbit_least(sets, sym.cols)])
+            assert (sym.least_cols(k) is cols) == small
+            assert (sym.least_rows(k) is rows) == small
+            for table in (rows, cols):
+                assert not small or not table.flags.writeable
+
+
+def _clear_tables():
+    for table in TABLE_CACHES + (_colex_tables,):
+        table.cache_clear()
+
+
+def _all_outputs(tm, rank_tol):
+    """The profile, tau and, for d <= 10, the oracle's hit and state or why
+    it could not rebuild one."""
+    out = [dataclasses.astuple(deficiency_profile(tm, rank_tol=rank_tol))]
+    out.append(tau_fast(tm, rank_tol=rank_tol))
+    if tm.dim <= 10:
+        try:
+            w = min_support_uncertainty(tm, rank_tol=rank_tol)
+            out.append((w.subset_a, w.subset_b, w.state_in_a.tobytes()))
+        except DegenerateWitnessError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+def test_cold_and_warm_tables_give_the_same_outputs(rank_tol):
+    for tm in list(TALL_CORPUS) + [dft_matrix(d) for d in (10, 12, 14)]:
+        _clear_tables()
+        cold = _all_outputs(tm, rank_tol)
+        assert _all_outputs(tm, rank_tol) == cold
+
+
+def _held_by_table_builders(run):
+    """Bytes still held after run() that the builders of TABLE_CACHES
+    allocated during it (lex_ranks's through colex_ranks), traced with
+    every one of those caches empty at the start."""
+    builders = [table.__wrapped__ for table in TABLE_CACHES] + [colex_ranks]
+    spans = []
+    for f in builders:
+        lines, start = inspect.getsourcelines(f)
+        spans.append((inspect.getsourcefile(f), start, start + len(lines)))
+    _clear_tables()
+    tracemalloc.start()
+    try:
+        run()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    return sum(
+        trace.size for trace in snapshot.traces
+        if any(frame.filename == path and lo <= frame.lineno < hi
+               for frame in trace.traceback[:1] for path, lo, hi in spans)
+    )
+
+
+def test_table_caches_hold_a_bounded_number_of_bytes():
+    # The 2 MiB of the colex tables' cache bounds the three new ones
+    # together. The prime DFTs 17 and 19 are left out: their level-0 walk
+    # alone takes a minute and more, and it reads only the colex tables.
+    def run():
+        for d in [d for d in range(2, 21) if d not in (17, 19)]:
+            tau_fast(dft_matrix(d))
+        for d in range(2, 11):
+            min_support_uncertainty(dft_matrix(d))
+
+    held = _held_by_table_builders(run)
+    assert 0 < held <= 2 * 2**20
+    # The caches of the tables and their ranks are full: the bound holds at
+    # capacity.
+    assert [table.cache_info().currsize for table in TABLE_CACHES[:2]] == [32, 32]
