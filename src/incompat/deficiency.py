@@ -18,11 +18,10 @@ row search takes its rank decisions from rank.batch_ranks, a batch of row
 sets at a time, and replays each batch in the sequential order. A grid
 that follows one whose replay exited at its first row set starts with a
 batch of that one row set, as identity-like input stops there every time.
-The row and column sets are read from one table per (d, k),
-rank.lex_sets, and their orbit representatives from
-symmetry.least_sets, each built once and cached when small; row sets of
-a larger table are taken lazily, so a search that stops early builds no
-more of them than it decides.
+The row and column sets are read as whole arrays from one table per (d,
+k), rank.lex_sets, and their orbit representatives from
+symmetry.least_sets, each built once and cached when small, and built
+for the call otherwise.
 
 Both deficiency_profile and tau_fast read the levels off one descent,
 _descent: level 0 decided first on half-size square blocks
@@ -234,16 +233,14 @@ def _max_row_deficiency(
     0 never changes it, as every block it skips has gap 0.
 
     The column sets are the rows of rank.lex_sets(d, m + t), and the row
-    sets those of lex_sets(d, m) when that table is small enough to cache
-    (rank.small_table), or taken lazily from itertools.combinations in the
-    same order otherwise. With sym (the symmetry that _descent verified on
-    a; None reduces nothing), an m whose grid does not fit one batch
-    (symmetry.one_batch) decides only the row sets least in their orbit
-    under sym's row group (Symmetry.least_rows: the cached representatives
-    of a small table, the lazy chunked filter of a larger one), and, for
-    each, only the column sets least under its column translations
-    (Symmetry.least_cols). Let f(R) = max_C (m -
-    rank a[R, C]) over the level's column sets. A verified map (pi, sigma)
+    sets those of lex_sets(d, m). With sym (the symmetry that _descent
+    verified on a; None reduces nothing), an m whose grid does not fit one
+    batch (symmetry.one_batch) decides only the row sets least in their
+    orbit under sym's row group (Symmetry.least_rows), and, for each, only
+    the column sets least under its column translations
+    (Symmetry.least_cols), both filtered from the whole tables
+    (symmetry.least_sets). Let f(R) = max_C (m - rank a[R, C]) over the
+    level's column sets. A verified map (pi, sigma)
     sends a[R, C] to a[pi(R), sigma(C)] with the same singular values, and
     sigma permutes the column sets, so f(pi(R)) = f(R). The search raises its
     best at the first row set R with f(R) > best; every row set before R

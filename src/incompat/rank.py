@@ -6,8 +6,8 @@ value; searches over submatrices of a unitary pass scale=1.0 so that nearly
 zero submatrices (all singular values at roundoff level relative to the
 parent) are decided at the parent's scale rather than their own.
 
-The searches' one rank step, batch_ranks, decides a grid: row sets, taken
-lazily in search order, times every column set of one shape. It sizes its
+The searches' one rank step, batch_ranks, decides a grid: an array of row
+sets in search order times every column set of one shape. It sizes its
 own batches, at most BATCH_ENTRIES block entries each, so memory does not
 grow with d, and yields each batch's rows with their ranks and gaps. The
 searches replay each batch's rows in the sequential order, so the
@@ -38,9 +38,10 @@ walk and keeps, per size, which blocks their minors certify at one
 threshold, and subset_covers carries such a table from row sets to their
 supersets, for the subset search's tall blocks.
 
-Every search reads its subsets from one table per (d, k), lex_sets, the
-k-subsets of range(d) in lexicographic order. Their colex ranks
-(lex_ranks), the walk's colex tables (_colex_tables) and the orbit
+Every search reads its subsets, row sets and column sets alike, as whole
+arrays from one table per (d, k), lex_sets, the k-subsets of range(d) in
+lexicographic order, and every table indexed by subsets is indexed by
+their rank in it. The walk's drop ranks (_drop_ranks) and the orbit
 representatives of symmetry.least_sets are derived from it. Each is built
 once and kept while it has at most TABLE_CACHE_ENTRIES entries
 (cached_when_small); a larger one is built for the call that needs it, so
@@ -52,7 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,9 @@ BATCH_ENTRIES = 2**12
 # certificate's fixed cost, about 15 numpy calls, exceeds the SVD of so few.
 GRAM_MIN_BLOCKS = 16
 # Subset tables (cached_when_small) of at most this many entries stay
-# cached, at most 32 of each kind: 2 MiB of the walk's colex tables, 1 MiB
-# of lex_sets's, 1 MiB of orbit representatives and 0.5 MiB of colex ranks.
-# Larger ones, from d = 12 on, are built per call.
+# cached, at most 32 of each kind, 1 MiB each: lex_sets's, the walk's drop
+# ranks and the orbit representatives. Larger ones, from d = 12 on, are
+# built per call.
 TABLE_CACHE_ENTRIES = 2**12
 
 
@@ -123,17 +124,15 @@ def rank_from_singular_values(
 
 
 def batch_ranks(
-    a: np.ndarray, row_sets: Iterable, col_sets: np.ndarray, threshold: float,
+    a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, threshold: float,
     first_rows: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Ranks and gap ratios of a[R, K] for every row set R and column set K.
 
-    Both combinatorial searches decide rank here. The row sets are decided
-    in order, a batch at a time: slices of an array, or taken lazily from
-    any other iterable, so a search that stops early never builds the rest
-    of a level too large to tabulate (deficiency._max_row_deficiency); each
-    batch is yielded as (rows, ranks, gaps), with the batch's row sets as an
-    array and the decision for a[rows[i], col_sets[j]] at [i, j]. A batch
+    Both combinatorial searches decide rank here. The row sets, an array of
+    one row set per row, are decided in order, a batch at a time; each
+    batch is yielded as (rows, ranks, gaps), rows the batch's slice of
+    row_sets and the decision for a[rows[i], col_sets[j]] at [i, j]. A batch
     keeps within BATCH_ENTRIES; a row set whose column sets alone are over
     it is a batch of its own, decided in slices of its column sets. With
     first_rows, the first batch holds at most that many row sets: a search
@@ -148,27 +147,14 @@ def batch_ranks(
     ratio at the rank boundary as the gap (0 for zero- or full-rank
     blocks); none is called when all are certified.
     """
-    if isinstance(row_sets, np.ndarray):
-        it, m = None, row_sets.shape[1]
-    else:
-        it = iter(row_sets)
-        first = next(it, None)
-        if first is None:
-            return
-        it, m = itertools.chain([first], it), len(first)
-    n_cols, c = col_sets.shape
+    (n_rows, m), (n_cols, c) = row_sets.shape, col_sets.shape
     k = min(m, c)
     col_step = min(n_cols, max(1, BATCH_ENTRIES // (m * c)))
     row_step = max(1, BATCH_ENTRIES // max(col_step * m * c, a.shape[1] ** 2))
     step = row_step if first_rows is None else min(first_rows, row_step)
     start = 0
-    while True:
-        if it is None:
-            rows = row_sets[start : start + step]
-        else:
-            rows = np.array(list(itertools.islice(it, step)))
-        if not len(rows):
-            return
+    while start < n_rows:
+        rows = row_sets[start : start + step]
         start, step = start + step, row_step
         ranks = np.full((len(rows), n_cols), k)
         gaps = np.zeros((len(rows), n_cols))
@@ -286,9 +272,10 @@ def strong_minors(
     a: np.ndarray, top: int, threshold: float, residual: float
 ) -> list[np.ndarray]:
     """Which m x m blocks of the d x d matrix a, m = 1..top, have a minor
-    that certifies them full rank at threshold: strong[m - 1][i, j] for the
-    m-row set of colex rank i and the m-column set of colex rank j
-    (colex_ranks), from one walk of _square_minors to size top.
+    that certifies them full rank at threshold: strong[m - 1][i, j] for
+    the m-row set lex_sets(d, m)[i] and the m-column set lex_sets(d, m)[j],
+    from one walk of _square_minors to size top, whose row sets of each
+    size come in that order.
 
     The certificate is squares_full_rank's with every size at threshold: a
     block is strong when its computed |det| exceeds need_m (_minor_bounds),
@@ -308,36 +295,29 @@ def strong_minors(
     with np.errstate(over="ignore", invalid="ignore"):
         strong[0] = np.abs(a) > need[0]
         walk = _square_minors(a, top) if top > 1 else ()
+        seen = [0] * top  # row sets of each size so far
         for rows, _, minors in walk:
-            m = rows.shape[1]
-            strong[m - 1][colex_ranks(rows, d)] = np.abs(minors) > need[m - 1]
+            m, n = rows.shape[1], len(rows)
+            strong[m - 1][seen[m - 1] : seen[m - 1] + n] = np.abs(minors) > need[m - 1]
+            seen[m - 1] += n
     return strong
 
 
 def subset_covers(table: np.ndarray, d: int, m: int, top: int) -> list[np.ndarray]:
     """For a table over the m-row sets of a d x d matrix, row i for the set
-    of colex rank i (strong_minors's, with any columns, boolean or packed
+    lex_sets(d, m)[i] (strong_minors's, with any columns, boolean or packed
     to bits), the tables over the r-row sets for r = m..top: row i of the
-    r-th is the OR of table's rows over the m-subsets of the r-set of colex
-    rank i.
+    r-th is the OR of table's rows over the m-subsets of lex_sets(d, r)[i].
 
     Each is the OR of the last one's rows over the set less one of its
-    first m + 1 entries, read through _colex_tables's drop ranks: an
-    m-subset of a larger set misses one of those m + 1 entries, so it lies
-    in one of those sets, and each of them lies in the set."""
+    first m + 1 entries, read at _drop_ranks: an m-subset of a larger set
+    misses one of those m + 1 entries, so it lies in one of those sets, and
+    each of them lies in the set."""
     covers = [table]
     for r in range(m + 1, top + 1):
-        drop = _colex_tables(d, r)[1][: m + 1]
+        drop = _drop_ranks(d, r)[: m + 1]
         covers.append(np.bitwise_or.reduce(covers[-1][drop], axis=0))
     return covers
-
-
-def colex_ranks(sets: np.ndarray, d: int) -> np.ndarray:
-    """The colex rank, sum_i comb(c_i, i + 1), of each increasing tuple c of
-    indices below d along the last axis: the index of strong_minors's
-    tables."""
-    m = sets.shape[-1]
-    return _pascal(d, m)[sets, np.arange(1, m + 1)].sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -368,21 +348,16 @@ def _minor_bounds(
     return bounds
 
 
-def small_table(d: int, k: int) -> bool:
-    """Whether the k-subsets of range(d) take at most TABLE_CACHE_ENTRIES
-    entries, so that their tables stay cached (cached_when_small)."""
-    return k * math.comb(d, k) <= TABLE_CACHE_ENTRIES
-
-
 def cached_when_small(build):
     """The table builder build(d, k, *key), for tables of at most k * C(d,
-    k) entries, with the tables of small_table(d, k) kept in an LRU cache
-    of 32 and the larger ones built for the caller."""
+    k) entries, with the tables of at most TABLE_CACHE_ENTRIES entries kept
+    in an LRU cache of 32 and the larger ones built for the caller."""
     cached = functools.lru_cache(maxsize=32)(build)
 
     @functools.wraps(build)
     def table(d: int, k: int, *key):
-        return (cached if small_table(d, k) else build)(d, k, *key)
+        small = k * math.comb(d, k) <= TABLE_CACHE_ENTRIES
+        return (cached if small else build)(d, k, *key)
 
     table.cache_clear, table.cache_info = cached.cache_clear, cached.cache_info
     return table
@@ -400,31 +375,23 @@ def lex_sets(d: int, k: int) -> np.ndarray:
 
 
 @cached_when_small
-def lex_ranks(d: int, k: int) -> np.ndarray:
-    """colex_ranks(lex_sets(d, k), d); read-only."""
-    ranks = colex_ranks(lex_sets(d, k), d)
-    ranks.flags.writeable = False
-    return ranks
-
-
-@cached_when_small
-def _colex_tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-subsets of range(d) in colex order, one per column, and drop[k,
-    i], the colex rank of set i less its k-th entry; read-only."""
-    pascal = _pascal(d, m)
-    # The m-sets in colex order are the lexicographic ones reversed (flat,
-    # so each set's entries too) and mirrored by c -> d - 1 - c.
-    cols = (d - 1 - lex_sets(d, m).ravel()[::-1]).reshape(-1, m).T.copy()
-    # C - c_k has rank sum_{i<k} keep[i] + sum_{i>k} down[i], keep[i] =
-    # comb(c_i, i + 1) and down[i] = comb(c_i, i): cumsum(keep - down) - keep
-    # + sum(down), built in place in down, so three tables are live.
-    keep, drop = (pascal[cols, np.arange(i, m + i)[:, None]] for i in (1, 0))
+def _drop_ranks(d: int, m: int) -> np.ndarray:
+    """drop[k, i], the rank in lex_sets(d, m - 1) of lex_sets(d, m)[i] less
+    its k-th entry; read-only."""
+    # An increasing n-tuple c has rank comb(d, n) - 1 - sum_i p[c_i, n - i],
+    # p[c, j] = comb(d - 1 - c, j). So C - c_k has rank comb(d, m - 1) - 1 -
+    # sum_{i<k} keep[i] - sum_{i>k} down[i], keep[i] = p[c_i, m - 1 - i] and
+    # down[i] = p[c_i, m - i]: keep + comb(d, m - 1) - 1 - sum(down) -
+    # cumsum(keep - down), built in place in down, so three tables are live.
+    pascal, sets = _pascal(d, m)[::-1], lex_sets(d, m).T
+    keep, drop = (pascal[sets, np.arange(m - j, -j, -1)[:, None]] for j in (1, 0))
     total = drop.sum(axis=0)
     np.cumsum(np.subtract(keep, drop, out=drop), axis=0, out=drop)
     keep -= total
-    drop -= keep
-    cols.flags.writeable = drop.flags.writeable = False
-    return cols, drop
+    keep += math.comb(d, m - 1) - 1
+    np.subtract(keep, drop, out=drop)
+    drop.flags.writeable = False
+    return drop
 
 
 def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
@@ -436,17 +403,18 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
 
         det a[R, C] = sum_k (-1)^(m-1+k) a[r_m, c_k] det a[R', C - c_k],
 
-    m terms per block, the column sets of each size in colex order
-    (_colex_tables). The walk is depth first over a stack of frames, each a
-    chunk of row sets of one size, their minors over all column sets and a
-    cursor into their (row set, new row) pairs in lexicographic order. Each
-    step takes the top frame's next slice of pairs, at most BATCH_ENTRIES
-    minors and parent minors (or one pair), computes their minors as m
-    gathered multiply-adds, yields them as (rows, cols, minors), minors[i,
-    j] = det a[rows[i], cols[j]], and pushes them as the next frame. So each
-    size's row sets come in lexicographic order, and each depth holds one
-    chunk: about (top + 3) BATCH_ENTRIES entries live, whatever the number
-    of row sets, besides each size's tables, fetched when first reached.
+    m terms per block, the column sets C of each size lex_sets's and det
+    a[R', C - c_k] read at _drop_ranks. The walk is depth first over a
+    stack of frames, each a chunk of row sets of one size, their minors over
+    all column sets and a cursor into their (row set, new row) pairs in
+    lexicographic order. Each step takes the top frame's next slice of
+    pairs, at most BATCH_ENTRIES minors and parent minors (or one pair),
+    computes their minors as m gathered multiply-adds, yields them as (rows,
+    cols, minors), minors[i, j] = det a[rows[i], cols[j]], and pushes them
+    as the next frame. So each size's row sets come in lexicographic order,
+    and each depth holds one chunk: about (top + 3) BATCH_ENTRIES entries
+    live, whatever the number of row sets, besides each size's tables,
+    fetched when first reached.
     """
     d = a.shape[0]
     tables, work, stack = {}, np.empty((2, BATCH_ENTRIES), dtype=complex), []
@@ -465,8 +433,10 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
         rows, minors, parent, new, start = frame = stack[-1]
         m = rows.shape[1] + 1
         if m not in tables:
-            tables[m] = _colex_tables(d, m)
-        cols, drop = tables[m]
+            # The k-th entries of the column sets as one contiguous row each:
+            # take copies an index array that is not contiguous.
+            tables[m] = _drop_ranks(d, m), lex_sets(d, m).T.copy()
+        drop, cols = tables[m]
         stop = frame[4] = start + max(1, BATCH_ENTRIES // max(minors.shape[1], cols.shape[1]))
         if stop >= len(parent):
             stack.pop()
@@ -477,12 +447,12 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
         if work.shape[1] < child.size:
             work = np.empty((2, child.size), dtype=complex)
         terms, factors = (w[: child.size].reshape(child.shape) for w in work)
-        np.take(y, drop[0], axis=1, out=child, mode="clip")
-        np.take(x, cols[0], axis=1, out=factors, mode="clip")
+        y.take(drop[0], axis=1, out=child, mode="clip")
+        x.take(cols[0], axis=1, out=factors, mode="clip")
         child *= factors
         for k in range(1, m):
-            np.take(y, drop[k], axis=1, out=terms, mode="clip")
-            np.take(x, cols[k], axis=1, out=factors, mode="clip")
+            y.take(drop[k], axis=1, out=terms, mode="clip")
+            x.take(cols[k], axis=1, out=factors, mode="clip")
             terms *= factors
             (np.subtract if k % 2 else np.add)(child, terms, out=child)
         kid_rows = np.column_stack([rows[p], r])

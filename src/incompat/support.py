@@ -41,7 +41,6 @@ from .rank import (
     KernelWitness,
     batch_ranks,
     kernel_witness,
-    lex_ranks,
     lex_sets,
     rank_threshold,
     squares_full_rank,
@@ -233,10 +232,9 @@ class _Screen:
     tol * (d - 1) the largest threshold of any such level and delta the
     rounding allowance of _square_level_clear. The tables are built when a
     level first needs them and kept for the call (see
-    min_support_uncertainty). They are indexed by colex rank, and the row
-    and column sets of a level are rank.lex_sets's, so each level reads its
-    blocks through rank.lex_ranks, the colex ranks of those tables, built
-    once per (d, k) and cached under lex_sets's rule."""
+    min_support_uncertainty). Their rows and columns, like a level's row
+    and column sets, are in rank.lex_sets's order, so each level reads its
+    blocks as they are."""
 
     def __init__(self, tm: TransitionMatrix, rank_tol: float):
         self.tm = tm
@@ -254,9 +252,9 @@ class _Screen:
                 # Size 1 needs no walk; one walk to d // 2 serves most calls.
                 top = 1 if nb == 1 else d // 2 if nb <= d // 2 else d - 1
                 self.strong = strong_minors(self.tm.matrix, top, self.bound, self.tm.residual)
-            table = np.packbits(self.strong[nb - 1][:, lex_ranks(d, nb)], axis=1)
+            table = np.packbits(self.strong[nb - 1], axis=1)
             self.covers[nb] = subset_covers(table, d, nb, d - 1)
-        packed = self.covers[nb][r - nb][lex_ranks(d, r)]
+        packed = self.covers[nb][r - nb]
         return ~np.unpackbits(packed, axis=1, count=math.comb(d, nb)).view(bool)
 
 

@@ -20,22 +20,19 @@ id) holds. The level search then decides only the row sets that are
 lexicographically least in their orbit under the row group and, for each,
 only the column sets least under the column group;
 deficiency._max_row_deficiency has the proof that this keeps its values and
-witnesses. The representatives are filtered from rank.lex_sets's tables
-once per table and group (least_sets), and kept under lex_sets's caching
-rule; the row sets of a table too large to cache are filtered lazily, a
-chunk at a time, as the search takes them.
+witnesses. The representatives are filtered from rank.lex_sets's tables,
+each whole, once per table and group (least_sets), and kept under
+lex_sets's caching rule.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rank import BATCH_ENTRIES, cached_when_small, lex_sets, small_table
+from .rank import BATCH_ENTRIES, cached_when_small, lex_sets
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,40 +47,18 @@ class Symmetry:
     column_translations: bool = False
 
     @property
-    def rows(self) -> np.ndarray:
-        """The row group, one permutation of range(d) per row."""
-        return affine_group(self.d, self.dilations, self.row_shift)
-
-    @property
-    def cols(self) -> np.ndarray:
-        """The column group: the translations, or the identity alone."""
-        return affine_group(self.d, (1,), self.column_translations)
-
-    @property
     def row_order(self) -> int:
         return len(self.dilations) * (self.d if self.row_shift else 1)
 
-    def least_rows(self, m: int):
+    def least_rows(self, m: int) -> np.ndarray:
         """The m-row sets least in their orbit under the row group, in
-        lexicographic order: least_sets's cached array when the table of
-        m-sets is small enough to cache, and otherwise taken lazily from
-        itertools.combinations and filtered a chunk at a time, so a search
-        that stops early never builds the rest."""
-        d = self.d
-        if small_table(d, m):
-            return least_sets(d, m, self.dilations, self.row_shift)
-        sets = itertools.combinations(range(d), m)
-        return sets if self.row_order == 1 else self._least_lazily(sets, m)
-
-    def _least_lazily(self, row_sets: Iterator, m: int) -> Iterator:
-        group, step = self.rows, max(1, BATCH_ENTRIES // (self.row_order * m))
-        while chunk := list(itertools.islice(row_sets, step)):
-            sets = np.array(chunk)
-            yield from sets[orbit_least(sets, group)]
+        lexicographic order (least_sets)."""
+        return least_sets(self.d, m, self.dilations, self.row_shift)
 
     def least_cols(self, c: int) -> np.ndarray:
-        """The c-column sets least in their orbit under the column group, in
-        lexicographic order (least_sets)."""
+        """The c-column sets least in their orbit under the column group, the
+        translations or the identity alone, in lexicographic order
+        (least_sets)."""
         return least_sets(self.d, c, (1,), self.column_translations)
 
 
@@ -92,17 +67,10 @@ def trivial(d: int) -> Symmetry:
     return Symmetry(d)
 
 
-def affine_group(d: int, dilations: tuple[int, ...], shift: bool) -> np.ndarray:
-    """The maps j -> u j + b of range(d), u in dilations and b in Z_d when
-    shift (b = 0 otherwise), one per row."""
-    ident = np.arange(d)
-    offsets = ident if shift else ident[:1]
-    return ((np.outer(dilations, ident)[:, None, :] + offsets[None, :, None]) % d).reshape(-1, d)
-
-
 def least_sets(d: int, k: int, dilations: tuple[int, ...], shift: bool) -> np.ndarray:
-    """The rows of lex_sets(d, k) least in their orbit under
-    affine_group(d, dilations, shift), in order; read-only."""
+    """The rows of lex_sets(d, k) least in their orbit under the maps j ->
+    u j + b of range(d), u in dilations and b in Z_d when shift (b = 0
+    otherwise), in order; read-only."""
     if dilations == (1,) and not shift:
         return lex_sets(d, k)
     return _least_sets(d, k, dilations, shift)
@@ -114,27 +82,36 @@ def _least_sets(d: int, k: int, dilations: tuple[int, ...], shift: bool) -> np.n
     rule of lex_sets. The group is part of the key: a perturbed DFT can
     verify a smaller group than the DFT, with other representatives."""
     sets = lex_sets(d, k)
-    least = sets[orbit_least(sets, affine_group(d, dilations, shift))]
+    least = sets[orbit_least(sets, d, dilations, shift)]
     least.flags.writeable = False
     return least
 
 
-def orbit_least(sets: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Mask of the rows of sets (increasing index tuples of one size) that
-    are lexicographically least in their orbit under the permutation group.
+def orbit_least(
+    sets: np.ndarray, d: int, dilations: tuple[int, ...], shift: bool
+) -> np.ndarray:
+    """Mask of the rows of sets (increasing tuples of indices below d <= 62,
+    of one size) that are lexicographically least in their orbit under the
+    maps j -> u j + b of range(d), u in dilations and b in Z_d when shift
+    (b = 0 otherwise).
 
     Among sets of one size, R precedes R' lexicographically exactly when the
     least element of their symmetric difference is in R, that is, when R's
     bitmask code sum_j 2^(d - 1 - j) is larger. A set is least in its orbit
-    when no image has a larger code. Images are coded a chunk of at most
-    BATCH_ENTRIES indices at a time."""
-    d = group.shape[1]
+    when no image has a larger code. Each set is coded once per dilation u;
+    adding b to every index moves bit d - 1 - j to d - 1 - (j + b mod d),
+    so the code of u R + b is that of u R rotated right by b places within
+    its d bits, which int64 holds exactly. A chunk of sets is coded at a
+    time, at most BATCH_ENTRIES rotated codes and gathered indices."""
     weight = np.left_shift(1, np.arange(d - 1, -1, -1), dtype=np.int64)
-    step = max(1, BATCH_ENTRIES // (len(group) * sets.shape[1]))
-    top = [
-        weight[group[:, sets[i : i + step]]].sum(axis=2).max(axis=0)
-        for i in range(0, len(sets), step)
-    ]
+    b = np.arange(d if shift else 1)
+    low = np.left_shift(1, b) - 1
+    units = np.array(dilations)[:, None, None]
+    step = max(1, BATCH_ENTRIES // (len(dilations) * d))
+    top = []
+    for i in range(0, len(sets), step):
+        codes = weight[units * sets[i : i + step] % d].sum(axis=2)[:, :, None]
+        top.append(((codes >> b) | ((codes & low) << (d - b))).max(axis=(0, 2)))
     return weight[sets].sum(axis=1) == np.concatenate(top)
 
 

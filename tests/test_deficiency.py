@@ -27,7 +27,7 @@ from incompat import (
     tau_fast,
 )
 from incompat.deficiency import _max_row_deficiency, _square_blocks_clear
-from incompat.rank import FRAGILE_GAP_RATIO, batch_ranks, rank_threshold
+from incompat.rank import FRAGILE_GAP_RATIO, TABLE_CACHE_ENTRIES, batch_ranks, rank_threshold
 from incompat.report import extremal_checks, profile_shape_checks
 from test_rank import FRAGILE_DFTS, SEARCH_CORPUS, _perturbed_dft
 
@@ -211,20 +211,17 @@ class TestTauFast:
         assert tau_fast(identity(1)) == -1
 
     def test_walks_the_profile_descent(self, monkeypatch):
-        # Every rank step tau_fast takes, with the row sets it pulls, is the
-        # profile's, in the same order; only the column checks are left out.
+        # Every rank step tau_fast takes, with the row sets its batches
+        # decide, is the profile's, in the same order; only the column checks
+        # are left out.
         calls = []
 
         def recorded(a, row_sets, col_sets, threshold, first_rows=None):
             pulled = []
             calls.append((col_sets.shape, threshold, first_rows, pulled))
-
-            def pull():
-                for rows in row_sets:
-                    pulled.append(tuple(rows))
-                    yield rows
-
-            yield from batch_ranks(a, pull(), col_sets, threshold, first_rows)
+            for rows, ranks, gaps in batch_ranks(a, row_sets, col_sets, threshold, first_rows):
+                pulled.extend(map(tuple, rows.tolist()))
+                yield rows, ranks, gaps
 
         def refuse(*args, **kwargs):
             raise AssertionError("tau_fast made a column check")
@@ -243,6 +240,69 @@ class TestTauFast:
             # Calls past the level-0 step: blocks with more columns than rows.
             searched += sum(len(rows[0]) < shape[1] for shape, _, _, rows in fast if rows)
         assert searched > 0
+
+
+# deficiency_profile of dft(14) and identity(14), whose searches read row
+# tables of more than TABLE_CACHE_ENTRIES entries: the values and the row
+# witness (rows, columns, deficiency) of each level up to tau.
+LARGE_TABLE_PROFILES = {
+    "dft": (
+        dft_matrix(14),
+        (3, 3, 2, 2, 1, 1) + (0,) * 8,
+        [
+            ((0, 1, 2, 7, 8, 9), (0, 2, 4, 6, 8, 10), 3),
+            ((0, 1, 2, 7, 8, 9), (0, 2, 4, 6, 8, 10, 12), 3),
+            ((0, 1, 7, 8), (0, 2, 4, 6, 8, 10), 2),
+            ((0, 1, 7, 8), (0, 2, 4, 6, 8, 10, 12), 2),
+            ((0, 7), (0, 2, 4, 6, 8, 10), 1),
+            ((0, 7), (0, 2, 4, 6, 8, 10, 12), 1),
+        ],
+    ),
+    "identity": (
+        identity(14),
+        (7, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0),
+        [
+            ((0, 1, 2, 3, 4, 5, 6), (7, 8, 9, 10, 11, 12, 13), 7),
+            ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11, 12), 6),
+            ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11, 12, 13), 6),
+            ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9, 10, 11, 12), 5),
+            ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9, 10, 11, 12, 13), 5),
+            ((0, 1, 2, 3), (4, 5, 6, 7, 8, 9, 10, 11, 12), 4),
+            ((0, 1, 2, 3), (4, 5, 6, 7, 8, 9, 10, 11, 12, 13), 4),
+            ((0, 1, 2), (3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 3),
+            ((0, 1, 2), (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), 3),
+            ((0, 1), (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 2),
+            ((0, 1), (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), 2),
+            ((0,), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 1),
+            ((0,), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), 1),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_TABLE_PROFILES))
+def test_large_row_tables_keep_the_outputs(monkeypatch, name):
+    # Every rank step gets its row sets as one array, some of them from a
+    # table too large to cache, and the outputs are the pinned ones.
+    tm, values, witnesses = LARGE_TABLE_PROFILES[name]
+    d, tau = tm.dim, len(witnesses) - 1
+    sizes = set()
+
+    def checked(a, row_sets, col_sets, threshold, first_rows=None):
+        assert isinstance(row_sets, np.ndarray) and row_sets.ndim == 2
+        sizes.add(row_sets.shape[1])
+        yield from batch_ranks(a, row_sets, col_sets, threshold, first_rows)
+
+    monkeypatch.setattr(incompat.deficiency, "batch_ranks", checked)
+    monkeypatch.setattr(incompat.rank, "batch_ranks", checked)
+    p = deficiency_profile(tm)
+    assert p.r_values == p.r_row_values == p.r_col_values == values
+    assert (p.tau, p.chi) == (tau, d - tau)
+    got = [(w.side, w.selector.rows, w.selector.cols, w.deficiency) for w in p.witnesses[: tau + 1]]
+    assert got == [("row", *w) for w in witnesses]
+    assert all(w is None for w in p.witnesses[tau + 1 :])
+    assert tau_fast(tm) == tau
+    assert any(m * math.comb(d, m) > TABLE_CACHE_ENTRIES for m in sizes)
 
 
 class TestLevelZeroFirst:

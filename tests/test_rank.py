@@ -39,12 +39,10 @@ from incompat.rank import (
     GRAM_MIN_BLOCKS,
     TABLE_CACHE_ENTRIES,
     _certified_full_rank,
-    _colex_tables,
+    _drop_ranks,
     _minor_bounds,
     _square_minors,
     batch_ranks,
-    colex_ranks,
-    lex_ranks,
     lex_sets,
     rank_threshold,
     squares_full_rank,
@@ -390,8 +388,8 @@ class TestCertifiedSearches:
             d = tm.dim
             for s, nb in ((s, nb) for s in range(2, top + 1) for nb in range(1, s)):
                 r = d - s + nb
-                row_sets = list(itertools.combinations(range(d), r))[::-1]
-                col_sets = np.array(list(itertools.combinations(range(d), nb)))
+                row_sets = lex_sets(d, r)[::-1]
+                col_sets = lex_sets(d, nb)
                 for _ in checked(tm.matrix, row_sets, col_sets, rank_threshold((r, nb), rank_tol, 1.0)):
                     pass
         # One call per row-set chunk, so count blocks, not calls: at least
@@ -545,27 +543,6 @@ class TestBatchBudget:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert sum(batches) == row_sets.shape[0] * col_sets.shape[0]
 
-    @pytest.mark.parametrize("budget", [1, 40, 2**12])
-    def test_row_sets_taken_lazily(self, monkeypatch, budget):
-        # One batch is taken from the row sets per item yielded: each item's
-        # rows are exactly those pulled since the item before.
-        monkeypatch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
-        d, m, c = 8, 3, 3
-        a = random_unitary(d, 0).matrix
-        col_sets = np.array(list(itertools.combinations(range(d), c)))
-        pulled = []
-
-        def row_sets():
-            for rows in itertools.combinations(range(d), m):
-                pulled.append(rows)
-                yield rows
-
-        seen = items = 0
-        for rows, _, _ in batch_ranks(a, row_sets(), col_sets, rank_threshold((m, c), 1e-10, 1.0)):
-            assert [tuple(r) for r in rows.tolist()] == pulled[seen:]
-            seen, items = len(pulled), items + 1
-        assert seen == math.comb(d, m) and items > 1
-
 
 def _squares_by_batch_ranks(a, thresholds, residual, *, row_0_at_top=False, floors=None):
     """squares_full_rank's reference: batch_ranks over every block, size by
@@ -577,11 +554,9 @@ def _squares_by_batch_ranks(a, thresholds, residual, *, row_0_at_top=False, floo
     d, top = a.shape[0], len(thresholds)
     with np.errstate(over="ignore"):
         for m, threshold in enumerate(thresholds, 1):
-            col_sets = np.array(list(itertools.combinations(range(d), m)))
-            row_sets = [
-                r for r in itertools.combinations(range(d), m)
-                if not (row_0_at_top and m == top and r[0] > 0)
-            ]
+            col_sets = row_sets = lex_sets(d, m)
+            if row_0_at_top and m == top:
+                row_sets = row_sets[row_sets[:, 0] == 0]
             for _, ranks, _ in batch_ranks(a, row_sets, col_sets, threshold):
                 if ranks.min() < m:
                     return False
@@ -673,12 +648,11 @@ def _floors_decide_alike(tm):
 
 def _walk_by_size(a, top, row_0_at_top):
     """{m: (rows, cols, minors)} of _square_minors, each size's yields joined;
-    every yield of a size gives its column sets as a view of the cached
-    table."""
+    every yield of a size gives its column sets as lex_sets's table."""
     sizes = {}
     for rows, cols, minors in _square_minors(a, top, row_0_at_top):
         m = cols.shape[1]
-        assert cols.base is _colex_tables(a.shape[0], m)[0]
+        assert np.array_equal(cols, lex_sets(a.shape[0], m))
         sizes.setdefault(m, []).append((rows, cols, minors))
     return {
         m: (np.concatenate([p[0] for p in parts]), parts[0][1], np.concatenate([p[2] for p in parts]))
@@ -713,7 +687,7 @@ class TestSquareMinors:
         assert certified > 0
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-4])
-    def test_strong_minors_keep_each_minor_at_its_colex_ranks(self, rank_tol):
+    def test_strong_minors_keep_each_minor_at_its_lex_ranks(self, rank_tol):
         kinds = set()
         for tm in [dft_matrix(6), random_unitary(7, 0), _perturbed_dft(6, 1e-9, 0)]:
             d = tm.dim
@@ -727,8 +701,9 @@ class TestSquareMinors:
             seen = [np.zeros_like(t) for t in strong]
             for rows, cols, minors in _square_minors(tm.matrix, d - 1):
                 m = cols.shape[1]
-                assert np.array_equal(colex_ranks(cols, d), np.arange(len(cols)))
-                i = colex_ranks(rows, d)
+                assert np.array_equal(cols, lex_sets(d, m))
+                index = {r: i for i, r in enumerate(map(tuple, lex_sets(d, m).tolist()))}
+                i = [index[r] for r in map(tuple, rows.tolist())]
                 assert np.array_equal(strong[m - 1][i], np.abs(minors) > need[m - 1])
                 seen[m - 1][i] = True
             assert all(s.all() for s in seen)
@@ -774,18 +749,18 @@ class TestSquareMinors:
     def test_walk_yields_every_minor_once(self, monkeypatch, budget, row_0_at_top):
         # Every minor once, each size's row sets in lexicographic order, the
         # same output as at the default budget, and the same read-only
-        # column tables.
+        # drop ranks.
         for d in (2, 5, 8):
             a = _random_complex(np.random.default_rng(d), d, d)
             for top in range(1, d + 1):
                 want = _walk_by_size(a, top, row_0_at_top)
-                tables = [_colex_tables(d, m) for m in range(1, top + 1)]
+                tables = [_drop_ranks(d, m) for m in range(1, top + 1)]
                 with monkeypatch.context() as patch:
                     patch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
                     got = _walk_by_size(a, top, row_0_at_top)
-                    again = [_colex_tables(d, m) for m in range(1, top + 1)]
+                    again = [_drop_ranks(d, m) for m in range(1, top + 1)]
                 assert all(x is y for x, y in zip(again, tables))
-                assert all(not t.flags.writeable for t in itertools.chain(*tables))
+                assert all(not t.flags.writeable for t in tables)
                 assert list(got) == list(range(1, top + 1))
                 for m, (rows, cols, minors) in got.items():
                     assert all(map(np.array_equal, (rows, cols, minors), want[m]))
@@ -793,9 +768,6 @@ class TestSquareMinors:
                         r for r in itertools.combinations(range(d), m)
                         if not (row_0_at_top and m == top and r[0] > 0)
                     ]
-                    assert sorted(map(tuple, cols.tolist())) == list(
-                        itertools.combinations(range(d), m)
-                    )
                     dets = np.linalg.det(a[rows[:, None, :, None], cols[None, :, None, :]])
                     assert (np.abs(minors - dets) <= 1e-12 * 2**m).all()
 
@@ -921,36 +893,39 @@ class TestSquareMinors:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_subset_covers_or_each_sets_subsets(self, m):
         # Row i of the r-th cover is the OR of the table's rows over the
-        # m-subsets of the r-set of colex rank i, boolean or packed to bits.
+        # m-subsets of lex_sets(d, r)[i], boolean or packed to bits.
         d, width = 7, 11
         table = np.random.default_rng(m).random((math.comb(d, m), width)) < 0.15
         covers = subset_covers(table, d, m, d - 1)
         packed = subset_covers(np.packbits(table, axis=1), d, m, d - 1)
         assert len(covers) == len(packed) == d - m
+        index = {s: i for i, s in enumerate(itertools.combinations(range(d), m))}
         for r, cover in enumerate(covers, m):
-            sets = np.array(list(itertools.combinations(range(d), r)))
             want = [
-                table[colex_ranks(np.array(list(itertools.combinations(rows, m))), d)].any(axis=0)
-                for rows in sets
+                table[[index[s] for s in itertools.combinations(rows, m)]].any(axis=0)
+                for rows in itertools.combinations(range(d), r)
             ]
-            assert np.array_equal(cover[colex_ranks(sets, d)], want)
+            assert np.array_equal(cover, want)
             unpacked = np.unpackbits(packed[r - m], axis=1, count=width).view(bool)
             assert np.array_equal(unpacked, cover)
         assert 0 < covers[1].mean() < covers[-1].mean()
 
     def test_only_small_tables_stay_cached(self):
-        # The first yield of each size up to 7 at d = 14: the tables of sizes
-        # 1..4 (at most 4004 entries) are cached, those of 5..7 only used.
-        _colex_tables.cache_clear()
+        # The first yield of each size up to 7 at d = 14: the drop ranks of
+        # sizes 1..4 (at most 4004 entries) are cached, those of 5..7 only
+        # used.
+        _drop_ranks.cache_clear()
         walk = _square_minors(random_unitary(14, 0).matrix, 7)
         firsts = [cols for _, cols, _ in itertools.islice(walk, 7)]
         walk.close()
         assert [cols.shape[1] for cols in firsts] == list(range(1, 8))
         small = [m for m in range(1, 8) if m * math.comb(14, m) <= TABLE_CACHE_ENTRIES]
         assert small == [1, 2, 3, 4]
-        assert _colex_tables.cache_info().currsize == len(small)
-        for m, cols in enumerate(firsts, 1):
-            assert (cols.base is _colex_tables(14, m)[0]) == (m in small)
+        assert _drop_ranks.cache_info().currsize == len(small)
+        first = [_drop_ranks(14, m) for m in range(1, 8)]
+        assert [_drop_ranks(14, m) is first[m - 1] for m in range(1, 8)] == [
+            m in small for m in range(1, 8)
+        ]
 
 
 class TestLexSets:
@@ -965,46 +940,49 @@ class TestLexSets:
 
     @pytest.mark.parametrize("d,k", [(8, 3), (14, 7)], ids=["cached", "per-call"])
     def test_read_only(self, d, k):
-        for table in (lex_sets(d, k), lex_ranks(d, k), *_colex_tables(d, k)):
+        for table in (lex_sets(d, k), _drop_ranks(d, k)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
 
     def test_only_small_tables_stay_cached(self):
-        small = {k for k in range(15) if k * math.comb(14, k) <= TABLE_CACHE_ENTRIES}
-        assert small == {0, 1, 2, 3, 4, 11, 12, 13, 14}
-        for table in (lex_sets, lex_ranks):
+        small = {k for k in range(1, 15) if k * math.comb(14, k) <= TABLE_CACHE_ENTRIES}
+        assert small == {1, 2, 3, 4, 11, 12, 13, 14}
+        for table in (lex_sets, _drop_ranks):
             table.cache_clear()
-            first = [table(14, k) for k in range(15)]
+            first = [table(14, k) for k in range(1, 15)]
             assert table.cache_info().currsize == len(small)
-            assert [table(14, k) is first[k] for k in range(15)] == [k in small for k in range(15)]
+            assert [table(14, k) is first[k - 1] for k in range(1, 15)] == [
+                k in small for k in range(1, 15)
+            ]
 
-    def test_colex_tables_unchanged(self):
-        # The columns in colex order (by reversed tuple), and drop[j, i] the
-        # colex rank of column i less its j-th entry, as the walk reads them.
-        for d in range(1, 12):
+    def test_drop_ranks_rank_each_set_less_one_entry(self):
+        # drop[j, i], as the walk and subset_covers read it, is the index in
+        # lex_sets(d, m - 1) of lex_sets(d, m)[i] less its j-th entry.
+        for d in range(1, 15):
+            index = {(): 0}
             for m in range(1, d + 1):
-                cols, drop = _colex_tables(d, m)
-                sets = sorted(itertools.combinations(range(d), m), key=lambda s: s[::-1])
-                assert list(map(tuple, cols.T.tolist())) == sets
-                assert colex_ranks(cols.T, d).tolist() == list(range(len(sets)))
+                sets, drop = lex_sets(d, m), _drop_ranks(d, m)
+                assert drop.shape == (m, len(sets))
                 for j in range(m):
-                    less = np.delete(cols.T, j, axis=1)
-                    assert np.array_equal(drop[j], colex_ranks(less, d))
-                assert np.array_equal(cols.T[lex_ranks(d, m)], lex_sets(d, m))
+                    less = np.delete(sets, j, axis=1)
+                    assert drop[j].tolist() == [index[s] for s in map(tuple, less.tolist())]
+                index = {s: i for i, s in enumerate(map(tuple, sets.tolist()))}
 
     @pytest.mark.parametrize("budget", [1, 40, 2**12])
     @pytest.mark.parametrize("first_rows", [None, 1])
     def test_array_row_sets_are_sliced(self, monkeypatch, budget, first_rows):
-        # An array of row sets is decided in the batches an iterator over it
-        # gives, each batch a slice of the array.
+        # An array of row sets is decided in consecutive slices of it, the
+        # first at most first_rows long, each as a copy of the array is.
         monkeypatch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
         d, a = 8, random_unitary(8, 0).matrix
         row_sets, col_sets = lex_sets(d, 3), lex_sets(d, 4)
         threshold = rank_threshold((3, 4), 1e-10, 1.0)
         sliced = list(batch_ranks(a, row_sets, col_sets, threshold, first_rows))
-        taken = list(batch_ranks(a, map(tuple, row_sets.tolist()), col_sets, threshold, first_rows))
+        taken = list(batch_ranks(a, row_sets.copy(), col_sets, threshold, first_rows))
         assert len(sliced) == len(taken) > 1
+        assert np.array_equal(np.concatenate([rows for rows, _, _ in sliced]), row_sets)
+        assert first_rows is None or len(sliced[0][0]) == first_rows
         for (rows, ranks, gaps), want in zip(sliced, taken):
             assert np.shares_memory(rows, row_sets)
             assert all(map(np.array_equal, (rows, ranks, gaps), want))

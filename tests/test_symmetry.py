@@ -30,19 +30,12 @@ from incompat import (
     random_unitary,
     tau_fast,
 )
-from incompat.rank import (
-    TABLE_CACHE_ENTRIES,
-    _colex_tables,
-    batch_ranks,
-    colex_ranks,
-    lex_ranks,
-    lex_sets,
-)
+from incompat.rank import TABLE_CACHE_ENTRIES, _drop_ranks, batch_ranks, lex_sets
 from incompat.symmetry import _least_sets, orbit_least, trivial, verify
 from test_rank import _perturbed_dft
 from test_support import TALL_CORPUS
 
-TABLE_CACHES = (lex_sets, lex_ranks, _least_sets)
+TABLE_CACHES = (lex_sets, _drop_ranks, _least_sets)
 
 REDUCED_FIELDS = ("row_group_order", "column_translations", "worst_gap_ratio")
 
@@ -174,12 +167,12 @@ class TestReducedSearch:
 
     @pytest.mark.parametrize("d", [7, 8, 9, 12])
     def test_row_group_is_the_affine_group(self, d):
+        # Every j -> u j + b, u a unit mod d, in the rows; every translation
+        # in the columns.
         sym = verify(dft_matrix(d).matrix, 0.0)
-        perms = {tuple(p) for p in sym.rows}
-        assert perms == {tuple((u * j + b) % d for j in range(d))
-                         for u in range(1, d) if math.gcd(u, d) == 1 for b in range(d)}
-        assert {tuple(p) for p in sym.cols} == {tuple((j + b) % d for j in range(d))
-                                                 for b in range(d)}
+        assert sym.dilations == tuple(u for u in range(1, d) if math.gcd(u, d) == 1)
+        assert sym.row_shift and sym.column_translations
+        assert sym.row_order == len(affine_group(d, sym.dilations, True))
 
 
 def brute_orbit_least(sets, gens):
@@ -201,6 +194,8 @@ def brute_orbit_least(sets, gens):
 
 
 def affine_group(d, units, shift):
+    """The maps j -> u j + b, u in the subgroup the units generate and b in
+    Z_d when shift (b = 0 otherwise), one permutation per row."""
     ident = np.arange(d)
     offsets = ident if shift else ident[:1]
     dilations = incompat.symmetry._subgroup(units, d)
@@ -217,29 +212,46 @@ def affine_group(d, units, shift):
 def test_orbit_least_matches_brute_force(d, m, shift, picks):
     m = min(m, d)
     units = [u for u in picks if u < d and math.gcd(u, d) == 1]
-    group = affine_group(d, units, shift)
+    dilations = tuple(incompat.symmetry._subgroup(units, d))
     ident = np.arange(d)
     gens = [(ident + 1) % d] if shift else []
     gens += [u * ident % d for u in units]
     sets = np.array(list(itertools.combinations(range(d), m)))
-    assert np.array_equal(orbit_least(sets, group), brute_orbit_least(sets, gens or [ident]))
+    got = orbit_least(sets, d, dilations, shift)
+    assert np.array_equal(got, brute_orbit_least(sets, gens or [ident]))
+
+
+def test_orbit_least_holds_at_the_largest_dimension():
+    # At d = 62, the largest verify proposes maps for, the rotated codes
+    # reach bit 61: each set against its images under every map, explicitly.
+    d = 62
+    units = tuple(u for u in range(1, d) if math.gcd(u, d) == 1)
+    rng = np.random.default_rng(62)
+    sets = [np.arange(k) for k in (1, 2, 31, 61)] + [np.arange(d - k, d) for k in (1, 2, 31, 61)]
+    sets += [np.sort(rng.choice(d, k, replace=False)) for k in (1, 2, 31, 61) for _ in range(3)]
+    for dilations, shift in ((units, True), (units, False), ((1,), True)):
+        perms = affine_group(d, dilations, shift)
+        for s in sets:
+            least = min(tuple(sorted(p[s].tolist())) for p in perms) == tuple(s.tolist())
+            assert orbit_least(s[None], d, dilations, shift)[0] == least
+    assert orbit_least(np.arange(31)[None], d, units, True)[0]
 
 
 @pytest.mark.parametrize("d,m", [(8, 3), (12, 3), (12, 8)])
 def test_least_rows_are_taken_in_order(d, m):
     sym = verify(dft_matrix(d).matrix, 0.0)
     sets = np.array(list(itertools.combinations(range(d), m)))
-    want = sets[orbit_least(sets, sym.rows)]
-    got = np.array(list(sym.least_rows(m)))
-    assert np.array_equal(got, want)
-    assert np.array_equal(sym.least_cols(m), sets[orbit_least(sets, sym.cols)])
+    want = sets[orbit_least(sets, d, sym.dilations, sym.row_shift)]
+    assert np.array_equal(sym.least_rows(m), want)
+    want = sets[orbit_least(sets, d, (1,), sym.column_translations)]
+    assert np.array_equal(sym.least_cols(m), want)
 
 
 @pytest.mark.parametrize("d", range(7, 17))
 def test_cached_representatives_equal_the_filtered_table(d):
     # The verified DFT group and, for d = 8, the identity's smaller one (its
     # unit maps, no translation): each is its own key. Tables over the
-    # cache bound are filtered per call, lazily on the row side.
+    # cache bound are filtered whole, per call.
     inputs = [dft_matrix(d)] + ([identity(8)] if d == 8 else [])
     for sym in [verify(tm.matrix, tm.residual) for tm in inputs]:
         assert sym.row_order > 1
@@ -247,9 +259,10 @@ def test_cached_representatives_equal_the_filtered_table(d):
             sets = np.array(list(itertools.combinations(range(d), k)))
             rows, cols = sym.least_rows(k), sym.least_cols(k)
             small = k * math.comb(d, k) <= TABLE_CACHE_ENTRIES
-            assert isinstance(rows, np.ndarray) == small
-            assert np.array_equal(np.array(list(rows)), sets[orbit_least(sets, sym.rows)])
-            assert np.array_equal(cols, sets[orbit_least(sets, sym.cols)])
+            want = sets[orbit_least(sets, d, sym.dilations, sym.row_shift)]
+            assert np.array_equal(rows, want)
+            want = sets[orbit_least(sets, d, (1,), sym.column_translations)]
+            assert np.array_equal(cols, want)
             assert (sym.least_cols(k) is cols) == small
             assert (sym.least_rows(k) is rows) == small
             for table in (rows, cols):
@@ -257,7 +270,7 @@ def test_cached_representatives_equal_the_filtered_table(d):
 
 
 def _clear_tables():
-    for table in TABLE_CACHES + (_colex_tables,):
+    for table in TABLE_CACHES:
         table.cache_clear()
 
 
@@ -285,9 +298,9 @@ def test_cold_and_warm_tables_give_the_same_outputs(rank_tol):
 
 def _held_by_table_builders(run):
     """Bytes still held after run() that the builders of TABLE_CACHES
-    allocated during it (lex_ranks's through colex_ranks), traced with
-    every one of those caches empty at the start."""
-    builders = [table.__wrapped__ for table in TABLE_CACHES] + [colex_ranks]
+    allocated during it, traced with every one of those caches empty at the
+    start."""
+    builders = [table.__wrapped__ for table in TABLE_CACHES]
     spans = []
     for f in builders:
         lines, start = inspect.getsourcelines(f)
@@ -307,9 +320,11 @@ def _held_by_table_builders(run):
 
 
 def test_table_caches_hold_a_bounded_number_of_bytes():
-    # The 2 MiB of the colex tables' cache bounds the three new ones
-    # together. The prime DFTs 17 and 19 are left out: their level-0 walk
-    # alone takes a minute and more, and it reads only the colex tables.
+    # Each of the three caches holds at most 32 tables of TABLE_CACHE_ENTRIES
+    # entries, 1 MiB; this run fills two of them and holds at most 2 MiB in
+    # all. The prime DFTs 17 and 19
+    # are left out: their level-0 walk alone takes a minute and more, and it
+    # reads only lex_sets and the drop ranks.
     def run():
         for d in [d for d in range(2, 21) if d not in (17, 19)]:
             tau_fast(dft_matrix(d))
@@ -318,6 +333,6 @@ def test_table_caches_hold_a_bounded_number_of_bytes():
 
     held = _held_by_table_builders(run)
     assert 0 < held <= 2 * 2**20
-    # The caches of the tables and their ranks are full: the bound holds at
+    # The caches of lex_sets and the drop ranks are full: the bound holds at
     # capacity.
     assert [table.cache_info().currsize for table in TABLE_CACHES[:2]] == [32, 32]
