@@ -18,7 +18,8 @@ With --records FILE, every run is also written to FILE as one JSON line
 (name, rank_tol, mode, code, stdout, stderr, tau). --compare OLD NEW reads
 two such files, written by two checkouts, and prints each run that differs
 or is in only one of them, with the JSON field paths that differ (into the
-report for a JSON stdout); it exits 1 on any difference and runs nothing.
+report for a JSON stdout), each differing scalar as "path old -> new"; it
+exits 1 on any difference and runs nothing.
 
     python3 scripts/report_digest.py [--max-dim 9] [--records runs.jsonl]
     python3 scripts/report_digest.py --compare old.jsonl new.jsonl
@@ -153,7 +154,8 @@ def load_records(path: str) -> dict:
 
 
 def differences(old, new, path: str):
-    """Yield the paths below path at which two decoded JSON values differ."""
+    """Yield the paths below path at which two decoded JSON values differ,
+    each scalar one as "path old -> new"."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in list(old) + [k for k in new if k not in old]:
             if key in old and key in new:
@@ -164,7 +166,8 @@ def differences(old, new, path: str):
         for i, (a, b) in enumerate(zip(old, new)):
             yield from differences(a, b, f"{path}[{i}]")
     elif json.dumps(old) != json.dumps(new):
-        yield path
+        scalars = not isinstance(old, (dict, list)) and not isinstance(new, (dict, list))
+        yield f"{path} {json.dumps(old)} -> {json.dumps(new)}" if scalars else path
 
 
 def compare(old_path: str, new_path: str) -> int:

@@ -32,7 +32,7 @@ mu^2 m (d - m - t) / j on the j-th smallest singular value. The search
 skips an m whose ceiling cannot beat the best found and leaves an m once
 its ceiling is reached; the proof and its allowance for near-unitary input
 are in _max_row_deficiency's docstring. The matrix's affine symmetries
-are verified once per descent (symmetry.verify), and the search of a large
+are verified once per descent (symmetry.verify), and the search of every
 grid decides one row set per orbit of them and one column set per column
 translation class, with the same values and witnesses.
 """
@@ -49,7 +49,6 @@ from . import symmetry
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
 from .rank import (
     DEFAULT_RANK_TOL,
-    _minor_bounds,
     batch_ranks,
     extract_submatrix,
     numerical_rank,
@@ -80,7 +79,7 @@ class DeficiencyProfile:
     flagged instead of silently trusted. row_group_order and
     column_translations describe the symmetry the level search reduces by
     (symmetry.verify): the order of its row group, 1 when no map holds or
-    every grid fits one batch, and whether the column translations hold.
+    d < symmetry.MIN_REDUCED_DIM, and whether the column translations hold.
     """
 
     dim: int
@@ -118,12 +117,13 @@ def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float, floors: list | N
     block. The step only certifies: False says nothing about any level,
     which the level search then decides.
 
-    floors, when given, are the minor floors of the subset search's
-    square level on tm (support._square_level_clear), whose walk covers
-    every block of this one with bit-identical minors. When each size's
-    need_m at this step's thresholds is below its floor, this walk would
-    certify every block, so True is returned without it. Only the minors
-    are shared; the thresholds and the proof below stay this step's own.
+    floors, when given, are passed on to squares_full_rank: the minor
+    floors of the subset search's square level on tm
+    (support._square_level_clear), whose walk covers every block of this
+    one with bit-identical minors, so squares_full_rank returns True
+    without walking when each size's need_m at this step's thresholds is
+    below its floor. Only the minors are shared; the thresholds and the
+    proof below stay this step's own.
 
     Let V be the unitary nearest U, e = ||U - V||_2 <= ||U^dag U - I||_2 <=
     d * residual. Blocks of U and V differ in each singular value by at most
@@ -139,11 +139,9 @@ def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float, floors: list | N
     thresholds = [
         rank_threshold((m, d - m), rank_tol, 1.0) + 2 * d * tm.residual for m in range(1, d // 2 + 1)
     ]
-    if floors and len(floors) >= len(thresholds):
-        bounds = _minor_bounds(d, tm.residual, thresholds)
-        if all(need < low for (_, need), low in zip(bounds, floors)):
-            return True
-    return squares_full_rank(tm.matrix, thresholds, tm.residual, row_0_at_top=d % 2 == 0)
+    return squares_full_rank(
+        tm.matrix, thresholds, tm.residual, row_0_at_top=d % 2 == 0, floors=floors
+    )
 
 
 def _coherence_cap(
@@ -178,8 +176,9 @@ def _max_row_deficiency(
 
     Enumeration order: m ascending, row subsets lexicographic, column subsets
     lexicographic; the returned selector is the first one achieving the
-    maximum in that order. Each m has one ceiling, min(m, d - m - t, cap), a
-    bound on the deficiency the rank step can find in any of its blocks:
+    maximum in that order. Each m has one ceiling, min(m, d - m - t, cap,
+    stop_at), on the deficiency the search looks for in its blocks; the
+    first three bound what the rank step can find in any of them:
 
     - interlacing: a submatrix of a unitary with m rows and c columns has
       rank >= m + c - d, so no block exceeds min(m, d - m - t);
@@ -221,23 +220,24 @@ def _max_row_deficiency(
       For prime d >= 5 (tau = -1) the cap is positive from t = 0 up, but
       the level-0 step decides those inputs before any level is searched.
 
-    An m whose ceiling cannot beat the current maximum is skipped before
-    any row set is enumerated, and the search of one m stops once its
-    ceiling is reached: later blocks at the same m could only tie, and ties
-    never replace the first-achieving selector. stop_at is a caller-supplied
-    hard upper bound (from the unit-step property of consecutive levels, see
-    _descent); reaching it ends the search immediately. None of these exits
-    changes the value or the witness. The worst gap ratio covers the
-    decisions the search makes, so a cap below the interlacing ceiling can
-    only lower it, by ending an m's search early or skipping an m; a cap of
-    0 never changes it, as every block it skips has gap 0.
+    stop_at is a caller-supplied hard upper bound (from the unit-step
+    property of consecutive levels, see _descent; None puts no bound). An m
+    whose ceiling cannot beat the current maximum is skipped before any row
+    set is enumerated, and the search of one m stops once its ceiling is
+    reached: later blocks at the same m could only tie, and ties never
+    replace the first-achieving selector. Once the maximum reaches stop_at,
+    every later m has a ceiling at most the maximum and is skipped, so
+    reaching it ends the search. None of these exits changes the value or
+    the witness. The worst gap ratio covers the decisions the search makes,
+    so a cap below the interlacing ceiling can only lower it, by ending an
+    m's search early or skipping an m; a cap of 0 never changes it, as
+    every block it skips has gap 0.
 
     The column sets are the rows of rank.lex_sets(d, m + t), and the row
     sets those of lex_sets(d, m). With sym (the symmetry that _descent
-    verified on a; None reduces nothing), an m whose grid does not fit one
-    batch (symmetry.one_batch) decides only the row sets least in their
-    orbit under sym's row group (Symmetry.least_rows), and, for each, only
-    the column sets least under its column translations
+    verified on a; None reduces nothing), every m decides only the row sets
+    least in their orbit under sym's row group (Symmetry.least_rows), and,
+    for each, only the column sets least under its column translations
     (Symmetry.least_cols), both filtered from the whole tables
     (symmetry.least_sets). Let f(R) = max_C (m - rank a[R, C]) over the
     level's column sets. A verified map (pi, sigma)
@@ -245,9 +245,9 @@ def _max_row_deficiency(
     sigma permutes the column sets, so f(pi(R)) = f(R). The search raises its
     best at the first row set R with f(R) > best; every row set before R
     has f <= best, and R's least orbit member R' <= R has f(R') = f(R), so
-    R' = R. Every raise, and every exit at the ceiling or stop_at (each is a
-    raise), is at a representative, and the reduced search raises and exits
-    at the same row sets. With pi = id, m - rank a[R, .] is constant on
+    R' = R. Every raise, and every exit at the ceiling (each is a raise), is
+    at a representative, and the reduced search raises and exits at the
+    same row sets. With pi = id, m - rank a[R, .] is constant on
     column translation orbits, so the first column set reaching a row set's
     maximum is least in its orbit: values, witnesses and exits are those of
     the unreduced search. Its decisions are a subset of the unreduced
@@ -261,9 +261,9 @@ def _max_row_deficiency(
     rank.batch_ranks decides the row sets a batch at a time, and each
     batch's rows are then replayed in order as if decided one by one: the
     witness is the first to achieve the maximum, an exit happens at the
-    first row that reaches the ceiling or stop_at, and the worst gap ratio
-    covers only the rows up to that exit, not those the batch decided past
-    it. alone says whether the last grid searched, here or in the caller's
+    first row that reaches the ceiling, and the worst gap ratio covers
+    only the rows up to that exit, not those the batch decided past it.
+    alone says whether the last grid searched, here or in the caller's
     previous call, exited at its first row set; then the next grid's first
     batch is that one row set (batch_ranks's first_rows), and the rest take
     the usual size. A skipped m leaves the bit as it was. Identity-like
@@ -276,28 +276,27 @@ def _max_row_deficiency(
     last grid searched).
     """
     d = a.shape[0]
+    sym = symmetry.trivial(d) if sym is None else sym
+    stop_at = d if stop_at is None else stop_at
     best = 0
     best_sel: SubmatrixSelector | None = None
     worst_gap = 0.0
     for m in range(1, d - t + 1):
         c = m + t
         threshold = rank_threshold((m, c), rank_tol, 1.0)
-        ceiling = min(m, d - c, _coherence_cap((m, c), d, mu, e, threshold))
+        ceiling = min(m, d - c, _coherence_cap((m, c), d, mu, e, threshold), stop_at)
         if ceiling <= best:
             continue
-        limit = ceiling if stop_at is None else min(ceiling, stop_at)
-        whole = sym is None or symmetry.one_batch(math.comb(d, m), math.comb(d, c), m, c, d)
-        by = symmetry.trivial(d) if whole else sym
-        row_sets, col_sets = by.least_rows(m), by.least_cols(c)
+        row_sets, col_sets = sym.least_rows(m), sym.least_cols(c)
         batches = batch_ranks(a, row_sets, col_sets, threshold, 1 if alone else None)
         alone, seen = False, 0
         for rows, ranks, gaps in batches:
             # Replay the batch in order: the sequential search stops at the
-            # first row set that reaches the limit, its best is the first
+            # first row set that reaches the ceiling, its best is the first
             # maximum up to there, and only the rows it visits count towards
             # the gap.
             row_best = m - ranks.min(axis=1)
-            reached = np.flatnonzero(row_best >= limit)
+            reached = np.flatnonzero(row_best >= ceiling)
             visited = reached[0] + 1 if reached.size else len(rows)
             seen += visited
             i = int(np.argmax(row_best[:visited]))
@@ -306,10 +305,8 @@ def _max_row_deficiency(
                 best = int(row_best[i])
                 first = int(np.argmin(ranks[i]))
                 best_sel = SubmatrixSelector(rows[i].tolist(), col_sets[first].tolist())
-            if best >= limit:
+            if best >= ceiling:
                 alone = seen == 1
-                if stop_at is not None and best >= stop_at:
-                    return best, best_sel, worst_gap, alone
                 break
     return best, best_sel, worst_gap, alone
 

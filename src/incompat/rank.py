@@ -77,10 +77,10 @@ BATCH_ENTRIES = 2**12
 # A slice of fewer blocks than this goes straight to the SVD: the Gram
 # certificate's fixed cost, about 15 numpy calls, exceeds the SVD of so few.
 GRAM_MIN_BLOCKS = 16
-# Subset tables (cached_when_small) of at most this many entries stay
-# cached, at most 32 of each kind, 1 MiB each: lex_sets's, the walk's drop
-# ranks and the orbit representatives. Larger ones, from d = 12 on, are
-# built per call.
+# Every cached table follows one rule (cached_when_small): those of at most
+# this many entries stay cached, at most 32 of each kind, 1 MiB each:
+# lex_sets's, the walk's drop ranks and the orbit representatives. Larger
+# ones, from d = 12 on, are built per call.
 TABLE_CACHE_ENTRIES = 2**12
 
 
@@ -183,12 +183,16 @@ def squares_full_rank(
     row_0_at_top, only the row sets that hold row 0 at m = top. residual is
     ||a^H a - I||_max as computed (TransitionMatrix.residual).
 
-    floors, a list given with row_0_at_top False, receives on True each
-    size's floor: the least computed |minor| of the size, NaN if any is
-    NaN. A later walk of a to a size at most top computes bit-identical
+    floors, a list, holds each size's floor from an earlier call on the
+    same a: the least computed |minor| of the size, NaN if any is NaN. A
+    walk of a to a size at most the earlier top computes bit-identical
     minors, so it would certify every block when each size's need_m is
-    below its floor. So analyze_transition lets the level-0 step read the
-    subset search's walk, one list per call; each step keeps its own proof.
+    below its floor; then True is returned without a walk. Otherwise a
+    walk with row_0_at_top False that returns True writes its floors into
+    the list, unless the list already holds more sizes, which it leaves as
+    it was. So analyze_transition lets the level-0 step read the subset
+    search's walk, one list per call; each step keeps its own thresholds
+    and proof.
 
     The minors come from _square_minors, an expansion of m terms per block
     in the minors of its row prefix, and a block is certified full rank from
@@ -243,6 +247,8 @@ def squares_full_rank(
     NaN among them, all go to batch_ranks, which guards its own arithmetic.
     """
     need = [bound for _, bound in _minor_bounds(a.shape[0], residual, thresholds)]
+    if floors and len(floors) >= len(need) and all(n < low for n, low in zip(need, floors)):
+        return True
     record = floors is not None and not row_0_at_top
     low = [math.inf] * len(thresholds)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -263,7 +269,7 @@ def squares_full_rank(
                 for _, ranks, _ in batch_ranks(a, rows[group], col_sets, thresholds[m - 1]):
                     if ranks.min() < m:
                         return False
-    if record:
+    if record and len(low) >= len(floors):
         floors[:] = low
     return True
 
@@ -304,10 +310,10 @@ def strong_minors(
 
 
 def subset_covers(table: np.ndarray, d: int, m: int, top: int) -> list[np.ndarray]:
-    """For a table over the m-row sets of a d x d matrix, row i for the set
-    lex_sets(d, m)[i] (strong_minors's, with any columns, boolean or packed
-    to bits), the tables over the r-row sets for r = m..top: row i of the
-    r-th is the OR of table's rows over the m-subsets of lex_sets(d, r)[i].
+    """For a boolean table over the m-row sets of a d x d matrix, row i for
+    the set lex_sets(d, m)[i] (strong_minors's, with any columns), the
+    tables over the r-row sets for r = m..top: row i of the r-th is the OR
+    of table's rows over the m-subsets of lex_sets(d, r)[i].
 
     Each is the OR of the last one's rows over the set less one of its
     first m + 1 entries, read at _drop_ranks: an m-subset of a larger set
@@ -318,14 +324,6 @@ def subset_covers(table: np.ndarray, d: int, m: int, top: int) -> list[np.ndarra
         drop = _drop_ranks(d, r)[: m + 1]
         covers.append(np.bitwise_or.reduce(covers[-1][drop], axis=0))
     return covers
-
-
-@functools.lru_cache(maxsize=32)
-def _pascal(d: int, m: int) -> np.ndarray:
-    """comb(c, k) for c < d and k <= m; read-only."""
-    table = np.array([[math.comb(c, k) for k in range(m + 1)] for c in range(d)])
-    table.flags.writeable = False
-    return table
 
 
 def _minor_bounds(
@@ -383,7 +381,8 @@ def _drop_ranks(d: int, m: int) -> np.ndarray:
     # sum_{i<k} keep[i] - sum_{i>k} down[i], keep[i] = p[c_i, m - 1 - i] and
     # down[i] = p[c_i, m - i]: keep + comb(d, m - 1) - 1 - sum(down) -
     # cumsum(keep - down), built in place in down, so three tables are live.
-    pascal, sets = _pascal(d, m)[::-1], lex_sets(d, m).T
+    pascal = np.array([[math.comb(d - 1 - c, j) for j in range(m + 1)] for c in range(d)])
+    sets = lex_sets(d, m).T
     keep, drop = (pascal[sets, np.arange(m - j, -j, -1)[:, None]] for j in (1, 0))
     total = drop.sum(axis=0)
     np.cumsum(np.subtract(keep, drop, out=drop), axis=0, out=drop)
@@ -417,7 +416,7 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
     fetched when first reached.
     """
     d = a.shape[0]
-    tables, work, stack = {}, np.empty((2, BATCH_ENTRIES), dtype=complex), []
+    tables, stack = {}, []
 
     def push(rows, minors):
         m = rows.shape[1] + 1
@@ -443,10 +442,8 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
         p, r = parent[start:stop], new[start:stop]
         # The first term's sign goes on the rows of a, the others alternate.
         x, y = (a[r] if m % 2 else -a[r]), minors[p]
-        child = np.empty((len(p), cols.shape[1]), dtype=complex)
-        if work.shape[1] < child.size:
-            work = np.empty((2, child.size), dtype=complex)
-        terms, factors = (w[: child.size].reshape(child.shape) for w in work)
+        shape = (len(p), cols.shape[1])
+        child, terms, factors = (np.empty(shape, dtype=complex) for _ in range(3))
         y.take(drop[0], axis=1, out=child, mode="clip")
         x.take(cols[0], axis=1, out=factors, mode="clip")
         child *= factors

@@ -26,7 +26,6 @@ of thousands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,10 +251,8 @@ class _Screen:
                 # Size 1 needs no walk; one walk to d // 2 serves most calls.
                 top = 1 if nb == 1 else d // 2 if nb <= d // 2 else d - 1
                 self.strong = strong_minors(self.tm.matrix, top, self.bound, self.tm.residual)
-            table = np.packbits(self.strong[nb - 1], axis=1)
-            self.covers[nb] = subset_covers(table, d, nb, d - 1)
-        packed = self.covers[nb][r - nb]
-        return ~np.unpackbits(packed, axis=1, count=math.comb(d, nb)).view(bool)
+            self.covers[nb] = subset_covers(self.strong[nb - 1], d, nb, d - 1)
+        return ~self.covers[nb][r - nb]
 
 
 def _allowance(tm: TransitionMatrix) -> float:
@@ -300,7 +297,8 @@ def _square_level_clear(tm: TransitionMatrix, rank_tol: float, floors: list | No
     this step does not share it, so the two routes stay independent.
 
     On True the walk's minor floors go into floors, when given, and the
-    level-0 step of the same analysis reads them instead of walking again.
+    level-0 step of the same analysis passes them to squares_full_rank,
+    which reads them instead of walking again.
     It shares the computed minors only, not this proof: it decides at its
     own thresholds by the complement identity.
     """

@@ -34,6 +34,12 @@ import numpy as np
 
 from .rank import BATCH_ENTRIES, cached_when_small, lex_sets
 
+# Below this dimension verify proposes nothing. There every grid of the
+# level search is decided in one batch of at most a few hundred blocks, and
+# verify's fixed cost, a stack of proposed maps and their phases, outweighs
+# what the reduction saves.
+MIN_REDUCED_DIM = 7
+
 
 @dataclass(frozen=True, eq=False)
 class Symmetry:
@@ -115,12 +121,6 @@ def orbit_least(
     return weight[sets].sum(axis=1) == np.concatenate(top)
 
 
-def one_batch(n_rows: int, n_cols: int, m: int, c: int, d: int) -> bool:
-    """Whether rank.batch_ranks decides this grid of m x c blocks of a d x d
-    matrix in a single batch, where no reduction can save a call."""
-    return n_rows * max(n_cols * m * c, d * d) <= BATCH_ENTRIES
-
-
 def verify(a: np.ndarray, residual: float) -> Symmetry:
     """The symmetries proposed in the module docstring that hold on a.
 
@@ -151,15 +151,11 @@ def verify(a: np.ndarray, residual: float) -> Symmetry:
     differently only where a singular value lies that close to the
     threshold, where the unreduced search's own decision is set by rounding.
 
-    Codes are int64 bitmasks, so for d > 62, and where every grid of the
-    level search fits in one batch (one_batch; d <= 6), nothing is proposed.
+    Codes are int64 bitmasks, so for d > 62 nothing is proposed, nor below
+    MIN_REDUCED_DIM.
     """
     d = a.shape[0]
-    if d > 62 or all(
-        one_batch(math.comb(d, m), math.comb(d, c), m, c, d)
-        for m in range(1, d)
-        for c in range(m, d)
-    ):
+    if not MIN_REDUCED_DIM <= d <= 62:
         return trivial(d)
     ident = np.arange(d)
     shift = (ident + 1) % d

@@ -27,9 +27,19 @@ from incompat import (
     tau_fast,
 )
 from incompat.deficiency import _max_row_deficiency, _square_blocks_clear
-from incompat.rank import FRAGILE_GAP_RATIO, TABLE_CACHE_ENTRIES, batch_ranks, rank_threshold
+from incompat.rank import (
+    DEFAULT_RANK_TOL,
+    FRAGILE_GAP_RATIO,
+    TABLE_CACHE_ENTRIES,
+    batch_ranks,
+    extract_submatrix,
+    numerical_rank,
+    rank_threshold,
+)
 from incompat.report import extremal_checks, profile_shape_checks
+from incompat.symmetry import verify
 from test_rank import FRAGILE_DFTS, SEARCH_CORPUS, _perturbed_dft
+from test_support import TALL_CORPUS
 
 SMALL_CORPUS = (
     [identity(d) for d in (2, 3, 4, 5)]
@@ -416,6 +426,37 @@ class TestLevelZeroFirst:
         )
         assert (p.tau, p.chi, tau_fast(tm)) == (tau, chi, tau)
 
+
+STOP_CORPUS = (
+    [identity(7), identity(9)] + [dft_matrix(d) for d in range(8, 13)]
+    + [_perturbed_dft(8, 1e-9, 0)] + list(TALL_CORPUS)
+)
+
+
+@pytest.mark.parametrize("tm", STOP_CORPUS, ids=lambda tm: f"d{tm.dim}")
+def test_stop_at_ends_the_search_at_its_bound(tm):
+    # For every t and every bound k in 1..d: a search whose value stays
+    # below k returns what the unbounded one does, all four outputs; one
+    # that reaches k returns a value of at least k, on a selector whose
+    # deficiency the SVD at the level's threshold confirms, and some such
+    # search ends before the unbounded one would.
+    a, d = tm.matrix, tm.dim
+    coherence, sym = _coherence(tm), verify(a, tm.residual)
+    reached, ended_early = 0, 0
+    for t in range(d):
+        full = _max_row_deficiency(a, t, *coherence, sym=sym)
+        for k in range(1, d + 1):
+            got = _max_row_deficiency(a, t, *coherence, stop_at=k, sym=sym)
+            if full[0] < k:
+                assert got == full
+                continue
+            value, sel = got[:2]
+            assert k <= value <= full[0]
+            decided = numerical_rank(extract_submatrix(a, sel), DEFAULT_RANK_TOL, scale=1.0)
+            assert len(sel.rows) - decided.rank == value
+            reached += 1
+            ended_early += got != full
+    assert ended_early > 0 or reached == 0
 
 class TestProfileShapeLaws:
     """Structural laws every profile obeys, over a broad corpus."""

@@ -513,7 +513,7 @@ class TestBatchBudget:
         assert count(deficiency_profile, identity(9)) == (1_746, 20)
         dfts = [dft_matrix(d) for d in (8, 9, 10, 12)]
         assert [count(deficiency_profile, tm) for tm in dfts] == [
-            (895, 4), (158, 6), (675, 8), (5_535, 47)
+            (123, 4), (158, 6), (675, 8), (5_535, 47)
         ]
         assert [count(tau_fast, tm) for tm in dfts] == [(30, 1), (30, 1), (78, 1), (387, 3)]
 
@@ -628,7 +628,7 @@ def _floors_decide_alike(tm):
 
     def counted(*args, **kwargs):
         walks.append(args)
-        return squares_full_rank(*args, **kwargs)
+        return _square_minors(*args, **kwargs)
 
     decided, skipped = set(), 0
     for oracle_tol in FLOOR_TOLS:
@@ -638,7 +638,7 @@ def _floors_decide_alike(tm):
         for rank_tol in FLOOR_TOLS:
             want = incompat.deficiency._square_blocks_clear(tm, rank_tol)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(incompat.deficiency, "squares_full_rank", counted)
+                patch.setattr(incompat.rank, "_square_minors", counted)
                 before = len(walks)
                 assert incompat.deficiency._square_blocks_clear(tm, rank_tol, floors) == want
             decided.add(want)
@@ -803,6 +803,11 @@ class TestSquareMinors:
             index = {r: i for i, r in enumerate(map(tuple, full[m][0].tolist()))}
             same = [index[r] for r in map(tuple, rows.tolist())]
             assert np.array_equal(minors, full[m][2][same])
+        # A walk over fewer sizes leaves a longer list as it was and replaces
+        # a shorter one. No need_m is below a floor of 0, so each call walks.
+        for kept, want in (([0.0] * (d - 1), [0.0] * (d - 1)), ([0.0] * 2, floors[:3])):
+            assert squares_full_rank(a, thresholds[:3], tm.residual, floors=kept)
+            assert kept == want
         # A walk on row 0 at its top size or one that declines records none.
         for a, row_0_at_top in ((a, True), (dft_matrix(4).matrix, False)):
             floors = []
@@ -880,8 +885,7 @@ class TestSquareMinors:
 
     def test_early_decline_builds_only_the_sizes_it_reaches(self):
         # identity(40) declines at size 1: no table of a larger size (the
-        # size 20 one alone would be C(40, 20) x 20 entries) and no work
-        # buffer beyond what size 1 uses is built.
+        # size 20 one alone would be C(40, 20) x 20 entries) is built.
         tracemalloc.start()
         try:
             assert tau_fast(identity(40)) == 38
@@ -893,12 +897,11 @@ class TestSquareMinors:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_subset_covers_or_each_sets_subsets(self, m):
         # Row i of the r-th cover is the OR of the table's rows over the
-        # m-subsets of lex_sets(d, r)[i], boolean or packed to bits.
+        # m-subsets of lex_sets(d, r)[i].
         d, width = 7, 11
         table = np.random.default_rng(m).random((math.comb(d, m), width)) < 0.15
         covers = subset_covers(table, d, m, d - 1)
-        packed = subset_covers(np.packbits(table, axis=1), d, m, d - 1)
-        assert len(covers) == len(packed) == d - m
+        assert len(covers) == d - m
         index = {s: i for i, s in enumerate(itertools.combinations(range(d), m))}
         for r, cover in enumerate(covers, m):
             want = [
@@ -906,8 +909,6 @@ class TestSquareMinors:
                 for rows in itertools.combinations(range(d), r)
             ]
             assert np.array_equal(cover, want)
-            unpacked = np.unpackbits(packed[r - m], axis=1, count=width).view(bool)
-            assert np.array_equal(unpacked, cover)
         assert 0 < covers[1].mean() < covers[-1].mean()
 
     def test_only_small_tables_stay_cached(self):

@@ -66,6 +66,8 @@ def test_report_digest_repeats(tmp_path):
 
 
 def test_report_digest_compare_names_the_differing_field(tmp_path):
+    # Each differing scalar is printed old -> new; a key in one report only
+    # is named alone.
     report = {"deficiency": {"tau": 1, "worst_gap_ratio": 0.0}, "checks": {"ok": True}}
     runs = [
         {"name": "dft(4)", "rank_tol": "1e-10", "mode": "()", "code": 0,
@@ -76,13 +78,16 @@ def test_report_digest_compare_names_the_differing_field(tmp_path):
     old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     old.write_text("".join(json.dumps(r) + "\n" for r in runs))
     report["deficiency"]["worst_gap_ratio"] = 1e-12
+    report["checks"]["fragile"] = False
     runs[0]["stdout"] = json.dumps(report)
+    runs[1]["tau"] = 2
     new.write_text("".join(json.dumps(r) + "\n" for r in runs))
     out = run_script("report_digest.py", "--compare", str(old), str(new))
     assert out.returncode == 1, out.stderr
     assert out.stdout.splitlines() == [
-        "dft(4) 1e-10 (): stdout.deficiency.worst_gap_ratio",
-        "1 of 2 runs differ",
+        "dft(4) 1e-10 (): stdout.deficiency.worst_gap_ratio 0.0 -> 1e-12, stdout.checks.fragile",
+        "dft(4) 1e-10 tau: tau 1 -> 2",
+        "2 of 2 runs differ",
     ]
 
 

@@ -74,7 +74,7 @@ class TestReducedSearch:
             assert got.worst_gap_ratio <= want.worst_gap_ratio
             tau = tau_fast(tm, rank_tol=rank_tol)
             assert tau == got.tau == unreduced(monkeypatch, lambda: tau_fast(tm, rank_tol=rank_tol))
-            # Every grid of d <= 6 fits one batch: nothing is verified there.
+            # Below MIN_REDUCED_DIM = 7 nothing is verified.
             assert got.row_group_order == (affine_order(d) if d > 6 else 1)
             assert got.column_translations == (d > 6)
 
