@@ -18,8 +18,11 @@ With --records FILE, every run is also written to FILE as one JSON line
 (name, rank_tol, mode, code, stdout, stderr, tau). --compare OLD NEW reads
 two such files, written by two checkouts, and prints each run that differs
 or is in only one of them, with the JSON field paths that differ (into the
-report for a JSON stdout), each differing scalar as "path old -> new"; it
-exits 1 on any difference and runs nothing.
+report for a JSON stdout), each differing scalar as "path old -> new". A
+stdout that differs as bytes but decodes to the same document (the same
+keys in the same order, the same values) is printed as "stdout (layout
+only)" and still counts as a difference. It exits 1 on any difference and
+runs nothing.
 
     python3 scripts/report_digest.py [--max-dim 9] [--records runs.jsonl]
     python3 scripts/report_digest.py --compare old.jsonl new.jsonl
@@ -186,7 +189,10 @@ def compare(old_path: str, new_path: str) -> int:
                 # A JSON report (stdout) is compared field by field.
                 with contextlib.suppress(TypeError, ValueError):
                     a, b = json.loads(a), json.loads(b)
-                paths += list(differences(a, b, field)) or [field]
+                if json.dumps(a) == json.dumps(b):
+                    paths.append(f"{field} (layout only)")
+                else:
+                    paths += list(differences(a, b, field)) or [field]
         if paths:
             print(f"{' '.join(key)}: {', '.join(paths)}")
             differing += 1

@@ -159,6 +159,10 @@ def _write_output(text: str, path: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    """Analyze one matrix and print its report: the text form, or with --json
+    the report_json_dict document on one line. The default separators keep
+    json.dumps in CPython's C encoder; indent would send every token through
+    the pure-Python one."""
     tm, descriptor = _matrix_from_args(args)
     report = analyze_transition(
         tm,
@@ -168,7 +172,7 @@ def cmd_analyze(args) -> int:
         oracle_cap=args.support_cap if args.verify else None,
     )
     if args.json:
-        print(json.dumps(report_json_dict(report), indent=2))
+        print(json.dumps(report_json_dict(report)))
     else:
         print(render_text(report))
     if args.verify and not report.all_checks_pass:

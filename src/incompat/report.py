@@ -1,9 +1,9 @@
 """Analysis reports: run the deficiency route on a matrix, read the support
 witness off it, check it (against the subset search too when asked), render.
 
-The machine-readable (JSON) form deliberately omits wall-clock timings so
-identical invocations produce byte-identical output; the human-readable text
-form includes them.
+The machine-readable form (report_json_dict, which `analyze --json` prints
+on one line) deliberately omits wall-clock timings so identical invocations
+produce byte-identical output; the human-readable text form includes them.
 """
 
 from __future__ import annotations

@@ -6,8 +6,15 @@ import pytest
 
 import incompat.cli
 import incompat.report
-from incompat import dft_matrix, min_support_uncertainty, save_matrix
+from incompat import (
+    analyze_transition,
+    dft_matrix,
+    min_support_uncertainty,
+    qubit_rotation,
+    save_matrix,
+)
 from incompat.cli import build_parser, main
+from incompat.report import report_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +63,7 @@ class TestAnalyze:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+        assert out1.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv,order,translations",
@@ -74,6 +82,15 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", *argv)
         used = "used" if translations else "unused"
         assert f"search symmetry: row group of order {order}, column translations {used}" in out
+
+    def test_json_report_decodes_to_the_report_document(self, capsys):
+        # The degenerate qubit exits 4 and carries "support": null.
+        code, out, _ = run_cli(capsys, "analyze", "--family", "qubit", "--theta", "1e-9", "--json")
+        assert code == 4
+        descriptor = {"family": "qubit", "theta": 1e-9, "phi1": 0.0, "phi2": 0.0}
+        expected = report_json_dict(analyze_transition(qubit_rotation(1e-9), descriptor))
+        assert json.loads(out) == json.loads(json.dumps(expected))
+        assert json.loads(out)["support"] is None
 
     def test_json_report_omits_timings(self, capsys):
         _, out, _ = run_cli(capsys, "analyze", "--family", "identity", "--dim", "3", "--json")

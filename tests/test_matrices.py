@@ -284,6 +284,16 @@ class TestLoadMatrix:
         with pytest.raises(MatrixShapeError, match="row 1"):
             load_matrix('{"rows":2,"cols":2,"re":[[1,2],[3]]}', "json")
 
+    @pytest.mark.parametrize("value", [True, "1", None, [1]], ids=["true", "string", "null", "list"])
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_json_entry_that_is_not_a_number_rejected(self, field, value):
+        # numpy alone would read true and "1" as 1.0 and null as nan.
+        doc = {"rows": 2, "cols": 3, "re": [[0.5, 1, 2], [3, 4.5, 5]], "im": [[0] * 3, [0] * 3]}
+        doc[field][1][2] = value
+        with pytest.raises(MatrixFormatError) as raised:
+            load_matrix(json.dumps(doc), "json")
+        assert str(raised.value) == f"field '{field}' entry (1, 2) is not a number"
+
     def test_json_non_finite_rejected(self):
         with pytest.raises(NonFiniteEntryError):
             load_matrix('{"rows":1,"cols":1,"re":[[1e999]]}', "json")

@@ -67,13 +67,16 @@ def test_report_digest_repeats(tmp_path):
 
 def test_report_digest_compare_names_the_differing_field(tmp_path):
     # Each differing scalar is printed old -> new; a key in one report only
-    # is named alone.
+    # is named alone; reports that decode to the same document differ in
+    # layout only, and that still counts as a difference.
     report = {"deficiency": {"tau": 1, "worst_gap_ratio": 0.0}, "checks": {"ok": True}}
     runs = [
         {"name": "dft(4)", "rank_tol": "1e-10", "mode": "()", "code": 0,
          "stdout": json.dumps(report), "stderr": "", "tau": 1},
         {"name": "dft(4)", "rank_tol": "1e-10", "mode": "tau", "code": None,
          "stdout": None, "stderr": None, "tau": 1},
+        {"name": "dft(4)", "rank_tol": "1e-6", "mode": "()", "code": 0,
+         "stdout": json.dumps(report, indent=2) + "\n", "stderr": "", "tau": 1},
     ]
     old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     old.write_text("".join(json.dumps(r) + "\n" for r in runs))
@@ -81,13 +84,15 @@ def test_report_digest_compare_names_the_differing_field(tmp_path):
     report["checks"]["fragile"] = False
     runs[0]["stdout"] = json.dumps(report)
     runs[1]["tau"] = 2
+    runs[2]["stdout"] = json.dumps(json.loads(runs[2]["stdout"])) + "\n"
     new.write_text("".join(json.dumps(r) + "\n" for r in runs))
     out = run_script("report_digest.py", "--compare", str(old), str(new))
     assert out.returncode == 1, out.stderr
     assert out.stdout.splitlines() == [
         "dft(4) 1e-10 (): stdout.deficiency.worst_gap_ratio 0.0 -> 1e-12, stdout.checks.fragile",
         "dft(4) 1e-10 tau: tau 1 -> 2",
-        "2 of 2 runs differ",
+        "dft(4) 1e-6 (): stdout (layout only)",
+        "3 of 3 runs differ",
     ]
 
 
