@@ -85,6 +85,8 @@ class TransitionMatrix:
         if self.dim < 1:
             raise InvalidDimensionError(f"dimension must be >= 1, got {self.dim}")
         arr = as_complex_matrix(self.matrix)
+        if arr.shape[0] != arr.shape[1]:
+            raise MatrixShapeError(f"transition matrix must be square, got {arr.shape}")
         if arr.shape != (self.dim, self.dim):
             raise MatrixShapeError(
                 f"expected a {self.dim} x {self.dim} matrix, got shape {arr.shape}"
@@ -116,11 +118,13 @@ def unitarity_residual(arr: np.ndarray) -> float:
 
 
 def from_array(entries, unitarity_tolerance: float = LOADED_MATRIX_TOL) -> TransitionMatrix:
-    """Validate an arbitrary square array as a transition matrix."""
-    arr = as_complex_matrix(entries)
-    if arr.shape[0] != arr.shape[1]:
-        raise MatrixShapeError(f"transition matrix must be square, got {arr.shape}")
-    return TransitionMatrix(arr.shape[0], arr, unitarity_tolerance)
+    """Validate an arbitrary square array as a transition matrix.
+
+    TransitionMatrix coerces, copies and checks the entries, once; only
+    their row count is read here. An input that is not a nonempty 2-d array
+    gets dimension 1, so that its shape error is the one raised."""
+    arr = np.asarray(entries)
+    return TransitionMatrix(len(arr) if arr.ndim == 2 and arr.size else 1, arr, unitarity_tolerance)
 
 
 def identity(dim: int) -> TransitionMatrix:

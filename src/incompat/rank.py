@@ -12,17 +12,19 @@ own batches, at most BATCH_ENTRIES block entries each, so memory does not
 grow with d, and yields each batch's rows with their ranks and gaps. The
 searches replay each batch's rows in the sequential order, so the
 first-achieving witness, the early exits and the worst gap are those of a
-search that decides one row set at a time. In each slice of at least
+search that decides one row set at a time. Each slice of a batch is
+gathered once, into one stack of blocks. In a slice of at least
 GRAM_MIN_BLOCKS blocks, batch_ranks first tries to prove each block full
-rank from its Gram matrix G: sigma_min^2 = lambda_min(G) >=
-det(G) * ((k - 1) / tr G)^(k - 1) for a k x k Gram matrix (AM-GM on the
-other eigenvalues), evaluated with an explicit allowance for rounding. A
-block is certified only when that bound, less the allowance, puts
+rank from its k x k Gram matrix G, S S^H or S^H S by one batched product:
+sigma_min^2 = lambda_min(G) >= det(G) * ((k - 1) / tr G)^(k - 1) (AM-GM on
+the other eigenvalues), evaluated with an explicit allowance for rounding.
+A block is certified only when that bound, less the allowance, puts
 sigma_min above the threshold itself. The allowance also puts it above the
 threshold by more than the SVD's own error, so the SVD would keep all k
 singular values too and the certificate skips SVDs without changing a
-decision, at every tolerance. Every other block, every kernel witness and
-numerical_rank are decided by SVD.
+decision, at every tolerance. The SVD takes the slice's other blocks.
+Every rank and gap, of a batch or of numerical_rank and every kernel
+witness, is counted by one rule (_ranks_and_gaps).
 
 The two square steps, the level search's level 0 and the subset search's
 square level, ask one question: is every m x m block full rank, for m up to
@@ -69,10 +71,10 @@ FRAGILE_GAP_RATIO = 1e-3
 # as nonzero.
 DEFAULT_ZERO_THRESHOLD = 1e-8
 # A batch of batch_ranks holds at most this many block entries (blocks x
-# rows x cols), and its row sets at most this many entries of d x d work,
-# whatever d is, unless one block or one row set alone is larger. A batch's
-# Gram stack and Cholesky factor then take at most 128 KiB together; larger
-# batches save little per-call time and raise the peak memory.
+# rows x cols), whatever d is, unless one block alone is larger. A slice's
+# gathered blocks, and its Gram stack and Cholesky factor (k x k per block,
+# k = min(rows, cols)), then take at most 64 KiB each; larger batches save
+# little per-call time and raise the peak memory.
 BATCH_ENTRIES = 2**12
 # A slice of fewer blocks than this goes straight to the SVD: the Gram
 # certificate's fixed cost, about 15 numpy calls, exceeds the SVD of so few.
@@ -107,20 +109,32 @@ def rank_from_singular_values(
 ) -> RankResult:
     """Turn a descending singular-value list into a RankResult.
 
-    The keep/drop rule is the one batch_ranks applies to whole batches: both
-    count singular values above rank_threshold, so every caller decides rank
-    identically. Blocks that batch_ranks certifies full rank without an SVD
-    have every singular value above the threshold by more than the SVD's
-    own error, so this rule would keep all of them too.
+    The rank and gap come from _ranks_and_gaps, the rule batch_ranks applies
+    to whole batches, so every caller decides rank identically. Blocks that
+    batch_ranks certifies full rank without an SVD have every singular value
+    above the threshold by more than the SVD's own error, so this rule would
+    keep all of them too.
     """
     if scale is None:
         scale = float(s[0]) if s.size else 0.0
-    threshold = rank_threshold(shape, tol, scale)
-    rank = int(np.count_nonzero(s > threshold))
+    ranks, gaps = _ranks_and_gaps(s[None], rank_threshold(shape, tol, scale))
+    rank = int(ranks[0])
     kept = float(s[rank - 1]) if rank > 0 else 0.0
     dropped = float(s[rank]) if rank < s.size else 0.0
-    gap = dropped / kept if (rank > 0 and rank < s.size) else 0.0
-    return RankResult(rank, kept, dropped, gap)
+    return RankResult(rank, kept, dropped, float(gaps[0]))
+
+
+def _ranks_and_gaps(s: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The keep/drop rule for each row of s, a stack of descending singular
+    values: the rank is the count above threshold, and the gap the largest
+    dropped over the smallest kept value (0 for zero- or full-rank rows)."""
+    ranks = (s > threshold).sum(axis=1)
+    gaps = np.zeros(len(s))
+    inner = np.flatnonzero((ranks > 0) & (ranks < s.shape[1]))
+    if inner.size:
+        r = ranks[inner]
+        gaps[inner] = s[inner, r] / s[inner, r - 1]
+    return ranks, gaps
 
 
 def batch_ranks(
@@ -133,24 +147,27 @@ def batch_ranks(
     one row set per row, are decided in order, a batch at a time; each
     batch is yielded as (rows, ranks, gaps), rows the batch's slice of
     row_sets and the decision for a[rows[i], col_sets[j]] at [i, j]. A batch
-    keeps within BATCH_ENTRIES; a row set whose column sets alone are over
-    it is a batch of its own, decided in slices of its column sets. With
-    first_rows, the first batch holds at most that many row sets: a search
-    that expects to stop at its first row set asks for only that one. In a
-    slice of at least GRAM_MIN_BLOCKS blocks, a block that the Gram
-    determinant certificate (_certified_full_rank) proves to have every
-    singular value above ``threshold``, by more than the SVD's own error,
-    gets rank k = min(rows, cols) and gap 0 without an SVD: the SVD would
-    keep all k singular values of such a block, and the gap of a full-rank
-    block is 0. The other blocks of a slice go to one batched SVD, whose
-    singular values above ``threshold`` are counted, with the dropped/kept
-    ratio at the rank boundary as the gap (0 for zero- or full-rank
-    blocks); none is called when all are certified.
+    keeps within BATCH_ENTRIES block entries; a row set whose column sets
+    alone are over it is a batch of its own, decided in slices of its column
+    sets. With first_rows, the first batch holds at most that many row sets:
+    a search that expects to stop at its first row set asks for only that
+    one. An empty grid, with no row sets or no column sets, yields nothing.
+
+    Each slice's blocks are gathered once, into one (rows, cols, m, c)
+    stack. A block that the Gram determinant certificate
+    (_certified_full_rank) proves to have every singular value above
+    ``threshold``, by more than the SVD's own error, gets rank k = min(m, c)
+    and gap 0 without an SVD: the SVD would keep all k singular values of
+    such a block, and the gap of a full-rank block is 0. The other blocks go
+    to one batched SVD, none when all are certified, and their ranks and
+    gaps come from _ranks_and_gaps.
     """
     (n_rows, m), (n_cols, c) = row_sets.shape, col_sets.shape
+    if not (n_rows and n_cols):
+        return
     k = min(m, c)
     col_step = min(n_cols, max(1, BATCH_ENTRIES // (m * c)))
-    row_step = max(1, BATCH_ENTRIES // max(col_step * m * c, a.shape[1] ** 2))
+    row_step = max(1, BATCH_ENTRIES // (col_step * m * c))
     step = row_step if first_rows is None else min(first_rows, row_step)
     start = 0
     while start < n_rows:
@@ -160,17 +177,12 @@ def batch_ranks(
         gaps = np.zeros((len(rows), n_cols))
         for j in range(0, n_cols, col_step):
             cols = col_sets[j : j + col_step]
-            todo_r, todo_c = np.nonzero(~_certified_full_rank(a, rows, cols, threshold))
-            if not todo_r.size:
-                continue
-            sub = a[rows[todo_r][:, :, None], cols[todo_c][:, None, :]]
-            s = np.linalg.svd(sub, compute_uv=False)
-            r = (s > threshold).sum(axis=1)
-            ranks[todo_r, j + todo_c] = r
-            inner = np.nonzero((r > 0) & (r < k))[0]
-            if inner.size:
-                ri = r[inner]
-                gaps[todo_r[inner], j + todo_c[inner]] = s[inner, ri] / s[inner, ri - 1]
+            blocks = a[rows[:, None, :, None], cols[None, :, None, :]]
+            todo = ~_certified_full_rank(blocks, threshold)
+            if todo.any():
+                s = np.linalg.svd(blocks[todo], compute_uv=False)
+                part = np.s_[:, j : j + len(cols)]
+                ranks[part][todo], gaps[part][todo] = _ranks_and_gaps(s, threshold)
         yield rows, ranks, gaps
 
 
@@ -458,23 +470,22 @@ def _square_minors(a: np.ndarray, top: int, row_0_at_top: bool = False):
             push(kid_rows, child)
 
 
-def _certified_full_rank(
-    a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Which blocks a[R, K] have sigma_min > threshold, proven with room for
-    the SVD's own error.
+def _certified_full_rank(blocks: np.ndarray, threshold: float) -> np.ndarray:
+    """Which blocks S of a stack have sigma_min > threshold, proven with room
+    for the SVD's own error.
 
-    Decides a grid like batch_ranks: entry [i, j] is for row set i and
-    column set j. A grid of fewer than GRAM_MIN_BLOCKS blocks certifies
-    nothing, which is trivially sound. With k = min(rows, cols) and G the k
-    x k Gram matrix of a block S (S S^H or S^H S), sigma_min(S)^2 =
-    lambda_min(G), and since the other k - 1 eigenvalues have product at
-    most ((tr G) / (k - 1))^(k - 1) (AM-GM),
+    blocks is batch_ranks's gathered slice, (rows, cols, m, c), and entry [i,
+    j] of the result is for blocks[i, j]. A slice of fewer than
+    GRAM_MIN_BLOCKS blocks certifies nothing, which is trivially sound. With
+    k = min(m, c) and G the k x k Gram matrix of a block (S S^H or S^H S,
+    whichever is smaller), sigma_min(S)^2 = lambda_min(G), and since the
+    other k - 1 eigenvalues have product at most ((tr G) / (k - 1))^(k - 1)
+    (AM-GM),
 
         lambda_min(G) >= det(G) * ((k - 1) / tr G)^(k - 1)
 
     (det G itself for k = 1). The bound is evaluated on A = G / tr G + shift
-    * I, with shift = 32 (n + k)^2 eps and n = max(rows, cols): det(A) is the
+    * I, with shift = 32 (n + k)^2 eps and n = max(m, c): det(A) is the
     squared product of the diagonal of A's Cholesky factor, and tr A = 1 + k
     * shift, with tr G as computed throughout. Rounding in the trace, the
     Gram sums, the division, the factorization and the bound itself moves
@@ -505,59 +516,36 @@ def _certified_full_rank(
     sigma_max, so the SVD keeps all k singular values of a certified block:
     certification cannot change a rank decision, at any threshold.
 
-    The candidates are the blocks with tr G above the smallest normal float,
-    where underflow in the Gram sums costs at most n units of roundoff
-    relative to tr G, and no column of squared norm above 1 / (d * that
-    float), where nothing overflows. The rest (all-zero blocks, blocks of
-    tiny or huge entries) get A = shift * I, whose bound(A) - 2 * shift is
-    negative, so they are left to the SVD. No threshold enters the
-    candidate rule: bound(A) - 2 shift < 1, so a block with tr G at or
-    below threshold^2 fails the final test anyway.
-
-    Column norms, traces and the overflow guard are per row set, so a bad
-    column under one row set leaves the blocks of every other row set as
-    they would be alone. For rows <= cols the Gram stack of the whole grid
-    is one matmul, a 0/1 column-indicator matrix times each row set's column
-    outer products, scaled by 1 / tr G in place.
+    The candidates are the blocks whose own tr G is above the smallest
+    normal float and at most its reciprocal. Above it, underflow in the Gram
+    sums costs at most n units of roundoff relative to tr G; at most its
+    reciprocal, 1 / tr G is normal and no Gram sum overflows, since every
+    partial sum is at most tr G in modulus. The rest (all-zero blocks,
+    blocks of tiny, huge or non-finite entries) are zeroed before the
+    product and get A = shift * I, whose bound(A) - 2 * shift is negative,
+    so they are left to the SVD. No threshold enters the candidate rule:
+    bound(A) - 2 shift < 1, so a block with tr G at or below threshold^2
+    fails the final test anyway. Each block's verdict reads its own entries
+    only, so a bad block leaves every other block as it would be alone.
     """
-    (n_rows, m), (n_cols, c) = row_sets.shape, col_sets.shape
+    n_rows, n_cols, m, c = blocks.shape
     if n_rows * n_cols < GRAM_MIN_BLOCKS:
         return np.zeros((n_rows, n_cols), dtype=bool)
-    d = a.shape[1]
     k = min(m, c)
     shift = 32 * (max(m, c) + k) ** 2 * np.finfo(float).eps
     tiny = np.finfo(float).tiny
-    blocks = a[row_sets]
-    col_norms = np.einsum("rij,rij->rj", blocks, blocks.conj()).real
-    # Columns of squared norm above 1 / (d tiny), or not finite, are in no
-    # candidate; zeroing them keeps every sum and product finite.
-    if not col_norms.max() <= 1 / (d * tiny):
-        bad = ~(col_norms <= 1 / (d * tiny))
-        blocks = np.where(bad[:, None, :], 0, blocks)
-        col_norms = np.where(bad, np.nan, col_norms)
-    trace = col_norms[:, col_sets].sum(axis=2)
-    candidate = trace > tiny
-    inv_trace = np.divide(1.0, trace, out=np.zeros(trace.shape), where=candidate)
-    if m <= c:
-        # S S^H is the sum of the outer products of the selected columns: one
-        # matmul of a 0/1 column indicator with every row set's outer products.
-        indicator = np.zeros((n_cols, d), dtype=complex)
-        indicator[np.arange(n_cols)[:, None], col_sets] = 1
-        outer = np.einsum("ril,rjl->rlij", blocks, blocks.conj(), order="C")
-        g = indicator @ outer.reshape(n_rows, d, k * k)
-        del outer  # freed before the Cholesky factor is allocated
-        g *= inv_trace[:, :, None]
-    else:
-        # S^H S is a principal submatrix of the selected rows' Gram matrix.
-        gram = blocks.conj().transpose(0, 2, 1) @ blocks
-        g = gram[:, col_sets[:, :, None], col_sets[:, None, :]]
-        g *= inv_trace[:, :, None, None]
-        g = g.reshape(n_rows, n_cols, k * k)
-    g[:, :, :: k + 1] += shift
-    diag = np.linalg.cholesky(g.reshape(-1, k, k)).diagonal(axis1=1, axis2=2).real
-    bound = diag.prod(axis=1) ** 2 * ((k - 1) / (1 + k * shift)) ** (k - 1)
+    trace = np.einsum("...ij,...ij->...", blocks, blocks.conj()).real
+    candidate = (trace > tiny) & (trace <= 1 / tiny)
+    if not candidate.all():
+        blocks = np.where(candidate[..., None, None], blocks, 0)
+    adjoint = blocks.conj().swapaxes(-1, -2)
+    g = blocks @ adjoint if m <= c else adjoint @ blocks
+    g *= np.divide(1.0, trace, out=np.zeros(trace.shape), where=candidate)[..., None, None]
+    g.reshape(n_rows, n_cols, k * k)[:, :, :: k + 1] += shift
+    diag = np.linalg.cholesky(g).diagonal(axis1=-2, axis2=-1).real
+    bound = diag.prod(axis=-1) ** 2 * ((k - 1) / (1 + k * shift)) ** (k - 1)
     # A product, not ** 2: a huge threshold must give inf, not OverflowError.
-    return trace * (bound.reshape(n_rows, n_cols) - 2 * shift) > threshold * threshold
+    return trace * (bound - 2 * shift) > threshold * threshold
 
 
 def numerical_rank(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import incompat.matrices
 from incompat import (
     InvalidDimensionError,
     InvalidParameterError,
@@ -183,6 +184,20 @@ class TestTransitionMatrixValidation:
         tm = identity(3)
         with pytest.raises(ValueError):
             tm.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("entries", [dft_matrix(4).matrix.copy(), np.eye(3), [[0, 1], [1, 0]]])
+    def test_from_array_coerces_once_into_its_own_copy(self, entries, monkeypatch):
+        coerce, calls = incompat.matrices.as_complex_matrix, []
+
+        def counted(x):
+            calls.append(x)
+            return coerce(x)
+
+        monkeypatch.setattr(incompat.matrices, "as_complex_matrix", counted)
+        tm = from_array(entries)
+        assert len(calls) == 1
+        assert np.array_equal(tm.matrix, np.asarray(entries))
+        assert not np.shares_memory(tm.matrix, entries)
 
 
 # Every library entry point that takes a tolerance, called on a 4 x 4 matrix.

@@ -218,6 +218,12 @@ def _at_gate(blocks):
     return blocks * -(-GRAM_MIN_BLOCKS // len(blocks))
 
 
+def _gathered(a, row_sets, col_sets):
+    """The grid's blocks as batch_ranks gathers a slice: [i, j] is
+    a[row_sets[i], col_sets[j]]."""
+    return a[row_sets[:, None, :, None], col_sets[None, :, None, :]]
+
+
 def _block(rng, rows, cols, sigmas):
     """U diag(sigmas) V^H with Haar-like U, V: singular values exactly sigmas."""
     u, _ = np.linalg.qr(_random_complex(rng, rows, rows))
@@ -258,7 +264,7 @@ class TestCertifiedBatchRanks:
             got = _grid(a, sel, col_sets, threshold)
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            cert = _certified_full_rank(a, sel, col_sets, threshold)[0]
+            cert = _certified_full_rank(_gathered(a, sel, col_sets), threshold)[0]
             # Sound: never certified at or below the threshold.
             assert not cert[np.array(smallest) <= threshold].any()
             certified += int(cert.sum())
@@ -279,7 +285,7 @@ class TestCertifiedBatchRanks:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert list(got[0][0]) == [0, k, 0, k] * (len(blocks) // 4)
         # The full blocks are certified, the zero ones left to the SVD.
-        cert = _certified_full_rank(a, sel, col_sets, threshold)[0]
+        cert = _certified_full_rank(_gathered(a, sel, col_sets), threshold)[0]
         assert list(cert) == [False, True] * (len(blocks) // 2)
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 0.0])
@@ -301,11 +307,58 @@ class TestCertifiedBatchRanks:
             want = svd_batch_ranks(a, sel, col_sets, threshold)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             # The scaled blocks leave the unscaled ones as they are alone.
-            assert _certified_full_rank(a, sel, col_sets, threshold)[0, 2::3].all()
+            assert _certified_full_rank(_gathered(a, sel, col_sets), threshold)[0, 2::3].all()
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-2])
+    @pytest.mark.parametrize("kind", sorted(SHAPES))
+    def test_conjugate_transposes_certify_alike(self, rank_tol, kind):
+        # S S^H for a wide block is S^H S for its conjugate transpose: one
+        # Gram product serves both shapes, so the verdicts are the same.
+        rng = np.random.default_rng(1)
+        certified = uncertified = 0
+        for rows, cols in SHAPES[kind]:
+            k = min(rows, cols)
+            threshold = rank_threshold((rows, cols), rank_tol, 1.0)
+            blocks = np.stack(_at_gate([
+                _block(rng, rows, cols, np.append(rng.uniform(low, 1.0, k - 1), low))
+                for low in threshold * np.array([0.5, 1 + 1e-6, 1.01, 2, 1e3, 1e5])
+                if low < 1
+            ]))[None]
+            cert = _certified_full_rank(blocks, threshold)
+            adjoint = np.ascontiguousarray(blocks.conj().swapaxes(-1, -2))
+            assert np.array_equal(_certified_full_rank(adjoint, threshold), cert)
+            certified += int(cert.sum())
+            uncertified += int((~cert).sum())
+        assert certified > 0 and uncertified > 0
+
+    @pytest.mark.parametrize("rows,cols", [(2, 5), (5, 2), (3, 3)], ids=["wide", "tall", "square"])
+    def test_bad_blocks_leave_the_others_alone(self, rows, cols):
+        # Blocks near or past overflow or underflow, or with a NaN or an
+        # infinite entry, sit between well-scaled ones. Each block of the
+        # slice gets the verdict it gets in a slice of its own copies; at
+        # threshold 0 the well-scaled ones and those scaled within the guard
+        # are certified, the rest left to the SVD.
+        rng = np.random.default_rng(rows * 10 + cols)
+        k = min(rows, cols)
+        threshold = 0.0
+        unit = [_block(rng, rows, cols, np.geomspace(1.0, low, k)) for low in (1.0, 0.5, 0.1)]
+        within = [scale * x for scale in (1e-150, 1e150) for x in unit]
+        beyond = [scale * unit[0] for scale in (1e-200, 1e-162, 1e-155, 1e154, 1e160, 1e300)]
+        for entry in (np.nan, np.inf):
+            beyond.append(unit[1].copy())
+            beyond[-1][0, -1] = entry
+        beyond.append(np.zeros((rows, cols), dtype=complex))
+        blocks = np.stack(unit * 3 + beyond + within + beyond[::-1] + unit)[None]
+        want = [True] * 9 + [False] * len(beyond) + [True] * 6 + [False] * len(beyond) + [True] * 3
+        cert = _certified_full_rank(blocks, threshold)[0]
+        assert cert.tolist() == want
+        for block, verdict in zip(blocks[0], cert):
+            copies = np.broadcast_to(block, (1, GRAM_MIN_BLOCKS) + block.shape)
+            assert (_certified_full_rank(copies, threshold) == verdict).all()
 
     def test_huge_threshold_certifies_nothing(self):
         a, sel, col_sets = _batch(_at_gate([np.eye(3, dtype=complex)] * 2))
-        assert not _certified_full_rank(a, sel, col_sets, 1e200).any()
+        assert not _certified_full_rank(_gathered(a, sel, col_sets), 1e200).any()
         assert list(_grid(a, sel, col_sets, 1e200)[0][0]) == [0] * len(col_sets)
 
     @pytest.mark.parametrize("n", [GRAM_MIN_BLOCKS - 1, GRAM_MIN_BLOCKS])
@@ -442,12 +495,11 @@ def _budget_checked(monkeypatch, budget):
     """Set the batch budget; return the list of batch sizes, checked as they come."""
     batches = []
 
-    def checked(a, row_sets, col_sets, threshold):
-        (n_rows, m), (n_cols, c) = row_sets.shape, col_sets.shape
-        assert n_rows * n_cols * m * c <= budget or n_rows * n_cols == 1
-        assert n_rows * a.shape[1] ** 2 <= budget or n_rows == 1
+    def checked(blocks, threshold):
+        n_rows, n_cols = blocks.shape[:2]
+        assert blocks.size <= budget or n_rows * n_cols == 1
         batches.append(n_rows * n_cols)
-        return _certified_full_rank(a, row_sets, col_sets, threshold)
+        return _certified_full_rank(blocks, threshold)
 
     monkeypatch.setattr(incompat.rank, "BATCH_ENTRIES", budget)
     monkeypatch.setattr(incompat.rank, "_certified_full_rank", checked)
@@ -530,11 +582,12 @@ class TestBatchBudget:
         threshold = rank_threshold((rows, cols), 1e-10, 1.0)
         want = _grid(a, row_sets, col_sets, threshold)
         assert np.array_equal(want[0], svd_batch_ranks(a, row_sets, col_sets, threshold)[0])
-        # The overflow guard acts per row set: row 2 certifies nothing under
+        # The overflow guard acts per block: row 2 certifies nothing under
         # its own row sets and leaves the others as they are alone.
-        cert = _certified_full_rank(a, row_sets, col_sets, threshold)
+        blocks = _gathered(a, row_sets, col_sets)
+        cert = _certified_full_rank(blocks, threshold)
         for i in range(len(row_sets)):
-            alone = _certified_full_rank(a, row_sets[i : i + 1], col_sets, threshold)
+            alone = _certified_full_rank(blocks[i : i + 1], threshold)
             assert np.array_equal(cert[i], alone[0])
         has_2 = (row_sets == 2).any(axis=1)
         assert not cert[has_2].any() and cert[~has_2].any()
@@ -542,6 +595,17 @@ class TestBatchBudget:
         got = _grid(a, row_sets, col_sets, threshold)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert sum(batches) == row_sets.shape[0] * col_sets.shape[0]
+
+    @pytest.mark.parametrize("first_rows", [None, 1])
+    def test_empty_grid_yields_nothing(self, first_rows):
+        # No row sets, or no column sets (the subset search can filter away
+        # every one): nothing to decide, and no batch to size.
+        a = random_unitary(6, 0).matrix
+        row_sets, col_sets = lex_sets(6, 2), lex_sets(6, 3)
+        threshold = rank_threshold((2, 3), 1e-10, 1.0)
+        for rows, cols in ((row_sets[:0], col_sets), (row_sets, col_sets[:0]),
+                           (row_sets[:0], col_sets[:0])):
+            assert list(batch_ranks(a, rows, cols, threshold, first_rows)) == []
 
 
 def _squares_by_batch_ranks(a, thresholds, residual, *, row_0_at_top=False, floors=None):
@@ -987,4 +1051,3 @@ class TestLexSets:
         for (rows, ranks, gaps), want in zip(sliced, taken):
             assert np.shares_memory(rows, row_sets)
             assert all(map(np.array_equal, (rows, ranks, gaps), want))
-        assert list(batch_ranks(a, row_sets[:0], col_sets, threshold)) == []
