@@ -35,6 +35,21 @@ are in _max_row_deficiency's docstring. The matrix's affine symmetries
 are verified once per descent (symmetry.verify), and the search of every
 grid decides one row set per orbit of them and one column set per column
 translation class, with the same values and witnesses.
+
+The descent seeds each level before searching it: the witness of the level
+above less its last column and, where both translations are verified, the
+level's coset block (fourier.coset_blocks), each decided by batch_ranks
+alone. The search starts from the better seed and looks only for a block
+that beats it, so every m whose ceiling the seed reaches is skipped: on
+dft(d) for d = 8, 9, 10, 12, 15, 16, 18 and 20 the descent decides no
+block but its seeds. Witness contract: a level's witness is its seed
+unless some block beats it, and then the first maximizer in the search's
+order, as without a seed. The row values, tau and chi are those of the
+unseeded search (the seed is one of the level's blocks, decided as the
+search decides it). The witnesses and worst_gap_ratio can move, and so can
+a column value, the decision of a moved witness's complement, where that
+decision is borderline. r_row, r_col and r_t take no seed and keep the
+first maximizer.
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import symmetry
+from . import fourier, symmetry
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
 from .rank import (
     DEFAULT_RANK_TOL,
@@ -72,7 +87,8 @@ class DeficiencyProfile:
 
     r_values[t] = max(r_row_values[t], r_col_values[t]); tau and chi follow.
     r_row_values comes from the level search and r_col_values from the
-    complement of each row witness (0 where there is none); the two agree for
+    complement of each row witness (0 where there is none), the level's seed
+    unless a block beats it (_descent); the two agree for
     every unitary unless a rank decision is borderline. worst_gap_ratio is
     the largest dropped/kept singular-value ratio seen across every rank
     decision of the level search, so borderline classifications can be
@@ -171,14 +187,16 @@ def _max_row_deficiency(
     rank_tol: float = DEFAULT_RANK_TOL,
     sym: symmetry.Symmetry | None = None,
     alone: bool = False,
+    seed: tuple[int, SubmatrixSelector, float] | None = None,
 ):
     """Maximum of m - rank over all m x (m+t) submatrices of the unitary a.
 
     Enumeration order: m ascending, row subsets lexicographic, column subsets
-    lexicographic; the returned selector is the first one achieving the
-    maximum in that order. Each m has one ceiling, min(m, d - m - t, cap,
-    stop_at), on the deficiency the search looks for in its blocks; the
-    first three bound what the rank step can find in any of them:
+    lexicographic; without a seed, the returned selector is the first one
+    achieving the maximum in that order. Each m has one ceiling, min(m, d -
+    m - t, cap, stop_at), on the deficiency the search looks for in its
+    blocks; the first three bound what the rank step can find in any of
+    them:
 
     - interlacing: a submatrix of a unitary with m rows and c columns has
       rank >= m + c - d, so no block exceeds min(m, d - m - t);
@@ -233,6 +251,21 @@ def _max_row_deficiency(
     m's search early or skipping an m; a cap of 0 never changes it, as
     every block it skips has gap 0.
 
+    seed, when given, is (value, selector, gap) from _seed: a block of this
+    level, its deficiency as batch_ranks decides it at the block's own
+    shape threshold, and the worst gap of the decisions behind it. The
+    search starts from it: best, the witness and the worst gap are the
+    seed's, so every m whose ceiling is at most the seed's value is skipped,
+    and the witness changes only at a block strictly more deficient. The
+    seed is one of the level's blocks, decided as the search decides it
+    (batch_ranks decides a block the same in any batch), so the value is
+    the level's maximum either way: seeded and unseeded searches return the
+    same value whenever no decision exceeds its m's ceiling, as none does
+    in exact arithmetic (stop_at is the one bound of the ceiling proved
+    only there). The witness is the seed unless some block beats it, so it
+    need not be the first maximizer, and the worst gap ratio covers the
+    seed's decisions and those the search still makes.
+
     The column sets are the rows of rank.lex_sets(d, m + t), and the row
     sets those of lex_sets(d, m). With sym (the symmetry that _descent
     verified on a; None reduces nothing), every m decides only the row sets
@@ -245,12 +278,13 @@ def _max_row_deficiency(
     sigma permutes the column sets, so f(pi(R)) = f(R). The search raises its
     best at the first row set R with f(R) > best; every row set before R
     has f <= best, and R's least orbit member R' <= R has f(R') = f(R), so
-    R' = R. Every raise, and every exit at the ceiling (each is a raise), is
-    at a representative, and the reduced search raises and exits at the
-    same row sets. With pi = id, m - rank a[R, .] is constant on
-    column translation orbits, so the first column set reaching a row set's
-    maximum is least in its orbit: values, witnesses and exits are those of
-    the unreduced search. Its decisions are a subset of the unreduced
+    R' = R, whatever best starts from, a seed's value too. Every raise, and
+    every exit at the ceiling (each is a raise), is at a representative,
+    and the reduced search raises and exits at the same row sets. With pi =
+    id, m - rank a[R, .] is constant on column translation orbits, so the
+    first column set reaching a row set's maximum is least in its orbit:
+    values, witnesses and exits are those of the unreduced search given the
+    same seed. Its decisions are a subset of the unreduced
     search's, each made the same way (batch_ranks decides a block the same
     in any batch), so the worst gap ratio can only fall. On a matrix whose
     maps hold only to within rounding, blocks of one orbit have singular
@@ -278,9 +312,7 @@ def _max_row_deficiency(
     d = a.shape[0]
     sym = symmetry.trivial(d) if sym is None else sym
     stop_at = d if stop_at is None else stop_at
-    best = 0
-    best_sel: SubmatrixSelector | None = None
-    worst_gap = 0.0
+    best, best_sel, worst_gap = (0, None, 0.0) if seed is None else seed
     for m in range(1, d - t + 1):
         c = m + t
         threshold = rank_threshold((m, c), rank_tol, 1.0)
@@ -323,6 +355,25 @@ def _complement_deficiency(
     return len(comp.cols) - decided.rank
 
 
+def _seed(
+    a: np.ndarray, t: int, rank_tol: float, candidates: list[SubmatrixSelector]
+) -> tuple[int, SubmatrixSelector, float] | None:
+    """The seed of _max_row_deficiency at level t: of the candidate m x (m +
+    t) blocks (at least one), each decided once by batch_ranks alone at its shape's
+    threshold, the most deficient, the first in the search's order among
+    equals, as (value, selector, gap), gap the largest of the decisions;
+    None when no candidate is deficient (every gap is then 0)."""
+    found, gap = [], 0.0
+    for sel in dict.fromkeys(candidates):
+        m = len(sel.rows)
+        threshold = rank_threshold((m, m + t), rank_tol, 1.0)
+        ((_, ranks, gaps),) = batch_ranks(a, np.array([sel.rows]), np.array([sel.cols]), threshold)
+        gap = max(gap, float(gaps[0, 0]))
+        found.append((m - int(ranks[0, 0]), sel))
+    value, sel = min(found, key=lambda f: (-f[0], len(f[1].rows), f[1].rows, f[1].cols))
+    return (value, sel, gap) if value > 0 else None
+
+
 def _descent(
     tm: TransitionMatrix, rank_tol: float, sym: symmetry.Symmetry | None = None, floors=None
 ):
@@ -340,17 +391,38 @@ def _descent(
     exists, the question tau_fast asks. Each search gets the bit the one
     before it left (alone, see _max_row_deficiency), so a grid after one
     that exited at its first row set starts with that row set alone.
+
+    Each level is seeded (_seed) with at most two blocks, decided before it
+    is searched:
+
+    - the witness of level t + 1 less its last column, an m x (m + t) block
+      whose deficiency is at least the value at t + 1 in exact arithmetic
+      (dropping a column cannot raise the rank);
+    - when sym holds both translations (so d >= symmetry.MIN_REDUCED_DIM),
+      the level's coset block of fourier.coset_blocks, which depends on d
+      only and is read once per descent. At tau its value is 1, stop_at,
+      so that level's search skips every m.
+
+    The value at each level is the same as unseeded; the witness is the
+    seed unless some block beats it (_max_row_deficiency).
     """
     if _square_blocks_clear(tm, rank_tol, floors):
         return
     if sym is None:
         sym = symmetry.verify(tm.matrix, tm.residual)
     mu, e = _coherence(tm)
-    value, alone = None, False
-    for t in range(tm.dim - 1, -1, -1):
+    d = tm.dim
+    cosets = fourier.coset_blocks(d) if sym.row_shift and sym.column_translations else None
+    value, sel, alone = None, None, False
+    for t in range(d - 1, -1, -1):
         stop_at = None if value is None else value + 1
+        coset = None if cosets is None else cosets[t][1]
+        above = None if sel is None else SubmatrixSelector(sel.rows, sel.cols[:-1])
+        candidates = [c for c in (coset, above) if c is not None]
+        seed = _seed(tm.matrix, t, rank_tol, candidates) if candidates else None
         value, sel, gap, alone = _max_row_deficiency(
-            tm.matrix, t, mu, e, stop_at=stop_at, rank_tol=rank_tol, sym=sym, alone=alone
+            tm.matrix, t, mu, e, stop_at=stop_at, rank_tol=rank_tol, sym=sym, alone=alone,
+            seed=seed,
         )
         yield t, value, sel, gap
 

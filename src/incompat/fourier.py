@@ -6,11 +6,15 @@ of arithmetic progressions whose step divides d) transform to combs and are
 the extremal states: they realize the bound with equality and also meet the
 Donoho-Stark product bound |supp f| * |supp fhat| >= d with equality. The
 zeta interpolation curve is the piecewise-linear lower bound on
-|supp f| + |supp fhat| obtained from Meshulam's divisor inequality.
+|supp f| + |supp fhat| obtained from Meshulam's divisor inequality. The
+coset blocks are the DFT's deficient submatrices built the same way, rows on
+cosets of a subgroup and columns off cosets of its annihilator; the level
+search takes them as seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -111,6 +115,48 @@ def extremal_comb(dim: int, teeth: int) -> np.ndarray:
     comb[:: dim // teeth] = 1.0 / math.sqrt(teeth)
     comb.setflags(write=False)
     return comb
+
+
+@functools.lru_cache(maxsize=64)
+def coset_blocks(dim: int) -> tuple[tuple[int, SubmatrixSelector | None], ...]:
+    """For each level t of the d-dimensional DFT, (j l, selector): an
+    m x (m + t) coset block with at least j l deficient rows, j l the largest
+    the construction below gives; (0, None) where it gives none.
+
+    For a divisor 1 < a < d, the rows x with x mod (d/a) < j are j cosets of
+    the subgroup H of order a (m = j a), and the columns y with y mod a >= l
+    avoid l of the a cosets of its annihilator H^perp = aZ_d; there are
+    (a - l) d / a of them, at least m + t when j a + l d / a <= d - t, and
+    the block keeps the first m + t. The transform of a vector on one coset
+    of H is, on each coset of H^perp, a character times one number, so
+    vanishing on the a - l cosets the columns meet is a - l conditions on
+    an a-dimensional space: each row coset holds l left kernel vectors of
+    the block, and the j cosets j l independent ones. Among the (a, j, l)
+    with the largest j l the block is the first in the level search's
+    order: fewest rows, then lexicographic rows and columns. At t = tau, j =
+    l = 1 and a is the divisor low (a + d/a = chi): the rows are the
+    support of extremal_comb(d, low). Each level's j l equals the DFT's
+    level (deficiency_profile) at every d <= 18 the tests check, all but
+    17; the level search decides each block before taking it.
+    """
+    triples = []
+    for a in divisor_decomposition(dim).divisors[1:-1]:
+        n = dim // a
+        for j in range(1, n):
+            rows = tuple(x for x in range(dim) if x % n < j)
+            for l in range(1, a):
+                if j * a + l * n <= dim:
+                    triples.append((-j * l, j * a, rows, a, l, dim - j * a - l * n))
+    blocks = []
+    for t in range(dim):
+        fits = [triple for triple in triples if triple[-1] >= t]
+        if not fits:
+            blocks.append((0, None))
+            continue
+        count, m, rows, a, l, _ = min(fits)
+        cols = [y for y in range(dim) if y % a >= l][: m + t]
+        blocks.append((-count, SubmatrixSelector(rows, cols)))
+    return tuple(blocks)
 
 
 def comb_submatrix_is_rank_one(

@@ -27,6 +27,7 @@ lex_sets's caching rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -173,7 +174,7 @@ def verify(a: np.ndarray, residual: float) -> Symmetry:
     col_shift, row_shift, *unit_ok = err <= 32 * d * np.finfo(float).eps * (1 + d * residual)
     # The maps j -> u j + a, u in the verified units' subgroup, a in Z_d
     # when the row translation holds and a = 0 otherwise.
-    dilations = tuple(_subgroup([u for u, ok in zip(units, unit_ok) if ok], d))
+    dilations = _subgroup(tuple(u for u, ok in zip(units, unit_ok) if ok), d)
     return Symmetry(d, dilations, bool(row_shift), bool(col_shift))
 
 
@@ -182,21 +183,24 @@ def _phase(z: np.ndarray) -> np.ndarray:
     return np.divide(z, size, out=np.ones_like(z), where=size > 0)
 
 
-def _subgroup(gens: list[int], d: int) -> list[int]:
-    """The units mod d that the units gens generate, in increasing order."""
+@functools.lru_cache(maxsize=256)
+def _subgroup(gens: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """The units mod d that the units gens generate, in increasing order;
+    memoized, as verify asks for the same few groups on every call."""
     group = {1}
     for u in gens:
         group = {h * pow(u, k, d) % d for h in group for k in range(d)}
-    return sorted(group)
+    return tuple(sorted(group))
 
 
-def _unit_generators(d: int) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def _unit_generators(d: int) -> tuple[int, ...]:
     """Units 1 < u < d that generate the units mod d, each outside the
-    subgroup the ones before it generate."""
-    gens: list[int] = []
+    subgroup the ones before it generate; memoized like _subgroup."""
+    gens: tuple[int, ...] = ()
     reached = {1}
     for u in range(2, d):
         if math.gcd(u, d) == 1 and u not in reached:
-            gens.append(u)
+            gens += (u,)
             reached = set(_subgroup(gens, d))
     return gens

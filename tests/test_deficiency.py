@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from incompat import (
     deficiency_profile,
     dft_chi,
     dft_matrix,
+    divisor_decomposition,
+    extremal_comb,
     from_array,
     identity,
     qubit_rotation,
@@ -23,10 +26,13 @@ from incompat import (
     r_row,
     r_t,
     random_unitary,
+    save_matrix,
     support_at_tau,
     tau_fast,
 )
+from incompat.cli import main
 from incompat.deficiency import _max_row_deficiency, _square_blocks_clear
+from incompat.fourier import coset_blocks
 from incompat.rank import (
     DEFAULT_RANK_TOL,
     FRAGILE_GAP_RATIO,
@@ -139,14 +145,21 @@ class TestProfiles:
 
     @pytest.mark.parametrize(
         "tm,rows,cols",
-        [(dft_matrix(9), (0, 3, 6), (0, 1, 3, 4, 6, 7)), (identity(5), (0,), (1, 2, 3, 4))],
+        [
+            (dft_matrix(9), (0, 3, 6), ((1, 2, 4, 5, 7, 8), (0, 1, 3, 4, 6, 7))),
+            (identity(5), (0,), ((1, 2, 3, 4), (1, 2, 3, 4))),
+        ],
     )
     def test_row_witness_at_tau_pinned(self, tm, rows, cols):
-        # The first maximizer in the documented enumeration order.
+        # cols holds the profile's witness columns, then r_row's. The profile
+        # keeps its seed unless a block beats it: dft(9)'s tau is seeded with
+        # the coset comb, rows 0 mod 3 and columns off 0 mod 3. r_row takes
+        # no seed and returns the first maximizer in the documented
+        # enumeration order. identity(5) has no seed at tau, so the two agree.
         p = deficiency_profile(tm)
         w = p.witnesses[p.tau]
-        assert (w.side, w.selector) == ("row", SubmatrixSelector(rows, cols))
-        assert r_row(tm, p.tau)[1] == w.selector
+        assert (w.side, w.selector) == ("row", SubmatrixSelector(rows, cols[0]))
+        assert r_row(tm, p.tau) == (w.deficiency, SubmatrixSelector(rows, cols[1]))
 
     def test_profile_deterministic_across_calls(self):
         tm = random_unitary(4, 9)
@@ -252,20 +265,22 @@ class TestTauFast:
         assert searched > 0
 
 
-# deficiency_profile of dft(14) and identity(14), whose searches read row
-# tables of more than TABLE_CACHE_ENTRIES entries: the values and the row
-# witness (rows, columns, deficiency) of each level up to tau.
+# deficiency_profile of dft(14) and identity(14): the values and the row
+# witness (rows, columns, deficiency) of each level up to tau. dft(14)'s
+# witnesses are its coset seeds, and its descent decides no other block;
+# r_row at t = 0, which takes no seed, reads row tables of more than
+# TABLE_CACHE_ENTRIES entries on both.
 LARGE_TABLE_PROFILES = {
     "dft": (
         dft_matrix(14),
         (3, 3, 2, 2, 1, 1) + (0,) * 8,
         [
-            ((0, 1, 2, 7, 8, 9), (0, 2, 4, 6, 8, 10), 3),
-            ((0, 1, 2, 7, 8, 9), (0, 2, 4, 6, 8, 10, 12), 3),
-            ((0, 1, 7, 8), (0, 2, 4, 6, 8, 10), 2),
-            ((0, 1, 7, 8), (0, 2, 4, 6, 8, 10, 12), 2),
-            ((0, 7), (0, 2, 4, 6, 8, 10), 1),
-            ((0, 7), (0, 2, 4, 6, 8, 10, 12), 1),
+            ((0, 1, 2, 7, 8, 9), (1, 3, 5, 7, 9, 11), 3),
+            ((0, 1, 2, 7, 8, 9), (1, 3, 5, 7, 9, 11, 13), 3),
+            ((0, 1, 7, 8), (1, 3, 5, 7, 9, 11), 2),
+            ((0, 1, 7, 8), (1, 3, 5, 7, 9, 11, 13), 2),
+            ((0, 7), (1, 3, 5, 7, 9, 11), 1),
+            ((0, 7), (1, 3, 5, 7, 9, 11, 13), 1),
         ],
     ),
     "identity": (
@@ -293,14 +308,16 @@ LARGE_TABLE_PROFILES = {
 @pytest.mark.parametrize("name", sorted(LARGE_TABLE_PROFILES))
 def test_large_row_tables_keep_the_outputs(monkeypatch, name):
     # Every rank step gets its row sets as one array, some of them from a
-    # table too large to cache, and the outputs are the pinned ones.
+    # table too large to cache (in r_row's search), and the outputs are the
+    # pinned ones.
     tm, values, witnesses = LARGE_TABLE_PROFILES[name]
     d, tau = tm.dim, len(witnesses) - 1
     sizes = set()
 
     def checked(a, row_sets, col_sets, threshold, first_rows=None):
         assert isinstance(row_sets, np.ndarray) and row_sets.ndim == 2
-        sizes.add(row_sets.shape[1])
+        if len(row_sets) > 1:  # a seed is one block, read from no table
+            sizes.add(row_sets.shape[1])
         yield from batch_ranks(a, row_sets, col_sets, threshold, first_rows)
 
     monkeypatch.setattr(incompat.deficiency, "batch_ranks", checked)
@@ -312,6 +329,7 @@ def test_large_row_tables_keep_the_outputs(monkeypatch, name):
     assert got == [("row", *w) for w in witnesses]
     assert all(w is None for w in p.witnesses[tau + 1 :])
     assert tau_fast(tm) == tau
+    assert r_row(tm, 0)[0] == values[0]
     assert any(m * math.comb(d, m) > TABLE_CACHE_ENTRIES for m in sizes)
 
 
@@ -751,3 +769,107 @@ class TestCoherencePrune:
             assert w.n_a * w.n_b * mu * mu >= 1 - 1e-9
             checked += 1
         assert checked >= len(SEARCH_CORPUS)
+
+
+# Inputs whose descents take seeds: the DFTs (coset blocks from d = 7 on,
+# where both translations are verified) and, below their first deficient
+# level, every input (the witness of the level above less a column).
+SEEDED_CORPUS = (
+    [dft_matrix(d) for d in (6, 8, 9, 10, 12)]
+    + [_perturbed_dft(8, 1e-9, 0), _perturbed_dft(8, 1e-14, 0), _perturbed_dft(9, 1e-9, 3)]
+    + [identity(d) for d in (5, 7, 9)]
+    + [bronzan_rotation(t1, t2) for t1, t2 in ((0.0, 0.6), (0.0, 1.1), (0.5, 1.0))]
+)
+
+
+def _unseeded(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(incompat.deficiency, "_seed", lambda *args: None)
+        return run()
+
+
+class TestSeeds:
+    """Each level of the descent starts from a seed decided up front; the
+    values, tau, chi and exit codes are those of the unseeded search."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_outputs_equal_the_unseeded_descent(self, rank_tol, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "input.json"
+
+        def results(tm):
+            p = deficiency_profile(tm, rank_tol=rank_tol)
+            path.write_text(save_matrix(tm.matrix))
+            code = main(["analyze", "--input", str(path), "--json", "--rank-tol", str(rank_tol)])
+            doc = json.loads(capsys.readouterr().out)
+            return (p.r_values, p.r_row_values, p.tau, p.chi, tau_fast(tm, rank_tol=rank_tol),
+                    code, doc["checks"]), p.r_col_values
+
+        moved = []
+        for i, tm in enumerate(SEEDED_CORPUS):
+            (got, got_cols), (want, want_cols) = results(tm), _unseeded(monkeypatch, lambda: results(tm))
+            assert got == want
+            if got_cols != want_cols:
+                moved.append(i)
+        # r_col_values is the complement's decision of each witness, so it
+        # moves with the witness where a decision is borderline: perturbed
+        # dft(8) at 1e-10 (the known disagreement; at t = 0 the seed is
+        # decided deficient at gap 9.0e-10 and its complement full rank).
+        # levels_max_of_sides fails on it either way.
+        assert moved == ([5] if rank_tol == 1e-10 else [])
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_seeded_witnesses_have_their_deficiency(self, rank_tol, monkeypatch):
+        # Every seed, decided again by batch_ranks alone at its shape's
+        # threshold, has the value it was taken with, and a level whose
+        # witness is its seed reports that value.
+        seed = incompat.deficiency._seed
+        seeds = []
+
+        def recorded(a, t, tol, candidates):
+            seeds.append((t, seed(a, t, tol, candidates)))
+            return seeds[-1][1]
+
+        monkeypatch.setattr(incompat.deficiency, "_seed", recorded)
+        kept = 0
+        for tm in SEEDED_CORPUS:
+            seeds.clear()
+            p = deficiency_profile(tm, rank_tol=rank_tol)
+            for t, found in seeds:
+                if found is None:
+                    continue
+                value, sel, _ = found
+                m = len(sel.rows)
+                threshold = rank_threshold((m, m + t), rank_tol, 1.0)
+                ((_, ranks, _),) = batch_ranks(
+                    tm.matrix, np.array([sel.rows]), np.array([sel.cols]), threshold
+                )
+                assert m - ranks[0, 0] == value <= p.r_row_values[t]
+                w = p.witnesses[t]
+                row_sel = w.selector if w.side == "row" else w.selector.complement(tm.dim)
+                if row_sel == sel:
+                    assert p.r_row_values[t] == value
+                    assert w.side == "col" or w.deficiency == value
+                    kept += 1
+        assert kept > 0
+
+
+COMPOSITE = [d for d in range(4, 19) if dft_chi(d) <= d]
+
+
+@pytest.mark.parametrize("d", [d for d in range(2, 19) if d != 17])
+def test_dft_profile_is_the_coset_formula(d):
+    # Each level of the DFT is max j l over a | d and j a + l d / a <= d - t
+    # (fourier.coset_blocks). Prime d: no divisor qualifies, every level 0.
+    # d = 17 is left out: its level-0 step alone takes about a minute.
+    p = deficiency_profile(dft_matrix(d))
+    assert p.r_values == tuple(count for count, _ in coset_blocks(d))
+
+
+@pytest.mark.parametrize("d", COMPOSITE)
+def test_dft_support_witness_is_the_extremal_comb(d):
+    # At tau the seed is the coset block with j = l = 1 and a = low, so the
+    # support witness's A side is the comb of extremal_comb(d, low).
+    tm = dft_matrix(d)
+    w = support_at_tau(tm, deficiency_profile(tm))
+    low = divisor_decomposition(d).low
+    assert w.subset_a == tuple(np.flatnonzero(extremal_comb(d, low)).tolist())

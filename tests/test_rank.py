@@ -547,6 +547,10 @@ class TestBatchBudget:
     def test_first_batch_alone_block_counts(self, monkeypatch):
         # The blocks and batches the level search sends to batch_ranks: the
         # identity's grids exit at their first row set, the DFT's do not.
+        # Each seed of the descent is a grid of one block: identity(7) and
+        # identity(9) have 5 and 7 of them, and the DFTs' descents decide
+        # their seeds and nothing else. r_row takes no seed, so its search at
+        # tau still decides the DFT's grids.
         counts = []
 
         def counted(a, row_sets, col_sets, threshold, first_rows=None):
@@ -561,13 +565,15 @@ class TestBatchBudget:
             return tuple(counts[-1])
 
         monkeypatch.setattr(incompat.deficiency, "batch_ranks", counted)
-        assert count(deficiency_profile, identity(7)) == (350, 12)
-        assert count(deficiency_profile, identity(9)) == (1_746, 20)
+        assert count(deficiency_profile, identity(7)) == (110, 8)
+        assert count(deficiency_profile, identity(9)) == (334, 11)
         dfts = [dft_matrix(d) for d in (8, 9, 10, 12)]
-        assert [count(deficiency_profile, tm) for tm in dfts] == [
-            (123, 4), (158, 6), (675, 8), (5_535, 47)
+        assert [count(deficiency_profile, tm) for tm in dfts] == [(4, 4), (5, 5), (5, 5), (10, 10)]
+        assert [count(tau_fast, tm) for tm in dfts] == [(1, 1)] * 4
+        taus = (2, 3, 3, 5)
+        assert [count(lambda tm: r_row(tm, tau), tm) for tm, tau in zip(dfts, taus)] == [
+            (30, 1), (30, 1), (78, 1), (387, 3)
         ]
-        assert [count(tau_fast, tm) for tm in dfts] == [(30, 1), (30, 1), (78, 1), (387, 3)]
 
     @pytest.mark.parametrize("budget", [1, 7, 40, 600])
     @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 2), (3, 2), (2, 5)])
