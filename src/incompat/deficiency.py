@@ -24,8 +24,10 @@ symmetry.least_sets, each built once and cached when small, and built
 for the call otherwise.
 
 Both deficiency_profile and tau_fast read the levels off one descent,
-_descent: level 0 decided first on half-size square blocks
-(_square_blocks_clear), then t from d - 1 down to 0. Within a level each m
+_descent: t from d - 1 down to 0, after a level-0 step on half-size square
+blocks (_square_blocks_clear) that ends the descent when it certifies
+every level 0. Where the first coset seed (below) is decided deficient,
+the step could only decline, and the descent skips it. Within a level each m
 has one ceiling on the deficiency of its blocks: the interlacing bound
 min(m, d - m - t), capped by the coherence bound sigma_{m-j+1}^2 >= 1 -
 mu^2 m (d - m - t) / j on the j-th smallest singular value. The search
@@ -131,7 +133,11 @@ def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float, floors: list | N
     ||U||_2 from the residual, the rest go to batch_ranks, and the verdict
     is batch_ranks's over every block; it stops at the first deficient
     block. The step only certifies: False says nothing about any level,
-    which the level search then decides.
+    which the level search then decides. _descent skips the step when the
+    coset seed it decides first is deficient: that seed is a block of the
+    level search decided at its shape's threshold as the search decides it,
+    and True, by the last paragraph, makes every such decision full rank,
+    so the step would have returned False.
 
     floors, when given, are passed on to squares_full_rank: the minor
     floors of the subset search's square level on tm
@@ -359,19 +365,36 @@ def _seed(
     a: np.ndarray, t: int, rank_tol: float, candidates: list[SubmatrixSelector]
 ) -> tuple[int, SubmatrixSelector, float] | None:
     """The seed of _max_row_deficiency at level t: of the candidate m x (m +
-    t) blocks (at least one), each decided once by batch_ranks alone at its shape's
-    threshold, the most deficient, the first in the search's order among
-    equals, as (value, selector, gap), gap the largest of the decisions;
-    None when no candidate is deficient (every gap is then 0)."""
-    found, gap = [], 0.0
+    t) blocks, each decided once by batch_ranks alone at its shape's
+    threshold, the best (_best); None when there is none."""
+    decided = []
     for sel in dict.fromkeys(candidates):
         m = len(sel.rows)
         threshold = rank_threshold((m, m + t), rank_tol, 1.0)
         ((_, ranks, gaps),) = batch_ranks(a, np.array([sel.rows]), np.array([sel.cols]), threshold)
-        gap = max(gap, float(gaps[0, 0]))
-        found.append((m - int(ranks[0, 0]), sel))
-    value, sel = min(found, key=lambda f: (-f[0], len(f[1].rows), f[1].rows, f[1].cols))
-    return (value, sel, gap) if value > 0 else None
+        decided.append((m - int(ranks[0, 0]), sel, float(gaps[0, 0])))
+    return _best(decided)
+
+
+def _best(decided: list) -> tuple[int, SubmatrixSelector, float] | None:
+    """Of decided (value, selector, gap) triples, the most deficient, the
+    first in the search's order among equals, as (value, selector, gap), gap
+    the largest of them; None when none is deficient (every gap is then
+    0)."""
+    value, sel, _ = min(
+        decided, key=lambda f: (-f[0], len(f[1].rows), f[1].rows, f[1].cols), default=(0, None, 0.0)
+    )
+    return (value, sel, max(f[2] for f in decided)) if value > 0 else None
+
+
+def _coset_seed(a: np.ndarray, rank_tol: float, cosets) -> tuple[int | None, tuple | None]:
+    """(t, _seed of the coset block at t) for the highest level t with a
+    block in cosets (fourier.coset_blocks), the first coset seed the
+    descent decides; (None, None) when cosets is None or holds no block."""
+    if cosets is None:
+        return None, None
+    t = next((t for t in range(len(cosets) - 1, -1, -1) if cosets[t][1] is not None), None)
+    return (None, None) if t is None else (t, _seed(a, t, rank_tol, [cosets[t][1]]))
 
 
 def _descent(
@@ -380,17 +403,16 @@ def _descent(
     """The row search of every level that needs one, yielded as
     (t, value, witness, worst gap ratio) for t descending from d - 1.
 
-    Nothing is yielded when _square_blocks_clear, given floors, certifies
-    that every level is 0. Otherwise the searches reduce by sym, verified here
-    (symmetry.verify) when not given, and each level is searched with
-    stop_at one above the value at t + 1, the unit-step bound on
-    consecutive levels, so a search ends the moment it reaches that bound.
-    Level d - 1 has no candidate (its interlacing ceiling is 0), so the
-    first bounded search is at t = d - 2 with stop_at 1: up to the first
-    deficient level every search asks only whether a deficient block
-    exists, the question tau_fast asks. Each search gets the bit the one
-    before it left (alone, see _max_row_deficiency), so a grid after one
-    that exited at its first row set starts with that row set alone.
+    The searches reduce by sym, verified here (symmetry.verify) when not
+    given. Each level is searched with stop_at one above the value at t +
+    1, the unit-step bound on consecutive levels, so a search ends the
+    moment it reaches that bound. Level d - 1 has no candidate (its
+    interlacing ceiling is 0), so the first bounded search is at t = d - 2
+    with stop_at 1: up to the first deficient level every search asks only
+    whether a deficient block exists, the question tau_fast asks. Each
+    search gets the bit the one before it left (alone, see
+    _max_row_deficiency), so a grid after one that exited at its first row
+    set starts with that row set alone.
 
     Each level is seeded (_seed) with at most two blocks, decided before it
     is searched:
@@ -405,21 +427,57 @@ def _descent(
 
     The value at each level is the same as unseeded; the witness is the
     seed unless some block beats it (_max_row_deficiency).
+
+    The level-0 step, _square_blocks_clear given floors, is a fallback,
+    and nothing is yielded when it certifies that every level is 0. Before
+    it, the coset block of the highest level t that has one is decided
+    (_coset_seed), as that level's seed would be. If it is deficient, the
+    step is skipped, which is sound: the seed is one of the level search's
+    blocks, decided at its shape's threshold by batch_ranks, which decides a
+    block the same in any batch, and a step that returns True makes every
+    decision of the level search full rank (_square_blocks_clear), so the
+    step would have declined, and after a decline the descent is this one.
+    Level t takes that decision as it stands and decides only the witness
+    from level t + 1, where it is another block, merged under _seed's rule
+    (_best): no block is decided twice, and every seed, value, witness and
+    gap is the one of a descent that runs the step first.
+
+    Without sym, verify runs before the step only where both translations
+    can hold: d >= symmetry.MIN_REDUCED_DIM, d composite (coset_blocks(d)[0]
+    has a block) and symmetry.may_translate true of mu = max |U_jk|. Both
+    translations kept within verify's per-entry delta = 32 d eps (1 + d r),
+    r the residual, put every entry modulus within about d delta of mu, and
+    some entry of each column is at most sqrt((1 + r) / d), so they need mu
+    <= sqrt((1 + r) / d) + 2 d delta: a flatness test. mu is computed once,
+    for this test where it is made and for the coherence cap. Input that
+    fails the test, a Haar unitary among it, pays that one max of |U| and
+    is verified after the step as before; verify runs at most once per
+    descent.
     """
-    if _square_blocks_clear(tm, rank_tol, floors):
+    d = tm.dim
+    cosets = fourier.coset_blocks(d) if d >= symmetry.MIN_REDUCED_DIM else None
+    coherence = None
+    if sym is None and cosets is not None and cosets[0][1] is not None:
+        coherence = _coherence(tm)
+        if symmetry.may_translate(d, coherence[0], tm.residual):
+            sym = symmetry.verify(tm.matrix, tm.residual)
+    if sym is None or not (sym.row_shift and sym.column_translations):
+        cosets = None
+    top, decided = _coset_seed(tm.matrix, rank_tol, cosets)
+    if decided is None and _square_blocks_clear(tm, rank_tol, floors):
         return
     if sym is None:
         sym = symmetry.verify(tm.matrix, tm.residual)
-    mu, e = _coherence(tm)
-    d = tm.dim
-    cosets = fourier.coset_blocks(d) if sym.row_shift and sym.column_translations else None
+    mu, e = coherence or _coherence(tm)
     value, sel, alone = None, None, False
     for t in range(d - 1, -1, -1):
         stop_at = None if value is None else value + 1
         coset = None if cosets is None else cosets[t][1]
         above = None if sel is None else SubmatrixSelector(sel.rows, sel.cols[:-1])
-        candidates = [c for c in (coset, above) if c is not None]
+        candidates = [c for c in (coset, above) if c is not None and (t != top or c != coset)]
         seed = _seed(tm.matrix, t, rank_tol, candidates) if candidates else None
+        if t == top:  # its coset block was decided before the level-0 step
+            seed = _best([s for s in (decided, seed) if s is not None])
         value, sel, gap, alone = _max_row_deficiency(
             tm.matrix, t, mu, e, stop_at=stop_at, rank_tol=rank_tol, sym=sym, alone=alone,
             seed=seed,
@@ -443,7 +501,8 @@ def _level_search(
 
 def _coherence(tm: TransitionMatrix) -> tuple[float, float]:
     """(mu, e) of _max_row_deficiency's coherence cap: the largest entry
-    modulus and d * residual."""
+    modulus and d * residual. _descent computes them once and reads mu for
+    its flatness test too."""
     return float(np.abs(tm.matrix).max()), tm.dim * tm.residual
 
 

@@ -171,11 +171,39 @@ def verify(a: np.ndarray, residual: float) -> Symmetry:
     beta = _phase(ratio[:, int(np.abs(a).min(axis=1).argmax()), :])
     alpha = _phase((ratio * beta[:, None, :].conj()).sum(axis=2))
     err = np.abs(v - alpha[:, :, None] * beta[:, None, :] * a).max(axis=(1, 2))
-    col_shift, row_shift, *unit_ok = err <= 32 * d * np.finfo(float).eps * (1 + d * residual)
+    col_shift, row_shift, *unit_ok = err <= _delta(d, residual)
     # The maps j -> u j + a, u in the verified units' subgroup, a in Z_d
     # when the row translation holds and a = 0 otherwise.
     dilations = _subgroup(tuple(u for u, ok in zip(units, unit_ok) if ok), d)
     return Symmetry(d, dilations, bool(row_shift), bool(col_shift))
+
+
+def may_translate(d: int, mu: float, residual: float) -> bool:
+    """False when verify cannot keep both translations on a d x d matrix
+    within residual r of unitary whose largest entry modulus is mu, so that
+    a caller can skip verify there; True says nothing.
+
+    verify proposes nothing outside MIN_REDUCED_DIM <= d <= 62. Where a
+    translation is kept, each entry is within delta of alpha_j beta_k times
+    the one it moves, phases within 2 eps of unit modulus, so the two
+    moduli differ by at most delta + 4 eps mu. Any entry reaches any other
+    by at most d / 2 row and d / 2 column translations or their inverses,
+    so with both kept every modulus is within d (delta + 4 eps mu) of mu.
+    Each column's squared norm is at most 1 + r, so its smallest modulus is
+    at most sqrt((1 + r) / d), and mu^2 <= 1 + r makes 4 eps mu at most
+    delta / (8 d). Both translations therefore need mu <= sqrt((1 + r) / d)
+    + d delta + delta / 8, and the test below, mu <= sqrt((1 + r) / d) + 2 d
+    delta, leaves more than 6 delta, over 1,000 eps, for the rounding of mu,
+    r and the square root: a flatness test, as |U_jk| = 1 / sqrt(d) for the
+    DFT."""
+    if not MIN_REDUCED_DIM <= d <= 62:
+        return False
+    return mu <= math.sqrt((1 + residual) / d) + 2 * d * _delta(d, residual)
+
+
+def _delta(d: int, residual: float) -> float:
+    """verify's per-entry bound on a kept map, 32 d eps (1 + d r)."""
+    return 32 * d * np.finfo(float).eps * (1 + d * residual)
 
 
 def _phase(z: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from incompat import (
     extremal_comb,
     from_array,
     identity,
+    load_matrix,
     qubit_rotation,
     r_col,
     r_row,
@@ -851,6 +852,102 @@ class TestSeeds:
                     assert w.side == "col" or w.deficiency == value
                     kept += 1
         assert kept > 0
+
+
+def _sylvester_hadamard():
+    """H (x) H (x) H, d = 8: flat, but its Z_8 translations do not hold."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    return from_array(np.kron(np.kron(h, h), h))
+
+
+def _phased_dft_from_json(d, seed):
+    """diag(a) F diag(b), unit-modulus a and b, written and read back as JSON."""
+    rng = np.random.default_rng(seed)
+    a, b = (np.exp(2j * np.pi * rng.random(d)) for _ in range(2))
+    return from_array(load_matrix(save_matrix(a[:, None] * dft_matrix(d).matrix * b), "json"))
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap module.name to count its calls; return count, where count(run)
+    is the number of calls that run() makes."""
+    wrapped, counts = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        counts[-1] += 1
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+    def count(run):
+        counts.append(0)
+        run()
+        return counts[-1]
+
+    return count
+
+
+class TestCosetSeedFirst:
+    """The descent decides its first coset seed before the level-0 step and
+    skips the step when that seed is deficient."""
+
+    WALK_AVOIDED = [dft_matrix(d) for d in (8, 9, 10, 12, 14, 15, 16, 18, 20, 24)] + [
+        _phased_dft_from_json(d, d) for d in (8, 12)
+    ]
+    WALK_TAKEN = [random_unitary(9, 0), dft_matrix(7), dft_matrix(11), dft_matrix(13),
+                  identity(9), _sylvester_hadamard()]
+
+    def test_walk_skipped_where_the_coset_seed_is_deficient(self, monkeypatch):
+        count = _counted(monkeypatch, incompat.deficiency, "squares_full_rank")
+        for tm in self.WALK_AVOIDED:
+            assert count(lambda: tau_fast(tm)) == 0
+            assert count(lambda: deficiency_profile(tm)) == 0
+        # Haar, prime DFTs and the identity have no deficient coset seed;
+        # the Hadamard is flat, so it is verified early, but holds no
+        # translation, so it falls back to the step too.
+        for tm in self.WALK_TAKEN:
+            assert count(lambda: tau_fast(tm)) == 1
+            assert count(lambda: deficiency_profile(tm)) == 1
+
+    def test_verify_at_most_once_and_never_for_haar_tau(self, monkeypatch):
+        count = _counted(monkeypatch, incompat.symmetry, "verify")
+        for d in (7, 8, 9, 10):
+            for seed in (0, 1):
+                assert count(lambda: tau_fast(random_unitary(d, seed))) == 0
+        corpus = (SEARCH_CORPUS + FRAGILE_DFTS + list(SEEDED_CORPUS) + self.WALK_AVOIDED
+                  + self.WALK_TAKEN)
+        for tm in corpus:
+            assert count(lambda: tau_fast(tm)) <= 1
+            assert count(lambda: deficiency_profile(tm)) <= 1
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_outputs_equal_the_step_first_descent(self, rank_tol, monkeypatch, tmp_path, capsys):
+        # With the early decision off, the level-0 step always runs first and
+        # the coset block is decided as its level's seed: every output is
+        # the same.
+        path = tmp_path / "input.json"
+
+        def results(tm):
+            p = deficiency_profile(tm, rank_tol=rank_tol)
+            path.write_text(save_matrix(tm.matrix))
+            code = main(["analyze", "--input", str(path), "--json", "--rank-tol", str(rank_tol)])
+            doc = json.loads(capsys.readouterr().out)
+            return (p.r_values, p.r_row_values, p.r_col_values, p.witnesses, p.worst_gap_ratio,
+                    tau_fast(tm, rank_tol=rank_tol), code, doc["checks"])
+
+        corpus = list(dict.fromkeys(
+            list(SEEDED_CORPUS) + SEARCH_CORPUS + FRAGILE_DFTS
+            + [_perturbed_dft(8, 1e-8, 8), _perturbed_dft(8, 1e-9, 0), _sylvester_hadamard()]
+        ))
+        count = _counted(monkeypatch, incompat.deficiency, "squares_full_rank")
+        skipped = 0
+        for tm in corpus:
+            got, want = [], []
+            walks = count(lambda: got.append(results(tm)))
+            with monkeypatch.context() as patch:
+                patch.setattr(incompat.deficiency, "_coset_seed", lambda *args: (None, None))
+                skipped += walks < count(lambda: want.append(results(tm)))
+            assert got == want
+        assert skipped > 0
 
 
 COMPOSITE = [d for d in range(4, 19) if dft_chi(d) <= d]

@@ -33,7 +33,7 @@ from incompat import (
     tau_fast,
 )
 from incompat.rank import TABLE_CACHE_ENTRIES, _drop_ranks, batch_ranks, lex_sets
-from incompat.symmetry import _least_sets, orbit_least, verify
+from incompat.symmetry import _least_sets, may_translate, orbit_least, verify
 from test_rank import _perturbed_dft
 from test_support import TALL_CORPUS
 
@@ -340,3 +340,45 @@ def test_table_caches_hold_a_bounded_number_of_bytes():
     # The caches of lex_sets and the drop ranks are full: the bound holds at
     # capacity.
     assert [table.cache_info().currsize for table in TABLE_CACHES[:2]] == [32, 32]
+
+
+class TestMayTranslate:
+    """may_translate is false only where verify cannot keep both
+    translations, so a descent that skips verify there loses nothing."""
+
+    def test_true_wherever_both_translations_hold(self):
+        rng = np.random.default_rng(7)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        inputs = (
+            [dft_matrix(d) for d in range(7, 25)]
+            + [from_array(random_phases(rng, d)[:, None] * dft_matrix(d).matrix
+                          * random_phases(rng, d)) for d in (8, 9, 12)]
+            + [from_array(dft_matrix(9).matrix * (1 + 1e-9))]
+            + [_perturbed_dft(d, eps, 0) for d in (8, 12) for eps in (1e-15, 1e-14, 1e-13, 1e-9)]
+            + [from_array(np.kron(np.kron(h, h), h)), identity(8), random_unitary(9, 0)]
+        )
+        held = 0
+        for tm in inputs:
+            sym = verify(tm.matrix, tm.residual)
+            if sym.row_shift and sym.column_translations:
+                assert may_translate(tm.dim, float(np.abs(tm.matrix).max()), tm.residual)
+                held += 1
+        assert held >= 22
+
+    def test_false_off_flat_input_and_outside_verify_range(self):
+        for d in (7, 8, 9, 10):
+            for seed in (0, 1):
+                tm = random_unitary(d, seed)
+                assert not may_translate(d, float(np.abs(tm.matrix).max()), tm.residual)
+        assert not may_translate(9, 1.0, 0.0)  # identity(9)
+        # Flat, but verify proposes nothing below MIN_REDUCED_DIM or above 62.
+        assert not may_translate(6, 1 / math.sqrt(6), 0.0)
+        assert not may_translate(64, 1 / 8, 0.0)
+        # One entry of dft(8) 1e-9 larger in modulus: just off flat, and no
+        # translation holds through it either.
+        a = dft_matrix(8).matrix.copy()
+        a[0, 0] *= 1 + 1e-9
+        tm = from_array(a)
+        assert not may_translate(8, float(np.abs(a).max()), tm.residual)
+        sym = verify(a, tm.residual)
+        assert not (sym.row_shift or sym.column_translations)
