@@ -11,8 +11,11 @@ every run go into the hash. Whatever --max-dim is, DFT(10) and DFT(12) are also 
 `analyze --json` without --verify, the inputs where the level search's
 coherence cap cuts the most, and DFT(10), DFT(12) and perturbed DFT(12)
 through tau_fast alone: they reach the levels that the cap skips whole,
-which the analyze corpus does not. The package is imported from the
-checkout's own src/, and the inputs are made by its constructors.
+which the analyze corpus does not. DFT(14), whose tau + 1 is searched, so
+that tau_fast verifies the symmetry group mid-descent, and the Sylvester
+Hadamard matrix of order 8, which is flat but holds neither translation,
+are run through tau_fast alone too. The package is imported from the checkout's own src/, and
+the inputs are made by its constructors.
 
 With --records FILE, every run is also written to FILE as one JSON line
 (name, rank_tol, mode, code, stdout, stderr, tau). --compare OLD NEW reads
@@ -68,6 +71,14 @@ def perturbed_dft(d: int, eps: float, seed: int):
     return from_array(dft_matrix(d).matrix @ (v * np.exp(1j * eps * w)) @ v.conj().T)
 
 
+def sylvester_hadamard(n: int):
+    """Sylvester's Hadamard matrix of order n, a power of 2, over sqrt(n)."""
+    h = np.ones((1, 1))
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return from_array(h / math.sqrt(n))
+
+
 def corpus(max_dim: int):
     """(name, transition matrix) pairs of dimension at most max_dim."""
     for d in range(1, max_dim + 1):
@@ -100,6 +111,8 @@ def tau_corpus():
     # Larger perturbations make DFT(12) generic: seconds per run, no prune.
     for eps in (1e-14, 1e-12, 1e-10):
         yield f"perturbed_dft(12, {eps!r})", perturbed_dft(12, eps, 12)
+    yield "dft(14)", dft_matrix(14)
+    yield "sylvester_hadamard(8)", sylvester_hadamard(8)
 
 
 def analyze(rank_tol: str, verify: tuple) -> tuple[int, str, str]:

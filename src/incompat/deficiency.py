@@ -32,11 +32,21 @@ has one ceiling on the deficiency of its blocks: the interlacing bound
 min(m, d - m - t), capped by the coherence bound sigma_{m-j+1}^2 >= 1 -
 mu^2 m (d - m - t) / j on the j-th smallest singular value. The search
 skips an m whose ceiling cannot beat the best found and leaves an m once
-its ceiling is reached; the proof and its allowance for near-unitary input
-are in _max_row_deficiency's docstring. The matrix's affine symmetries
-are verified once per descent (symmetry.verify), and the search of every
-grid decides one row set per orbit of them and one column set per column
-translation class, with the same values and witnesses.
+its ceiling is reached, and first skips the whole level when one bound on
+every m's ceiling (_level_ceiling) cannot beat the best it starts from;
+the proof and its allowance for near-unitary input are in
+_max_row_deficiency's docstring. The matrix's affine symmetries are
+verified at most once per descent (symmetry.verify), and the search of
+every grid decides one row set per orbit of them and one column set per
+column translation class, with the same values and witnesses.
+
+Which maps are tested when: deficiency_profile verifies every map up
+front, as it reports the row group. tau_fast's descent is given no
+symmetry; for the coset seeds it tests the two translations alone
+(symmetry.holds, the flags verify would give them), and it verifies the
+whole group only when some m of some level is searched. On dft(d) for d =
+8, 9, 10, 12, 15, 16, 18, 20 and 24 none is, and on dft(14) level tau + 1
+is.
 
 The descent seeds each level before searching it: the witness of the level
 above less its last column and, where both translations are verified, the
@@ -56,7 +66,9 @@ first maximizer.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,6 +78,7 @@ from . import fourier, symmetry
 from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
 from .rank import (
     DEFAULT_RANK_TOL,
+    EPS,
     batch_ranks,
     extract_submatrix,
     numerical_rank,
@@ -178,9 +191,30 @@ def _coherence_cap(
     threshold, e or mu must give m, not OverflowError."""
     m, c = shape
     x, margin = mu + e, threshold + e
-    room = 1 - margin * margin - 32 * d**3 * np.finfo(float).eps
+    room = 1 - margin * margin - 32 * d**3 * EPS
     quotient = m * (d - c) * x * x / room if room > 0 else math.inf
     return int(quotient) if quotient < m else m
+
+
+def _level_ceiling(
+    d: int, t: int, mu: float, e: float, rank_tol: float, stop_at: int
+) -> int:
+    """A bound on the ceiling of every m of level t (_max_row_deficiency):
+    min(stop_at, h, the coherence cap of an h x (h + t) block at threshold
+    tol * d), h = (d - t) // 2.
+
+    The interlacing bound min(m, d - m - t) is at most h. h (d - h - t) is
+    the largest m (d - m - t), and tol * d the largest threshold, tol (m +
+    t); IEEE rounding is monotone, so every m's computed quotient m (d - m
+    - t) (mu + e)^2 / room is at most this block's, Q (room falls with the
+    threshold, and where it is not positive here Q is infinite). If Q < h,
+    an m's cap is the integer part of its quotient or m itself, which is
+    then at most its quotient, so at most int(Q), this block's cap; if not,
+    this cap is h. So when best is at least the result, every m is skipped,
+    as the search of each m would skip it."""
+    h = (d - t) // 2
+    threshold = rank_threshold((d - t, d), rank_tol, 1.0)
+    return min(stop_at, h, _coherence_cap((h, h + t), d, mu, e, threshold))
 
 
 def _max_row_deficiency(
@@ -191,7 +225,7 @@ def _max_row_deficiency(
     *,
     stop_at: int | None = None,
     rank_tol: float = DEFAULT_RANK_TOL,
-    sym: symmetry.Symmetry | None = None,
+    sym: symmetry.Symmetry | Callable[[], symmetry.Symmetry] | None = None,
     alone: bool = False,
     seed: tuple[int, SubmatrixSelector, float] | None = None,
 ):
@@ -247,15 +281,17 @@ def _max_row_deficiency(
     stop_at is a caller-supplied hard upper bound (from the unit-step
     property of consecutive levels, see _descent; None puts no bound). An m
     whose ceiling cannot beat the current maximum is skipped before any row
-    set is enumerated, and the search of one m stops once its ceiling is
-    reached: later blocks at the same m could only tie, and ties never
-    replace the first-achieving selector. Once the maximum reaches stop_at,
-    every later m has a ceiling at most the maximum and is skipped, so
-    reaching it ends the search. None of these exits changes the value or
-    the witness. The worst gap ratio covers the decisions the search makes,
-    so a cap below the interlacing ceiling can only lower it, by ending an
-    m's search early or skipping an m; a cap of 0 never changes it, as
-    every block it skips has gap 0.
+    set is enumerated; the whole level is, by one test, when the bound on
+    every m's ceiling (_level_ceiling) cannot beat the starting best, which
+    skips no m the test of each m would not. The search of one m stops once
+    its ceiling is reached: later blocks at the same m could only tie, and
+    ties never replace the first-achieving selector. Once the maximum
+    reaches stop_at, every later m has a ceiling at most the maximum and is
+    skipped, so reaching it ends the search. None of these exits changes the
+    value or the witness. The worst gap ratio covers the decisions the
+    search makes, so a cap below the interlacing ceiling can only lower it,
+    by ending an m's search early or skipping an m; a cap of 0 never changes
+    it, as every block it skips has gap 0.
 
     seed, when given, is (value, selector, gap) from _seed: a block of this
     level, its deficiency as batch_ranks decides it at the block's own
@@ -273,8 +309,9 @@ def _max_row_deficiency(
     seed's decisions and those the search still makes.
 
     The column sets are the rows of rank.lex_sets(d, m + t), and the row
-    sets those of lex_sets(d, m). With sym (the symmetry that _descent
-    verified on a; None reduces nothing), every m decides only the row sets
+    sets those of lex_sets(d, m). With sym (the symmetry verified on a, or
+    a function that returns it, called at the first m searched; None
+    reduces nothing), every m decides only the row sets
     least in their orbit under sym's row group (Symmetry.least_rows), and,
     for each, only the column sets least under its column translations
     (Symmetry.least_cols), both filtered from the whole tables
@@ -301,12 +338,12 @@ def _max_row_deficiency(
     rank.batch_ranks decides the row sets a batch at a time, and each
     batch's rows are then replayed in order as if decided one by one: the
     witness is the first to achieve the maximum, an exit happens at the
-    first row that reaches the ceiling, and the worst gap ratio covers
-    only the rows up to that exit, not those the batch decided past it.
-    alone says whether the last grid searched, here or in the caller's
-    previous call, exited at its first row set; then the next grid's first
-    batch is that one row set (batch_ranks's first_rows), and the rest take
-    the usual size. A skipped m leaves the bit as it was. Identity-like
+    first row that reaches the ceiling, and the worst gap ratio covers only
+    the rows up to that exit, not those the batch decided past it. alone
+    says whether the last grid searched, here or in the caller's previous
+    call, exited at its first row set; then the next grid's first batch is
+    that one row set (batch_ranks's first_rows), and the rest take the usual
+    size. A skipped m, or level, leaves the bit as it was. Identity-like
     input exits at the first row set of every grid, and its first batches
     would otherwise decide up to hundreds of blocks that the replay throws
     away. Batching changes no decision, so nothing returned but the bit
@@ -319,12 +356,16 @@ def _max_row_deficiency(
     sym = symmetry.trivial(d) if sym is None else sym
     stop_at = d if stop_at is None else stop_at
     best, best_sel, worst_gap = (0, None, 0.0) if seed is None else seed
+    if best >= _level_ceiling(d, t, mu, e, rank_tol, stop_at):
+        return best, best_sel, worst_gap, alone
     for m in range(1, d - t + 1):
         c = m + t
         threshold = rank_threshold((m, c), rank_tol, 1.0)
         ceiling = min(m, d - c, _coherence_cap((m, c), d, mu, e, threshold), stop_at)
         if ceiling <= best:
             continue
+        if callable(sym):
+            sym = sym()
         row_sets, col_sets = sym.least_rows(m), sym.least_cols(c)
         batches = batch_ranks(a, row_sets, col_sets, threshold, 1 if alone else None)
         alone, seen = False, 0
@@ -404,15 +445,17 @@ def _descent(
     (t, value, witness, worst gap ratio) for t descending from d - 1.
 
     The searches reduce by sym, verified here (symmetry.verify) when not
-    given. Each level is searched with stop_at one above the value at t +
-    1, the unit-step bound on consecutive levels, so a search ends the
-    moment it reaches that bound. Level d - 1 has no candidate (its
-    interlacing ceiling is 0), so the first bounded search is at t = d - 2
-    with stop_at 1: up to the first deficient level every search asks only
-    whether a deficient block exists, the question tau_fast asks. Each
-    search gets the bit the one before it left (alone, see
-    _max_row_deficiency), so a grid after one that exited at its first row
-    set starts with that row set alone.
+    given, on first use: the level search calls it at the first m that it
+    searches, of any level, so a descent whose every level is skipped whole
+    or decided by its seeds verifies nothing. Each level is searched with
+    stop_at one above the value at t + 1, the unit-step bound on consecutive
+    levels, so a search ends the moment it reaches that bound. Level d - 1
+    has no candidate (its interlacing ceiling is 0), so the first bounded
+    search is at t = d - 2 with stop_at 1: up to the first deficient level
+    every search asks only whether a deficient block exists, the question
+    tau_fast asks. Each search gets the bit the one before it left (alone,
+    see _max_row_deficiency), so a grid after one that exited at its first
+    row set starts with that row set alone.
 
     Each level is seeded (_seed) with at most two blocks, decided before it
     is searched:
@@ -442,32 +485,38 @@ def _descent(
     (_best): no block is decided twice, and every seed, value, witness and
     gap is the one of a descent that runs the step first.
 
-    Without sym, verify runs before the step only where both translations
-    can hold: d >= symmetry.MIN_REDUCED_DIM, d composite (coset_blocks(d)[0]
-    has a block) and symmetry.may_translate true of mu = max |U_jk|. Both
-    translations kept within verify's per-entry delta = 32 d eps (1 + d r),
-    r the residual, put every entry modulus within about d delta of mu, and
-    some entry of each column is at most sqrt((1 + r) / d), so they need mu
-    <= sqrt((1 + r) / d) + 2 d delta: a flatness test. mu is computed once,
+    Without sym, the coset seeds need only whether both translations hold,
+    and the descent tests those two maps alone (symmetry.holds of
+    symmetry.translations: verify's flags for them, as each flag reads its
+    own map only), and only where both can hold: d >=
+    symmetry.MIN_REDUCED_DIM, d composite (coset_blocks(d)[0] has a block)
+    and symmetry.may_translate true of mu = max |U_jk|. Both translations
+    kept within verify's per-entry delta = 32 d eps (1 + d r), r the
+    residual, put every entry modulus within about d delta of mu, and some
+    entry of each column is at most sqrt((1 + r) / d), so they need mu <=
+    sqrt((1 + r) / d) + 2 d delta: a flatness test. mu is computed once,
     for this test where it is made and for the coherence cap. Input that
-    fails the test, a Haar unitary among it, pays that one max of |U| and
-    is verified after the step as before; verify runs at most once per
-    descent.
+    fails the test, a Haar unitary among it, pays that one max of |U|.
+    verify runs at most once per descent, and its translations then agree
+    with the test's.
     """
     d = tm.dim
     cosets = fourier.coset_blocks(d) if d >= symmetry.MIN_REDUCED_DIM else None
-    coherence = None
-    if sym is None and cosets is not None and cosets[0][1] is not None:
+    coherence, translate = None, False
+    if sym is not None:
+        translate = sym.row_shift and sym.column_translations
+    elif cosets is not None and cosets[0][1] is not None:
         coherence = _coherence(tm)
-        if symmetry.may_translate(d, coherence[0], tm.residual):
-            sym = symmetry.verify(tm.matrix, tm.residual)
-    if sym is None or not (sym.row_shift and sym.column_translations):
+        translate = symmetry.may_translate(d, coherence[0], tm.residual) and bool(
+            symmetry.holds(tm.matrix, symmetry.translations(d), tm.residual).all()
+        )
+    if not translate:
         cosets = None
     top, decided = _coset_seed(tm.matrix, rank_tol, cosets)
     if decided is None and _square_blocks_clear(tm, rank_tol, floors):
         return
-    if sym is None:
-        sym = symmetry.verify(tm.matrix, tm.residual)
+    if sym is None:  # verified at the first m searched (_max_row_deficiency)
+        sym = functools.cache(lambda: symmetry.verify(tm.matrix, tm.residual))
     mu, e = coherence or _coherence(tm)
     value, sel, alone = None, None, False
     for t in range(d - 1, -1, -1):

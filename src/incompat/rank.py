@@ -84,6 +84,10 @@ GRAM_MIN_BLOCKS = 16
 # lex_sets's, the walk's drop ranks and the orbit representatives. Larger
 # ones, from d = 12 on, are built per call.
 TABLE_CACHE_ENTRIES = 2**12
+# The float64 constants the rounding bounds read, looked up once.
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
+SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -346,7 +350,7 @@ def _minor_bounds(
     residual, and the modulus above which such a minor certifies its block
     at thresholds[m - 1]. Products only, no ** or pow: a huge residual must
     give inf, not OverflowError, and Python floats, which do not warn."""
-    eps, eta = float(np.finfo(float).eps), float(np.finfo(float).smallest_subnormal)
+    eps, eta = EPS, SUBNORMAL
     norm = (1 + d * residual) * (1 + 4 * d * d * eps)
     bounds = []
     err, power = 0.0, 1.0  # E_(m-1) and N^(m-1)
@@ -532,10 +536,9 @@ def _certified_full_rank(blocks: np.ndarray, threshold: float) -> np.ndarray:
     if n_rows * n_cols < GRAM_MIN_BLOCKS:
         return np.zeros((n_rows, n_cols), dtype=bool)
     k = min(m, c)
-    shift = 32 * (max(m, c) + k) ** 2 * np.finfo(float).eps
-    tiny = np.finfo(float).tiny
+    shift = 32 * (max(m, c) + k) ** 2 * EPS
     trace = np.einsum("...ij,...ij->...", blocks, blocks.conj()).real
-    candidate = (trace > tiny) & (trace <= 1 / tiny)
+    candidate = (trace > TINY) & (trace <= 1 / TINY)
     if not candidate.all():
         blocks = np.where(candidate[..., None, None], blocks, 0)
     adjoint = blocks.conj().swapaxes(-1, -2)

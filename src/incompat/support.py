@@ -37,6 +37,7 @@ from .matrices import SubmatrixSelector, TransitionMatrix, check_tolerance
 from .rank import (
     DEFAULT_RANK_TOL,
     DEFAULT_ZERO_THRESHOLD,
+    EPS,
     KernelWitness,
     batch_ranks,
     kernel_witness,
@@ -259,7 +260,7 @@ def _allowance(tm: TransitionMatrix) -> float:
     """The rounding allowance delta = 32 d^2 eps (1 + d * residual) of the
     square level's proof (_square_level_clear)."""
     d = tm.dim
-    return 32 * d * d * np.finfo(float).eps * (1 + d * tm.residual)
+    return 32 * d * d * EPS * (1 + d * tm.residual)
 
 
 def _square_level_clear(tm: TransitionMatrix, rank_tol: float, floors: list | None = None) -> bool:

@@ -23,6 +23,14 @@ deficiency._max_row_deficiency has the proof that this keeps its values and
 witnesses. The representatives are filtered from rank.lex_sets's tables,
 each whole, once per table and group (least_sets), and kept under
 lex_sets's caching rule.
+
+Which maps are tested when. verify tests all of them (holds, one flag per
+map, each flag computed from its map alone). deficiency_profile, r_row,
+r_col and r_t call it before they search, as the profile reports the row
+group. tau_fast's descent first needs only whether both translations hold,
+which decides its coset seeds: there it tests the two translations alone
+(translations, holds), where may_translate allows them, and calls verify,
+once, for the group only when some m of some level is searched.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rank import BATCH_ENTRIES, cached_when_small, lex_sets
+from .rank import BATCH_ENTRIES, EPS, cached_when_small, lex_sets
 
 # Below this dimension verify proposes nothing. There every grid of the
 # level search is decided in one batch of at most a few hundred blocks, and
@@ -125,11 +133,12 @@ def orbit_least(
 def verify(a: np.ndarray, residual: float) -> Symmetry:
     """The symmetries proposed in the module docstring that hold on a.
 
-    All proposals are gathered as one stack V[g, j, k] = a[pi_g(j),
-    sigma_g(k)]. Where a map holds, V conj(a) = alpha_j beta_k |a_jk|^2, so
-    beta is the phase of that ratio along the row j0 whose smallest entry is
-    largest (alpha_j0 = 1), and alpha the phase of its sum along each row
-    against conj(beta); a zero ratio gives phase 1. A map is kept when
+    holds decides all proposals at once, gathered as one stack V[g, j, k]
+    = a[pi_g(j), sigma_g(k)]. Where a map holds, V conj(a) = alpha_j beta_k
+    |a_jk|^2, so beta is the phase of that ratio along the row j0 whose
+    smallest entry is largest (alpha_j0 = 1), and alpha the phase of its
+    sum along each row against conj(beta); a zero ratio gives phase 1. A
+    map is kept when
 
         max_jk |V_jk - alpha_j beta_k a_jk| <= delta = 32 d eps (1 + d r),
 
@@ -159,11 +168,27 @@ def verify(a: np.ndarray, residual: float) -> Symmetry:
     if not MIN_REDUCED_DIM <= d <= 62:
         return trivial(d)
     ident = np.arange(d)
-    shift = (ident + 1) % d
     units = _unit_generators(d)
-    maps = [(ident, shift), (shift, ident)] + [
-        (u * ident % d, pow(u, -1, d) * ident % d) for u in units
-    ]
+    unit_maps = [(u * ident % d, pow(u, -1, d) * ident % d) for u in units]
+    col_shift, row_shift, *unit_ok = holds(a, translations(d) + unit_maps, residual)
+    # The maps j -> u j + a, u in the verified units' subgroup, a in Z_d
+    # when the row translation holds and a = 0 otherwise.
+    dilations = _subgroup(tuple(u for u, ok in zip(units, unit_ok) if ok), d)
+    return Symmetry(d, dilations, bool(row_shift), bool(col_shift))
+
+
+def translations(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The column translation k -> k + 1 and the row translation j -> j +
+    1 of range(d), as verify's first two (pi, sigma) maps."""
+    ident = np.arange(d)
+    shift = (ident + 1) % d
+    return [(ident, shift), (shift, ident)]
+
+
+def holds(a: np.ndarray, maps: list[tuple[np.ndarray, np.ndarray]], residual: float) -> np.ndarray:
+    """Whether each (pi, sigma) of maps holds on a, by verify's test: one
+    flag per map, each computed from its map alone, so a list of some of
+    verify's maps gets verify's flags for them."""
     pi = np.array([p for p, _ in maps])
     sigma = np.array([s for _, s in maps])
     v = a[pi[:, :, None], sigma[:, None, :]]
@@ -171,11 +196,7 @@ def verify(a: np.ndarray, residual: float) -> Symmetry:
     beta = _phase(ratio[:, int(np.abs(a).min(axis=1).argmax()), :])
     alpha = _phase((ratio * beta[:, None, :].conj()).sum(axis=2))
     err = np.abs(v - alpha[:, :, None] * beta[:, None, :] * a).max(axis=(1, 2))
-    col_shift, row_shift, *unit_ok = err <= _delta(d, residual)
-    # The maps j -> u j + a, u in the verified units' subgroup, a in Z_d
-    # when the row translation holds and a = 0 otherwise.
-    dilations = _subgroup(tuple(u for u, ok in zip(units, unit_ok) if ok), d)
-    return Symmetry(d, dilations, bool(row_shift), bool(col_shift))
+    return err <= _delta(a.shape[0], residual)
 
 
 def may_translate(d: int, mu: float, residual: float) -> bool:
@@ -203,7 +224,7 @@ def may_translate(d: int, mu: float, residual: float) -> bool:
 
 def _delta(d: int, residual: float) -> float:
     """verify's per-entry bound on a kept map, 32 d eps (1 + d r)."""
-    return 32 * d * np.finfo(float).eps * (1 + d * residual)
+    return 32 * d * EPS * (1 + d * residual)
 
 
 def _phase(z: np.ndarray) -> np.ndarray:

@@ -335,7 +335,9 @@ def test_large_row_tables_keep_the_outputs(monkeypatch, name):
 
 
 class TestLevelZeroFirst:
-    """Level 0 is decided first, on square blocks with m <= d/2."""
+    """The level-0 step on square blocks with m <= d/2, decided before any
+    level is searched, and after the first coset seed only where that seed
+    is not deficient."""
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_block_and_complement_share_sigma_min(self, d):
@@ -710,21 +712,63 @@ class TestCoherencePrune:
     @pytest.mark.parametrize("tm", COMPOSITE_DFTS, ids=lambda tm: f"d{tm.dim}")
     def test_tau_witness_at_a_tight_m_never_pruned(self, tm, monkeypatch):
         # mu^2 = 1 / d: the bound is tight exactly where m (d - m - tau) = d.
+        # The caps are computed here, as the search computes them: a level
+        # that its one ceiling test skips computes none of its m's caps.
         d = tm.dim
-        caps = self.record_caps(monkeypatch)
+        shapes = []
+        for module in (incompat.rank, incompat.deficiency):
+            decide = module.batch_ranks
+
+            def recorded(a, row_sets, col_sets, *args, decide=decide):
+                shapes.append((row_sets.shape[1], col_sets.shape[1]))
+                return decide(a, row_sets, col_sets, *args)
+
+            monkeypatch.setattr(module, "batch_ranks", recorded)
         tau = tau_fast(tm)
-        zero = {(dim, shape) for dim, shape, cap in caps if cap == 0}
-        # Every m above tau, and every m at tau before the witness's, is skipped.
+        mu, e = _coherence(tm)
+        zero = {
+            (d, (k, k + t))
+            for t in range(tau, d)
+            for k in range(1, d - t + 1)
+            if not incompat.deficiency._coherence_cap(
+                (k, k + t), d, mu, e, rank_threshold((k, k + t), 1e-10, 1.0)
+            )
+        }
+        # Every m above tau, and every m at tau before the witness's, is
+        # capped to 0, and no block above tau is decided.
         above = {(d, (k, k + t)) for t in range(tau + 1, d) for k in range(1, d - t)}
         assert above <= zero
+        assert shapes and all(c - m <= tau for m, c in shapes)
         value, sel = r_row(tm, tau)
         m = len(sel.rows)
         assert value == 1 and m * (d - m - tau) == d
         assert {(d, (k, k + tau)) for k in range(1, m)} <= zero
         assert (d, (m, m + tau)) not in zero
-        mu, e = _coherence(tm)
         threshold = rank_threshold((m, m + tau), 1e-10, 1.0)
         assert incompat.deficiency._coherence_cap((m, m + tau), d, mu, e, threshold) == 1
+
+    @given(
+        st.integers(2, 30),
+        st.data(),
+        st.sampled_from(["tight-", "tight+", "random"]),
+        st.sampled_from([0.0, 1e-16, 1e-12]),
+        st.sampled_from([0.0, 1e-10, 1e-6, 1e-2, 1e300]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_level_ceiling_bounds_every_m(self, d, data, kind, e, rank_tol):
+        # Whenever the level test skips (best >= the level ceiling), every
+        # m's ceiling, computed as the search computes it, is <= best.
+        t = data.draw(st.integers(0, d - 1))
+        stop_at = data.draw(st.integers(1, d))
+        if kind == "random":
+            mu = data.draw(st.floats(0.0, 2.0)) / math.sqrt(d)
+        else:
+            mu = (1 + (1e-14 if kind == "tight+" else -1e-14)) / math.sqrt(d)
+        level = incompat.deficiency._level_ceiling(d, t, mu, e, rank_tol, stop_at)
+        for m in range(1, d - t + 1):
+            threshold = rank_threshold((m, m + t), rank_tol, 1.0)
+            cap = incompat.deficiency._coherence_cap((m, m + t), d, mu, e, threshold)
+            assert min(m, d - m - t, cap, stop_at) <= level
 
     def test_dft_levels_above_tau_with_a_positive_cap(self):
         # For the DFT the cap is m (d - m - t) / d rounded down, so a level
@@ -948,6 +992,45 @@ class TestCosetSeedFirst:
                 skipped += walks < count(lambda: want.append(results(tm)))
             assert got == want
         assert skipped > 0
+
+
+class TestTranslationGate:
+    """Without a given symmetry the descent tests the two translations
+    alone for its coset seeds, and verifies the whole group only when some
+    m of some level is searched."""
+
+    NEVER_SEARCHED = [dft_matrix(d) for d in (8, 9, 10, 12, 15, 16, 18, 20, 24)] + [
+        _phased_dft_from_json(d, d) for d in (8, 12)
+    ]
+
+    def test_tau_fast_verifies_only_what_it_searches(self, monkeypatch):
+        count = _counted(monkeypatch, incompat.symmetry, "verify")
+        for tm in self.NEVER_SEARCHED:
+            assert count(lambda: tau_fast(tm)) == 0
+        # dft(14) refutes tau + 1 = 6 at m = 3..5, where the cap is 1.
+        assert count(lambda: tau_fast(dft_matrix(14))) == 1
+
+    def test_profile_verifies_once(self, monkeypatch):
+        count = _counted(monkeypatch, incompat.symmetry, "verify")
+        for tm in self.NEVER_SEARCHED + [dft_matrix(14), random_unitary(9, 0), identity(9)]:
+            assert count(lambda: deficiency_profile(tm)) == 1
+
+    def test_translation_flags_equal_verify(self):
+        corpus = (
+            [dft_matrix(d) for d in range(7, 25)]
+            + [_phased_dft_from_json(d, d) for d in (8, 12)]
+            + [_perturbed_dft(8, 1e-14, 0), _perturbed_dft(8, 1e-9, 0), _sylvester_hadamard()]
+            + [random_unitary(d, 0) for d in range(7, 11)]
+        )
+        seen = set()
+        for tm in corpus:
+            sym = verify(tm.matrix, tm.residual)
+            flags = incompat.symmetry.holds(
+                tm.matrix, incompat.symmetry.translations(tm.dim), tm.residual
+            )
+            assert flags.tolist() == [sym.column_translations, sym.row_shift]
+            seen.add(tuple(flags.tolist()))
+        assert seen == {(True, True), (False, False)}
 
 
 COMPOSITE = [d for d in range(4, 19) if dft_chi(d) <= d]
