@@ -14,8 +14,11 @@ through tau_fast alone: they reach the levels that the cap skips whole,
 which the analyze corpus does not. DFT(14), whose tau + 1 is searched, so
 that tau_fast verifies the symmetry group mid-descent, and the Sylvester
 Hadamard matrix of order 8, which is flat but holds neither translation,
-are run through tau_fast alone too. The package is imported from the checkout's own src/, and
-the inputs are made by its constructors.
+are run through tau_fast alone too. DFT(8) and DFT(12) are also run as
+`analyze --json` and through tau_fast at rank tolerance 0, where their
+translations verify but no coset block is decided deficient. The package
+is imported from the checkout's own src/, and the inputs are made by its
+constructors.
 
 With --records FILE, every run is also written to FILE as one JSON line
 (name, rank_tol, mode, code, stdout, stderr, tau). --compare OLD NEW reads
@@ -115,6 +118,13 @@ def tau_corpus():
     yield "sylvester_hadamard(8)", sylvester_hadamard(8)
 
 
+def zero_tol_corpus():
+    """(name, transition matrix) pairs run as analyze --json without
+    --verify and through tau_fast at rank tolerance 0."""
+    for d in (8, 12):
+        yield f"dft({d})", dft_matrix(d)
+
+
 def analyze(rank_tol: str, verify: tuple) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of analyze on the input file."""
     out, err = io.StringIO(), io.StringIO()
@@ -157,6 +167,10 @@ def run(max_dim: int, records=None) -> tuple[int, str]:
                 for rank_tol in RANK_TOLS:
                     tau = tau_fast(tm, rank_tol=float(rank_tol))
                     record(name, rank_tol, "tau", None, None, None, tau)
+            for name, tm in zero_tol_corpus():
+                Path(INPUT_NAME).write_text(save_matrix(tm.matrix))
+                record(name, "0", "analyze", *analyze("0", ()), None)
+                record(name, "0", "tau", None, None, None, tau_fast(tm, rank_tol=0.0))
         finally:
             os.chdir(cwd)
     return runs, digest.hexdigest()
@@ -217,7 +231,8 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-dim", type=int, default=9,
                         help="largest input dimension of the analyze corpus (default: 9); "
-                        "the DFT(10), DFT(12) and tau-only inputs are run at every value")
+                        "the DFT(10), DFT(12), tau-only and rank tolerance 0 inputs are run "
+                        "at every value")
     parser.add_argument("--records", type=argparse.FileType("w"),
                         help="also write every run to this file, one JSON line each")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),

@@ -26,8 +26,10 @@ for the call otherwise.
 Both deficiency_profile and tau_fast read the levels off one descent,
 _descent: t from d - 1 down to 0, after a level-0 step on half-size square
 blocks (_square_blocks_clear) that ends the descent when it certifies
-every level 0. Where the first coset seed (below) is decided deficient,
-the step could only decline, and the descent skips it. Within a level each m
+every level 0. The step runs unless the descent seeds from coset blocks
+(below), which it does where both translations are verified on a
+composite d >= symmetry.MIN_REDUCED_DIM; skipping it there changes no
+output (_descent). Within a level each m
 has one ceiling on the deficiency of its blocks: the interlacing bound
 min(m, d - m - t), capped by the coherence bound sigma_{m-j+1}^2 >= 1 -
 mu^2 m (d - m - t) / j on the j-th smallest singular value. The search
@@ -42,15 +44,15 @@ column translation class, with the same values and witnesses.
 
 Which maps are tested when: deficiency_profile verifies every map up
 front, as it reports the row group. tau_fast's descent is given no
-symmetry; for the coset seeds it tests the two translations alone
-(symmetry.holds, the flags verify would give them), and it verifies the
-whole group only when some m of some level is searched. On dft(d) for d =
-8, 9, 10, 12, 15, 16, 18, 20 and 24 none is, and on dft(14) level tau + 1
-is.
+symmetry; on composite d >= MIN_REDUCED_DIM it asks symmetry.translates
+whether both translations hold, the one question the step rule needs, and
+it verifies the whole group only when some m of some level is searched.
+On dft(d) for d = 8, 9, 10, 12, 15, 16, 18, 20 and 24 none is, and on
+dft(14) level tau + 1 is.
 
 The descent seeds each level before searching it: the witness of the level
-above less its last column and, where both translations are verified, the
-level's coset block (fourier.coset_blocks), each decided by batch_ranks
+above less its last column and, where the descent seeds from coset blocks,
+the level's coset block (fourier.coset_blocks), each decided by batch_ranks
 alone. The search starts from the better seed and looks only for a block
 that beats it, so every m whose ceiling the seed reaches is skipped: on
 dft(d) for d = 8, 9, 10, 12, 15, 16, 18 and 20 the descent decides no
@@ -146,11 +148,11 @@ def _square_blocks_clear(tm: TransitionMatrix, rank_tol: float, floors: list | N
     ||U||_2 from the residual, the rest go to batch_ranks, and the verdict
     is batch_ranks's over every block; it stops at the first deficient
     block. The step only certifies: False says nothing about any level,
-    which the level search then decides. _descent skips the step when the
-    coset seed it decides first is deficient: that seed is a block of the
-    level search decided at its shape's threshold as the search decides it,
-    and True, by the last paragraph, makes every such decision full rank,
-    so the step would have returned False.
+    which the level search then decides. _descent skips the step where it
+    seeds from coset blocks: True, by the last paragraph, makes every
+    decision of the level search full rank, its seeds' too, so the descent
+    then yields only zero levels, no witness and gap 0, which is what the
+    step's True reports.
 
     floors, when given, are passed on to squares_full_rank: the minor
     floors of the subset search's square level on tm
@@ -252,8 +254,8 @@ def _max_row_deficiency(
       Bruckstein (IEEE TIT 2002), per block and per deficiency. For the
       input U, V is the nearest unitary and e = d * residual >= ||U - V||_2,
       the allowance of _square_blocks_clear; then mu_V <= mu + e with mu =
-      max |U_jk|, and each singular value of a block moves by at most e;
-      the caller computes mu and e once per matrix (_coherence).
+      max |U_jk| (TransitionMatrix.coherence), and each singular value of a
+      block moves by at most e.
       With X = m (d - m - t) (mu + e)^2, th the threshold and s = 32 d^3
       eps, the cap is the largest j <= m with j (1 - (th + e)^2 - s) <= X.
       For every larger j, 1 - X / j > (th + e)^2 + s, so
@@ -353,7 +355,7 @@ def _max_row_deficiency(
     last grid searched).
     """
     d = a.shape[0]
-    sym = symmetry.trivial(d) if sym is None else sym
+    sym = symmetry.Symmetry(d) if sym is None else sym
     stop_at = d if stop_at is None else stop_at
     best, best_sel, worst_gap = (0, None, 0.0) if seed is None else seed
     if best >= _level_ceiling(d, t, mu, e, rank_tol, stop_at):
@@ -407,35 +409,17 @@ def _seed(
 ) -> tuple[int, SubmatrixSelector, float] | None:
     """The seed of _max_row_deficiency at level t: of the candidate m x (m +
     t) blocks, each decided once by batch_ranks alone at its shape's
-    threshold, the best (_best); None when there is none."""
+    threshold, the most deficient, the first in the search's order among
+    equals, as (value, selector, gap), gap the largest of their gaps; None
+    when none is deficient (every gap is then 0)."""
     decided = []
     for sel in dict.fromkeys(candidates):
         m = len(sel.rows)
         threshold = rank_threshold((m, m + t), rank_tol, 1.0)
         ((_, ranks, gaps),) = batch_ranks(a, np.array([sel.rows]), np.array([sel.cols]), threshold)
         decided.append((m - int(ranks[0, 0]), sel, float(gaps[0, 0])))
-    return _best(decided)
-
-
-def _best(decided: list) -> tuple[int, SubmatrixSelector, float] | None:
-    """Of decided (value, selector, gap) triples, the most deficient, the
-    first in the search's order among equals, as (value, selector, gap), gap
-    the largest of them; None when none is deficient (every gap is then
-    0)."""
-    value, sel, _ = min(
-        decided, key=lambda f: (-f[0], len(f[1].rows), f[1].rows, f[1].cols), default=(0, None, 0.0)
-    )
+    value, sel, _ = min(decided, key=lambda f: (-f[0], len(f[1].rows), f[1].rows, f[1].cols))
     return (value, sel, max(f[2] for f in decided)) if value > 0 else None
-
-
-def _coset_seed(a: np.ndarray, rank_tol: float, cosets) -> tuple[int | None, tuple | None]:
-    """(t, _seed of the coset block at t) for the highest level t with a
-    block in cosets (fourier.coset_blocks), the first coset seed the
-    descent decides; (None, None) when cosets is None or holds no block."""
-    if cosets is None:
-        return None, None
-    t = next((t for t in range(len(cosets) - 1, -1, -1) if cosets[t][1] is not None), None)
-    return (None, None) if t is None else (t, _seed(a, t, rank_tol, [cosets[t][1]]))
 
 
 def _descent(
@@ -463,73 +447,59 @@ def _descent(
     - the witness of level t + 1 less its last column, an m x (m + t) block
       whose deficiency is at least the value at t + 1 in exact arithmetic
       (dropping a column cannot raise the rank);
-    - when sym holds both translations (so d >= symmetry.MIN_REDUCED_DIM),
-      the level's coset block of fourier.coset_blocks, which depends on d
-      only and is read once per descent. At tau its value is 1, stop_at,
-      so that level's search skips every m.
+    - where the descent seeds from coset blocks (below), the level's coset
+      block of fourier.coset_blocks, which depends on d only and is read
+      once per descent. At tau its value is 1, stop_at, so that level's
+      search skips every m.
 
     The value at each level is the same as unseeded; the witness is the
     seed unless some block beats it (_max_row_deficiency).
 
-    The level-0 step, _square_blocks_clear given floors, is a fallback,
-    and nothing is yielded when it certifies that every level is 0. Before
-    it, the coset block of the highest level t that has one is decided
-    (_coset_seed), as that level's seed would be. If it is deficient, the
-    step is skipped, which is sound: the seed is one of the level search's
-    blocks, decided at its shape's threshold by batch_ranks, which decides a
-    block the same in any batch, and a step that returns True makes every
-    decision of the level search full rank (_square_blocks_clear), so the
-    step would have declined, and after a decline the descent is this one.
-    Level t takes that decision as it stands and decides only the witness
-    from level t + 1, where it is another block, merged under _seed's rule
-    (_best): no block is decided twice, and every seed, value, witness and
-    gap is the one of a descent that runs the step first.
+    The descent seeds from coset blocks where both translations are
+    verified on a composite d >= symmetry.MIN_REDUCED_DIM (coset_blocks(d)[0]
+    has a block exactly when d is composite). Everywhere else it first runs
+    the level-0 step, _square_blocks_clear given floors, and yields nothing
+    when the step certifies that every level is 0. Skipping the step where
+    the descent seeds from coset blocks changes no output: a step that
+    returns True makes every decision of the level search full rank
+    (_square_blocks_clear), the seeds' too, as each seed is one of its
+    blocks decided at its shape's threshold by batch_ranks, which decides a
+    block the same in any batch. The descent then yields only zero levels,
+    with no witness and gap 0, which is what the step's True reports, and a
+    step that returns False leaves the descent as it is.
 
-    Without sym, the coset seeds need only whether both translations hold,
-    and the descent tests those two maps alone (symmetry.holds of
-    symmetry.translations: verify's flags for them, as each flag reads its
-    own map only), and only where both can hold: d >=
-    symmetry.MIN_REDUCED_DIM, d composite (coset_blocks(d)[0] has a block)
-    and symmetry.may_translate true of mu = max |U_jk|. Both translations
-    kept within verify's per-entry delta = 32 d eps (1 + d r), r the
-    residual, put every entry modulus within about d delta of mu, and some
-    entry of each column is at most sqrt((1 + r) / d), so they need mu <=
-    sqrt((1 + r) / d) + 2 d delta: a flatness test. mu is computed once,
-    for this test where it is made and for the coherence cap. Input that
-    fails the test, a Haar unitary among it, pays that one max of |U|.
-    verify runs at most once per descent, and its translations then agree
-    with the test's.
+    Without sym, symmetry.translates decides the translations, and only
+    where the rule reads them: d >= MIN_REDUCED_DIM and composite. Its
+    flatness test lets input that cannot hold both, a Haar unitary among
+    it, skip the test of the two maps. mu is the matrix's coherence
+    (TransitionMatrix.coherence), for that test and for the coherence cap.
+    The whole group is verified after the step, at most once per descent,
+    and its translations then agree with translates'.
     """
     d = tm.dim
     cosets = fourier.coset_blocks(d) if d >= symmetry.MIN_REDUCED_DIM else None
-    coherence, translate = None, False
-    if sym is not None:
+    if cosets is None or cosets[0][1] is None:  # d below MIN_REDUCED_DIM, or prime
+        translate = False
+    elif sym is None:
+        translate = symmetry.translates(tm.matrix, tm.residual, tm.coherence)
+    else:
         translate = sym.row_shift and sym.column_translations
-    elif cosets is not None and cosets[0][1] is not None:
-        coherence = _coherence(tm)
-        translate = symmetry.may_translate(d, coherence[0], tm.residual) and bool(
-            symmetry.holds(tm.matrix, symmetry.translations(d), tm.residual).all()
-        )
     if not translate:
+        if _square_blocks_clear(tm, rank_tol, floors):
+            return
         cosets = None
-    top, decided = _coset_seed(tm.matrix, rank_tol, cosets)
-    if decided is None and _square_blocks_clear(tm, rank_tol, floors):
-        return
     if sym is None:  # verified at the first m searched (_max_row_deficiency)
         sym = functools.cache(lambda: symmetry.verify(tm.matrix, tm.residual))
-    mu, e = coherence or _coherence(tm)
     value, sel, alone = None, None, False
     for t in range(d - 1, -1, -1):
         stop_at = None if value is None else value + 1
         coset = None if cosets is None else cosets[t][1]
         above = None if sel is None else SubmatrixSelector(sel.rows, sel.cols[:-1])
-        candidates = [c for c in (coset, above) if c is not None and (t != top or c != coset)]
+        candidates = [c for c in (coset, above) if c is not None]
         seed = _seed(tm.matrix, t, rank_tol, candidates) if candidates else None
-        if t == top:  # its coset block was decided before the level-0 step
-            seed = _best([s for s in (decided, seed) if s is not None])
         value, sel, gap, alone = _max_row_deficiency(
-            tm.matrix, t, mu, e, stop_at=stop_at, rank_tol=rank_tol, sym=sym, alone=alone,
-            seed=seed,
+            tm.matrix, t, tm.coherence, d * tm.residual, stop_at=stop_at, rank_tol=rank_tol,
+            sym=sym, alone=alone, seed=seed,
         )
         yield t, value, sel, gap
 
@@ -542,17 +512,10 @@ def _level_search(
     maximizing selector unchanged (see _max_row_deficiency)."""
     _check_level(tm.dim, t, rank_tol)
     value, sel, _, _ = _max_row_deficiency(
-        tm.matrix, t, *_coherence(tm), rank_tol=rank_tol,
+        tm.matrix, t, tm.coherence, tm.dim * tm.residual, rank_tol=rank_tol,
         sym=symmetry.verify(tm.matrix, tm.residual),
     )
     return value, sel
-
-
-def _coherence(tm: TransitionMatrix) -> tuple[float, float]:
-    """(mu, e) of _max_row_deficiency's coherence cap: the largest entry
-    modulus and d * residual. _descent computes them once and reads mu for
-    its flatness test too."""
-    return float(np.abs(tm.matrix).max()), tm.dim * tm.residual
 
 
 def r_row(

@@ -74,7 +74,10 @@ class SubmatrixSelector:
 class TransitionMatrix:
     """A d x d unitary of basis overlaps, validated on construction.
 
-    The measured residual ||U^dag U - I||_max is kept as ``.residual``.
+    The measured residual ||U^dag U - I||_max is kept as ``.residual``, and
+    the coherence mu = max |U_jk|, which the level search's coherence cap
+    and the translation gate read (deficiency, symmetry.translates), as
+    ``.coherence``.
     """
 
     dim: int
@@ -101,6 +104,7 @@ class TransitionMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "coherence", float(np.abs(arr).max()))
 
 
 def check_tolerance(name: str, value: float) -> float:

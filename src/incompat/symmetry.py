@@ -28,9 +28,10 @@ Which maps are tested when. verify tests all of them (holds, one flag per
 map, each flag computed from its map alone). deficiency_profile, r_row,
 r_col and r_t call it before they search, as the profile reports the row
 group. tau_fast's descent first needs only whether both translations hold,
-which decides its coset seeds: there it tests the two translations alone
-(translations, holds), where may_translate allows them, and calls verify,
-once, for the group only when some m of some level is searched.
+which decides whether it seeds from coset blocks or runs the level-0 step:
+translates answers that alone, with verify's flags for the two maps, and
+verify runs, once, for the group only when some m of some level is
+searched.
 """
 
 from __future__ import annotations
@@ -75,11 +76,6 @@ class Symmetry:
         translations or the identity alone, in lexicographic order
         (least_sets)."""
         return least_sets(self.d, c, (1,), self.column_translations)
-
-
-def trivial(d: int) -> Symmetry:
-    """The symmetry that reduces nothing."""
-    return Symmetry(d)
 
 
 def least_sets(d: int, k: int, dilations: tuple[int, ...], shift: bool) -> np.ndarray:
@@ -166,7 +162,7 @@ def verify(a: np.ndarray, residual: float) -> Symmetry:
     """
     d = a.shape[0]
     if not MIN_REDUCED_DIM <= d <= 62:
-        return trivial(d)
+        return Symmetry(d)
     ident = np.arange(d)
     units = _unit_generators(d)
     unit_maps = [(u * ident % d, pow(u, -1, d) * ident % d) for u in units]
@@ -197,6 +193,15 @@ def holds(a: np.ndarray, maps: list[tuple[np.ndarray, np.ndarray]], residual: fl
     alpha = _phase((ratio * beta[:, None, :].conj()).sum(axis=2))
     err = np.abs(v - alpha[:, :, None] * beta[:, None, :] * a).max(axis=(1, 2))
     return err <= _delta(a.shape[0], residual)
+
+
+def translates(a: np.ndarray, residual: float, mu: float) -> bool:
+    """Whether verify keeps both translations of a, mu = max |a_jk|: False
+    where may_translate rules them out, verify's range of d or flatness,
+    and otherwise holds on the two maps alone (translations), which gives
+    verify's flags for them, as each flag reads its own map only."""
+    d = a.shape[0]
+    return may_translate(d, mu, residual) and bool(holds(a, translations(d), residual).all())
 
 
 def may_translate(d: int, mu: float, residual: float) -> bool:

@@ -336,8 +336,7 @@ def test_large_row_tables_keep_the_outputs(monkeypatch, name):
 
 class TestLevelZeroFirst:
     """The level-0 step on square blocks with m <= d/2, decided before any
-    level is searched, and after the first coset seed only where that seed
-    is not deficient."""
+    level is searched, unless the levels are seeded from coset blocks."""
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_block_and_complement_share_sigma_min(self, d):
@@ -541,8 +540,8 @@ class TestChiInvariances:
 
 
 def _coherence(tm):
-    """(mu, e) as the level search computes them, once per matrix: the
-    largest entry modulus and d times the unitarity residual."""
+    """(mu, e) as the level search reads them: the largest entry modulus
+    (TransitionMatrix.coherence) and d times the unitarity residual."""
     return float(np.abs(tm.matrix).max()), tm.dim * tm.residual
 
 
@@ -931,8 +930,9 @@ def _counted(monkeypatch, module, name):
 
 
 class TestCosetSeedFirst:
-    """The descent decides its first coset seed before the level-0 step and
-    skips the step when that seed is deficient."""
+    """The descent skips the level-0 step where it seeds from coset blocks,
+    both translations verified on a composite d >= 7, and a step that
+    certifies reports what the descent would yield without it."""
 
     WALK_AVOIDED = [dft_matrix(d) for d in (8, 9, 10, 12, 14, 15, 16, 18, 20, 24)] + [
         _phased_dft_from_json(d, d) for d in (8, 12)
@@ -963,11 +963,11 @@ class TestCosetSeedFirst:
             assert count(lambda: tau_fast(tm)) <= 1
             assert count(lambda: deficiency_profile(tm)) <= 1
 
-    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6, 0.0], ids=["1e-10", "1e-06", "0"])
     def test_outputs_equal_the_step_first_descent(self, rank_tol, monkeypatch, tmp_path, capsys):
-        # With the early decision off, the level-0 step always runs first and
-        # the coset block is decided as its level's seed: every output is
-        # the same.
+        # With the level-0 step never certifying, every descent searches its
+        # levels: every output is the same, where the real step certifies
+        # too.
         path = tmp_path / "input.json"
 
         def results(tm):
@@ -981,17 +981,24 @@ class TestCosetSeedFirst:
         corpus = list(dict.fromkeys(
             list(SEEDED_CORPUS) + SEARCH_CORPUS + FRAGILE_DFTS
             + [_perturbed_dft(8, 1e-8, 8), _perturbed_dft(8, 1e-9, 0), _sylvester_hadamard()]
+            + [random_unitary(7, 0), random_unitary(9, 0)]
+            + [dft_matrix(d) for d in (7, 11, 13)]
         ))
-        count = _counted(monkeypatch, incompat.deficiency, "squares_full_rank")
-        skipped = 0
+        step, certified = incompat.deficiency._square_blocks_clear, []
+
+        def recording(*args):
+            certified.append(step(*args))
+            return certified[-1]
+
         for tm in corpus:
-            got, want = [], []
-            walks = count(lambda: got.append(results(tm)))
             with monkeypatch.context() as patch:
-                patch.setattr(incompat.deficiency, "_coset_seed", lambda *args: (None, None))
-                skipped += walks < count(lambda: want.append(results(tm)))
+                patch.setattr(incompat.deficiency, "_square_blocks_clear", recording)
+                got = results(tm)
+            with monkeypatch.context() as patch:
+                patch.setattr(incompat.deficiency, "_square_blocks_clear", lambda *args: False)
+                want = results(tm)
             assert got == want
-        assert skipped > 0
+        assert any(certified)
 
 
 class TestTranslationGate:
@@ -1031,6 +1038,23 @@ class TestTranslationGate:
             assert flags.tolist() == [sym.column_translations, sym.row_shift]
             seen.add(tuple(flags.tolist()))
         assert seen == {(True, True), (False, False)}
+
+
+def test_translates_is_verify_on_both_translations():
+    corpus = (
+        [dft_matrix(d) for d in range(7, 25)]
+        + [_phased_dft_from_json(d, d) for d in (8, 12)]
+        + [_perturbed_dft(8, 1e-14, 0), _perturbed_dft(8, 1e-9, 0), _sylvester_hadamard()]
+        + [random_unitary(d, 0) for d in range(7, 11)]
+        + [identity(9), dft_matrix(6), dft_matrix(64)]
+    )
+    seen = set()
+    for tm in corpus:
+        sym = verify(tm.matrix, tm.residual)
+        held = incompat.symmetry.translates(tm.matrix, tm.residual, tm.coherence)
+        assert held == (sym.row_shift and sym.column_translations)
+        seen.add(held)
+    assert seen == {True, False}
 
 
 COMPOSITE = [d for d in range(4, 19) if dft_chi(d) <= d]

@@ -151,6 +151,20 @@ def test_constructors_meet_unitarity_budget(tm):
 
 @pytest.mark.parametrize(
     "tm",
+    [identity(1), identity(4), dft_matrix(1), dft_matrix(6), qubit_rotation(0.9, 0.2, 0.4),
+     bronzan_rotation(0.3, 1.2), random_unitary(5, 3)]
+    + [from_array(dft_matrix(4).matrix * np.exp(0.3j)), from_array([[0, 1], [1, 0]])],
+    ids=lambda tm: f"d{tm.dim}",
+)
+def test_coherence_is_the_largest_entry_modulus(tm):
+    # Kept on construction, and the same after a JSON round trip.
+    assert tm.coherence == float(np.abs(tm.matrix).max())
+    loaded = from_array(load_matrix(save_matrix(tm.matrix), "json"))
+    assert loaded.coherence == float(np.abs(loaded.matrix).max()) == tm.coherence
+
+
+@pytest.mark.parametrize(
+    "tm",
     [
         qubit_rotation(0.0),
         qubit_rotation(math.pi / 2),

@@ -55,10 +55,13 @@ def test_report_digest_repeats(tmp_path):
     assert second.stdout == first.stdout
     runs = [json.loads(line) for line in records.read_text().splitlines()]
     assert len(runs) == int(lines[0].split()[1])
-    # DFT(10) and DFT(12) are analyzed whatever --max-dim is.
+    # DFT(10) and DFT(12) are analyzed whatever --max-dim is, and DFT(8) and
+    # DFT(12) are analyzed and run through tau_fast at rank tolerance 0.
     analyzed = {(r["name"], r["rank_tol"]) for r in runs if r["mode"] == "analyze"}
     tols = ("1e-10", "1e-6", "1e-4")
-    assert analyzed == {(f"dft({d})", tol) for d in (10, 12) for tol in tols}
+    zero = {("dft(8)", "0"), ("dft(12)", "0")}
+    assert analyzed == {(f"dft({d})", tol) for d in (10, 12) for tol in tols} | zero
+    assert zero < {(r["name"], r["rank_tol"]) for r in runs if r["mode"] == "tau"}
     assert all(r["code"] == 0 for r in runs if r["mode"] == "analyze")
     same = run_script("report_digest.py", "--compare", str(records), str(records))
     assert same.returncode == 0, same.stderr
